@@ -19,9 +19,9 @@
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -29,6 +29,8 @@
 #include "check/shrink.hh"
 #include "explore/explorer.hh"
 #include "mem/fault.hh"
+#include "sim/args.hh"
+#include "sim/config.hh"
 #include "sim/log.hh"
 
 using namespace middlesim;
@@ -62,84 +64,57 @@ struct Options
     std::string report;
 };
 
-mem::FaultPlan::Kind
-parseInject(const std::string &name)
-{
-    if (name == "none")
-        return mem::FaultPlan::Kind::None;
-    if (name == "drop-invalidate")
-        return mem::FaultPlan::Kind::DropInvalidate;
-    if (name == "keep-owner")
-        return mem::FaultPlan::Kind::KeepOwnerOnSnoop;
-    if (name == "skip-l1" || name == "skip-l1-back-inval")
-        return mem::FaultPlan::Kind::SkipL1BackInvalidate;
-    if (name == "drop-ack" || name == "drop-inval-ack")
-        return mem::FaultPlan::Kind::DropInvalAck;
-    if (name == "nack-storm")
-        return mem::FaultPlan::Kind::NackStorm;
-    fatal("middlesim_explore: unknown --inject value '", name,
-          "' (want none, drop-invalidate, keep-owner, skip-l1, "
-          "drop-ack or nack-storm)");
-    return mem::FaultPlan::Kind::None;
-}
-
-sim::CoherenceProtocol
-parseProtocol(const std::string &name)
-{
-    if (name == "snoop" || name == "bus" || name == "mosi")
-        return sim::CoherenceProtocol::SnoopBus;
-    if (name == "directory" || name == "dir" || name == "mesi")
-        return sim::CoherenceProtocol::DirectoryMesi;
-    fatal("middlesim_explore: unknown --protocol value '", name,
-          "' (want snoop or directory)");
-    return sim::CoherenceProtocol::SnoopBus;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto num = [&](std::size_t prefix) {
-            return std::strtoull(arg.c_str() + prefix, nullptr, 10);
+        const auto num = [&](std::uint64_t lo = 0,
+                             std::uint64_t hi = UINT_MAX) {
+            return sim::parseUintFlag("middlesim_explore", arg, lo, hi);
         };
         if (arg.rfind("--cpus=", 0) == 0) {
-            opt.cpus = static_cast<unsigned>(num(7));
+            opt.cpus = static_cast<unsigned>(num(1, 8));
         } else if (arg.rfind("--cpus-per-l2=", 0) == 0) {
-            opt.cpusPerL2 = static_cast<unsigned>(num(14));
+            opt.cpusPerL2 = static_cast<unsigned>(num(1));
         } else if (arg.rfind("--protocol=", 0) == 0) {
-            opt.protocol = parseProtocol(arg.substr(11));
+            if (!sim::parseProtocol(arg.substr(11), opt.protocol))
+                fatal("middlesim_explore: unknown --protocol value '",
+                      arg.substr(11), "' (want snoop or directory)");
         } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            opt.numaNodes = static_cast<unsigned>(num(13));
+            opt.numaNodes = static_cast<unsigned>(num(1));
         } else if (arg.rfind("--topology=", 0) == 0) {
             if (!sim::parseTopology(arg.substr(11), opt.topology))
                 fatal("middlesim_explore: unknown --topology value '",
                       arg.substr(11), "' (want ring or mesh)");
         } else if (arg.rfind("--dir-occupancy=", 0) == 0) {
-            opt.dirOccupancy = static_cast<unsigned>(num(16));
+            opt.dirOccupancy = static_cast<unsigned>(num());
         } else if (arg.rfind("--blocks=", 0) == 0) {
-            opt.blocks = static_cast<unsigned>(num(9));
+            opt.blocks = static_cast<unsigned>(num(1));
         } else if (arg.rfind("--refs=", 0) == 0) {
-            opt.refs = static_cast<unsigned>(num(7));
+            opt.refs = static_cast<unsigned>(num());
         } else if (arg.rfind("--seed=", 0) == 0) {
-            opt.seed = num(7);
+            opt.seed = num(0, UINT64_MAX);
         } else if (arg.rfind("--depth-budget=", 0) == 0) {
-            opt.depthBudget = static_cast<unsigned>(num(15));
+            opt.depthBudget = static_cast<unsigned>(num());
         } else if (arg.rfind("--max-executions=", 0) == 0) {
-            opt.maxExecutions = num(17);
+            opt.maxExecutions = num(0, UINT64_MAX);
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            opt.jobs = std::max(1u, static_cast<unsigned>(num(7)));
+            opt.jobs = static_cast<unsigned>(num(1));
         } else if (arg == "--no-dpor") {
             opt.dpor = false;
         } else if (arg == "--timing") {
             opt.timing = true;
         } else if (arg.rfind("--inject=", 0) == 0) {
-            opt.inject = parseInject(arg.substr(9));
+            if (!mem::parseFaultKind(arg.substr(9), opt.inject))
+                fatal("middlesim_explore: unknown --inject value '",
+                      arg.substr(9), "' (want ", mem::faultKindNames,
+                      ")");
         } else if (arg.rfind("--inject-period=", 0) == 0) {
-            opt.injectPeriod = num(16);
+            opt.injectPeriod = num(0, UINT64_MAX);
         } else if (arg.rfind("--inject-salt=", 0) == 0) {
-            opt.injectSalt = num(14);
+            opt.injectSalt = num(0, UINT64_MAX);
         } else if (arg.rfind("--out=", 0) == 0) {
             opt.out = arg.substr(6);
         } else if (arg.rfind("--report=", 0) == 0) {
@@ -155,15 +130,9 @@ parseArgs(int argc, char **argv)
                   "--out=DIR, --report=FILE)");
         }
     }
-    if (opt.cpus < 1 || opt.cpus > 8)
-        fatal("middlesim_explore: --cpus must be in [1, 8]");
-    if (opt.cpus % std::max(1u, opt.cpusPerL2) != 0)
+    if (opt.cpus % opt.cpusPerL2 != 0)
         fatal("middlesim_explore: --cpus-per-l2 must divide --cpus");
-    if (opt.blocks < 1)
-        fatal("middlesim_explore: --blocks must be >= 1");
-    if (opt.numaNodes < 1)
-        fatal("middlesim_explore: --numa-nodes must be >= 1");
-    const unsigned groups = opt.cpus / std::max(1u, opt.cpusPerL2);
+    const unsigned groups = opt.cpus / opt.cpusPerL2;
     if (groups % opt.numaNodes != 0)
         fatal("middlesim_explore: --numa-nodes must divide the L2 "
               "group count (", groups, ")");

@@ -22,9 +22,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,6 +33,7 @@
 #include "core/experiment.hh"
 #include "core/trace_run.hh"
 #include "mem/fault.hh"
+#include "sim/args.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
 #include "trace/format.hh"
@@ -75,56 +76,35 @@ enum ReproStatus
     kReproInvalid = 3,
 };
 
-mem::FaultPlan::Kind
-parseInject(const std::string &name)
-{
-    if (name == "none")
-        return mem::FaultPlan::Kind::None;
-    if (name == "drop-invalidate")
-        return mem::FaultPlan::Kind::DropInvalidate;
-    if (name == "keep-owner")
-        return mem::FaultPlan::Kind::KeepOwnerOnSnoop;
-    if (name == "skip-l1" || name == "skip-l1-back-inval")
-        return mem::FaultPlan::Kind::SkipL1BackInvalidate;
-    if (name == "drop-ack" || name == "drop-inval-ack")
-        return mem::FaultPlan::Kind::DropInvalAck;
-    if (name == "nack-storm")
-        return mem::FaultPlan::Kind::NackStorm;
-    fatal("middlesim_stress: unknown --inject value '", name,
-          "' (want none, drop-invalidate, keep-owner, skip-l1, "
-          "drop-ack or nack-storm)");
-    return mem::FaultPlan::Kind::None;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const auto num = [&](std::uint64_t lo = 0,
+                             std::uint64_t hi = UINT_MAX) {
+            return sim::parseUintFlag("middlesim_stress", arg, lo, hi);
+        };
         if (arg.rfind("--seeds=", 0) == 0) {
-            opt.seeds = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 8, nullptr, 10));
+            opt.seeds = static_cast<unsigned>(num());
         } else if (arg.rfind("--seed0=", 0) == 0) {
-            opt.seed0 = std::strtoull(arg.c_str() + 8, nullptr, 10);
+            opt.seed0 = num(0, UINT64_MAX);
         } else if (arg.rfind("--budget=", 0) == 0) {
-            // Accepts "60" and "60s".
-            opt.budget = std::strtod(arg.c_str() + 9, nullptr);
+            opt.budget = sim::parseSecondsFlag("middlesim_stress", arg);
         } else if (arg.rfind("--refs=", 0) == 0) {
-            opt.refs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 10));
-            if (opt.refs == 0)
-                fatal("middlesim_stress: --refs must be >= 1");
+            opt.refs = static_cast<unsigned>(num(1));
         } else if (arg.rfind("--out=", 0) == 0) {
             opt.out = arg.substr(6);
         } else if (arg.rfind("--inject=", 0) == 0) {
-            opt.inject = parseInject(arg.substr(9));
+            if (!mem::parseFaultKind(arg.substr(9), opt.inject))
+                fatal("middlesim_stress: unknown --inject value '",
+                      arg.substr(9), "' (want ", mem::faultKindNames,
+                      ")");
         } else if (arg.rfind("--inject-period=", 0) == 0) {
-            opt.injectPeriod =
-                std::strtoull(arg.c_str() + 16, nullptr, 10);
+            opt.injectPeriod = num(0, UINT64_MAX);
         } else if (arg.rfind("--inject-salt=", 0) == 0) {
-            opt.injectSalt =
-                std::strtoull(arg.c_str() + 14, nullptr, 10);
+            opt.injectSalt = num(0, UINT64_MAX);
         } else if (arg.rfind("--repro=", 0) == 0) {
             opt.repro = arg.substr(8);
         } else if (arg.rfind("--mode=", 0) == 0) {

@@ -232,85 +232,6 @@ sharing_record="$elapsed_s"
 time_run ./build/bench/middlesim-trace sharing "$smp_trace"
 sharing_replay="$elapsed_s"
 
-# Single-pass sweep engine vs per-size replay: the same fig12 trace
-# replayed through (a) one decode + the stack-distance engine,
-# (b) one decode + the legacy 9-config walk, and (c) nine decodes,
-# each into a single-config simulator. All three print identical
-# stdout (verified below); only the wall clock differs.
-echo "################ sweep engine (BENCH_sweep.json)"
-sweep_trace=$(ls -S "$trace_dir"/trace-*.mst 2>/dev/null | head -1)
-if [ -n "$sweep_trace" ]; then
-    time_run ./build/bench/middlesim-trace sweep "$sweep_trace" \
-        --mode=single-pass
-    sweep_single="$elapsed_s"
-    cp /tmp/middlesim_bench_out.txt /tmp/middlesim_sweep_single.txt
-    time_run ./build/bench/middlesim-trace sweep "$sweep_trace" \
-        --mode=legacy
-    sweep_legacy="$elapsed_s"
-    cp /tmp/middlesim_bench_out.txt /tmp/middlesim_sweep_legacy.txt
-    time_run ./build/bench/middlesim-trace sweep "$sweep_trace" \
-        --mode=per-config
-    sweep_perconfig="$elapsed_s"
-    cp /tmp/middlesim_bench_out.txt /tmp/middlesim_sweep_percfg.txt
-
-    # Equivalence: modes only differ on stderr (engine banner).
-    sweep_equiv=true
-    for alt in single legacy; do
-        if ! diff <(grep -v '^sweep engine\|^sharing mode' \
-                    /tmp/middlesim_sweep_percfg.txt) \
-                  <(grep -v '^sweep engine\|^sharing mode' \
-                    /tmp/middlesim_sweep_$alt.txt) > /dev/null; then
-            sweep_equiv=false
-            echo "WARNING: sweep mode outputs differ" \
-                 "(per-config vs $alt)" >&2
-        fi
-    done
-
-    time_run ./build/bench/middlesim-trace sharing "$smp_trace" \
-        --mode=per-degree
-    sharing_perdegree="$elapsed_s"
-    cp /tmp/middlesim_bench_out.txt /tmp/middlesim_share_perdeg.txt
-    time_run ./build/bench/middlesim-trace sharing "$smp_trace" \
-        --mode=single-pass
-    sharing_single="$elapsed_s"
-    cp /tmp/middlesim_bench_out.txt /tmp/middlesim_share_single.txt
-    if ! diff <(grep -v '^sharing mode' \
-                /tmp/middlesim_share_perdeg.txt) \
-              <(grep -v '^sharing mode' \
-                /tmp/middlesim_share_single.txt) > /dev/null; then
-        sweep_equiv=false
-        echo "WARNING: sharing mode outputs differ" >&2
-    fi
-
-    sweep_json="BENCH_sweep.json"
-    {
-        echo "{"
-        printf '  "schema": "middlesim-bench-sweep-v1",\n'
-        printf '  "trace_bytes": %s,\n' \
-            "$(du -b "$sweep_trace" | cut -f1)"
-        printf '  "sweep_single_pass_s": %s,\n' "$sweep_single"
-        printf '  "sweep_legacy_walk_s": %s,\n' "$sweep_legacy"
-        printf '  "sweep_per_config_s": %s,\n' "$sweep_perconfig"
-        printf '  "single_pass_speedup_vs_per_config": %s,\n' \
-            "$(awk "BEGIN { print $sweep_perconfig / $sweep_single }")"
-        printf '  "single_pass_speedup_vs_legacy": %s,\n' \
-            "$(awk "BEGIN { print $sweep_legacy / $sweep_single }")"
-        printf '  "sharing_single_pass_s": %s,\n' "$sharing_single"
-        printf '  "sharing_per_degree_s": %s,\n' "$sharing_perdegree"
-        printf '  "sharing_fanout_speedup": %s,\n' \
-            "$(awk "BEGIN { print $sharing_perdegree / $sharing_single }")"
-        printf '  "outputs_identical": %s,\n' "$sweep_equiv"
-        printf '  "degraded_parallelism": %s\n' "$degraded_parallelism"
-        echo "}"
-    } > "$sweep_json"
-    echo "--- wall clock: sweep single-pass ${sweep_single}s," \
-         "legacy ${sweep_legacy}s, per-config ${sweep_perconfig}s;" \
-         "sharing fan-out ${sharing_single}s vs" \
-         "per-degree ${sharing_perdegree}s"
-    echo "wrote $sweep_json"
-else
-    echo "WARNING: no fig12 trace found; skipping BENCH_sweep.json" >&2
-fi
 rm -rf "$trace_dir"
 
 trace_json="BENCH_trace.json"

@@ -47,9 +47,10 @@ stdOf(const std::vector<RunResult> &runs,
     return summarize(runs, metric).stddev();
 }
 
-/** Base spec for a scaling-figure point. */
+} // namespace
+
 ExperimentSpec
-scalingSpec(WorkloadKind kind, unsigned cpus, const FigureOptions &opt)
+figureSpec(WorkloadKind kind, unsigned cpus, const FigureOptions &opt)
 {
     ExperimentSpec spec;
     spec.workload = kind;
@@ -65,8 +66,6 @@ scalingSpec(WorkloadKind kind, unsigned cpus, const FigureOptions &opt)
         static_cast<double>(spec.measure) * opt.timeScale);
     return spec;
 }
-
-} // namespace
 
 FigureOptions
 FigureOptions::fromEnv()
@@ -171,11 +170,11 @@ scalingGridSpecs(const FigureOptions &opt)
         const auto cpus = static_cast<unsigned>(cpus_d);
         for (unsigned r = 0; r < opt.runs; ++r) {
             specs.push_back(repeatedSpec(
-                scalingSpec(WorkloadKind::Ecperf, cpus, opt), r));
+                figureSpec(WorkloadKind::Ecperf, cpus, opt), r));
         }
         for (unsigned r = 0; r < opt.runs; ++r) {
             specs.push_back(repeatedSpec(
-                scalingSpec(WorkloadKind::SpecJbb, cpus, opt), r));
+                figureSpec(WorkloadKind::SpecJbb, cpus, opt), r));
         }
     }
     return specs;
@@ -655,7 +654,7 @@ namespace
 ExperimentSpec
 fig10Spec(const FigureOptions &opt)
 {
-    ExperimentSpec spec = scalingSpec(WorkloadKind::SpecJbb, 8, opt);
+    ExperimentSpec spec = figureSpec(WorkloadKind::SpecJbb, 8, opt);
     spec.measure = static_cast<sim::Tick>(340'000'000 * opt.timeScale);
     // A larger young generation for the timeline: with a compressed
     // nursery a noticeable fraction of from-space is still cached,

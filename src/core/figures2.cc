@@ -42,27 +42,11 @@ check(const std::string &what, bool pass, const std::string &detail)
     return {what, pass, detail};
 }
 
-ExperimentSpec
-baseSpec(WorkloadKind kind, unsigned cpus, const FigureOptions &opt)
-{
-    ExperimentSpec spec;
-    spec.workload = kind;
-    spec.appCpus = cpus;
-    spec.seed = opt.seed;
-    spec.protocol = opt.protocol;
-    spec.numaNodes = opt.numaNodes;
-    spec.warmup = static_cast<sim::Tick>(
-        static_cast<double>(spec.warmup) * opt.timeScale);
-    spec.measure = static_cast<sim::Tick>(
-        static_cast<double>(spec.measure) * opt.timeScale);
-    return spec;
-}
-
 /** The Figure 11 experiment configuration for one scale point. */
 ExperimentSpec
 liveSpec(WorkloadKind kind, unsigned scale, const FigureOptions &opt)
 {
-    ExperimentSpec spec = baseSpec(kind, 8, opt);
+    ExperimentSpec spec = figureSpec(kind, 8, opt);
     spec.scale = scale;
     return spec;
 }
@@ -104,7 +88,7 @@ ExperimentSpec
 sweepPointSpec(WorkloadKind kind, unsigned scale,
                const FigureOptions &opt)
 {
-    ExperimentSpec spec = baseSpec(kind, 1, opt);
+    ExperimentSpec spec = figureSpec(kind, 1, opt);
     spec.totalCpus = 1; // uniprocessor full-system configuration
     spec.numaNodes = 1; // a one-CPU machine is a single node
     spec.scale = scale;
@@ -193,7 +177,7 @@ ExperimentSpec
 sharedCacheSpec(WorkloadKind kind, unsigned scale,
                 unsigned cpus_per_l2, const FigureOptions &opt)
 {
-    ExperimentSpec spec = baseSpec(kind, 8, opt);
+    ExperimentSpec spec = figureSpec(kind, 8, opt);
     spec.totalCpus = 8;
     spec.cpusPerL2 = cpus_per_l2;
     spec.scale = scale;
@@ -660,7 +644,7 @@ ExperimentSpec
 commSpec(WorkloadKind kind, unsigned cpus, unsigned scale,
          const FigureOptions &opt)
 {
-    ExperimentSpec spec = baseSpec(kind, cpus, opt);
+    ExperimentSpec spec = figureSpec(kind, cpus, opt);
     spec.scale = scale;
     spec.trackCommunication = true;
     spec.measure = static_cast<sim::Tick>(

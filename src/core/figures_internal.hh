@@ -28,6 +28,15 @@
 namespace middlesim::core
 {
 
+/**
+ * The base spec of every figure point: workload, application CPUs,
+ * seed, every machine option (protocol, NUMA nodes, topology,
+ * directory occupancy) and the time-scaled warmup/measure intervals.
+ * Figures adjust the rest per point, so none drops an option.
+ */
+ExperimentSpec figureSpec(WorkloadKind kind, unsigned cpus,
+                          const FigureOptions &opt);
+
 /** Figure 10 timeline run payload (cache kind "fig10"). */
 struct Fig10Data
 {

@@ -9,6 +9,7 @@
 #include "core/cache.hh"
 #include "core/metrics_io.hh"
 #include "core/trace_run.hh"
+#include "sim/args.hh"
 #include "sim/log.hh"
 #include "sim/threadpool.hh"
 
@@ -60,12 +61,8 @@ figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
-            const long jobs = std::strtol(arg.c_str() + 7, nullptr, 10);
-            if (jobs < 1)
-                fatal("figureMain: bad flag '", arg,
-                           "' (want --jobs=N with N >= 1)");
-            sim::ThreadPool::setGlobalJobs(
-                static_cast<unsigned>(jobs));
+            sim::ThreadPool::setGlobalJobs(static_cast<unsigned>(
+                sim::parseUintFlag("figureMain", arg, 1)));
         } else if (arg.rfind("--metrics-out=", 0) == 0) {
             metrics_out = arg.substr(14);
             if (metrics_out.empty())
@@ -93,12 +90,8 @@ figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
                 fatal("figureMain: bad flag '", arg,
                       "' (want --protocol=snoop|directory)");
         } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            const long nodes =
-                std::strtol(arg.c_str() + 13, nullptr, 10);
-            if (nodes < 1)
-                fatal("figureMain: bad flag '", arg,
-                      "' (want --numa-nodes=N with N >= 1)");
-            numa_nodes = static_cast<unsigned>(nodes);
+            numa_nodes = static_cast<unsigned>(
+                sim::parseUintFlag("figureMain", arg, 1));
         } else if (arg == "--no-cache") {
             no_cache = true;
         } else if (arg == "--check") {

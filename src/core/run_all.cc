@@ -20,6 +20,7 @@
 #include "core/trace_run.hh"
 #include "fabric/coordinator.hh"
 #include "fabric/worker.hh"
+#include "sim/args.hh"
 #include "sim/log.hh"
 #include "sim/metrics.hh"
 #include "sim/threadpool.hh"
@@ -252,11 +253,8 @@ runAllMain(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
-            const long jobs = std::strtol(arg.c_str() + 7, nullptr, 10);
-            if (jobs < 1)
-                fatal("run_all: bad flag '", arg,
-                      "' (want --jobs=N with N >= 1)");
-            sim::ThreadPool::setGlobalJobs(static_cast<unsigned>(jobs));
+            sim::ThreadPool::setGlobalJobs(static_cast<unsigned>(
+                sim::parseUintFlag("run_all", arg, 1)));
         } else if (arg.rfind("--metrics-dir=", 0) == 0) {
             metrics_dir = arg.substr(14);
             if (metrics_dir.empty())
@@ -289,12 +287,8 @@ runAllMain(int argc, char **argv)
                 fatal("run_all: bad flag '", arg,
                       "' (want --protocol=snoop|directory)");
         } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            const long nodes =
-                std::strtol(arg.c_str() + 13, nullptr, 10);
-            if (nodes < 1)
-                fatal("run_all: bad flag '", arg,
-                      "' (want --numa-nodes=N with N >= 1)");
-            numa_nodes = static_cast<unsigned>(nodes);
+            numa_nodes = static_cast<unsigned>(
+                sim::parseUintFlag("run_all", arg, 1));
         } else if (arg.rfind("--topology=", 0) == 0) {
             topology_flag = arg.substr(11);
             sim::Topology t;
@@ -302,20 +296,15 @@ runAllMain(int argc, char **argv)
                 fatal("run_all: bad flag '", arg,
                       "' (want --topology=ring|mesh)");
         } else if (arg.rfind("--dir-occupancy=", 0) == 0) {
-            dir_occupancy = std::strtol(arg.c_str() + 16, nullptr, 10);
-            if (dir_occupancy < 0)
-                fatal("run_all: bad flag '", arg,
-                      "' (want --dir-occupancy=N with N >= 0)");
+            dir_occupancy =
+                static_cast<long>(sim::parseUintFlag("run_all", arg));
         } else if (arg == "--no-cache") {
             no_cache = true;
         } else if (arg == "--check") {
             check::setCheckingEnabled(true);
         } else if (arg.rfind("--fabric=", 0) == 0) {
-            const long n = std::strtol(arg.c_str() + 9, nullptr, 10);
-            if (n < 1)
-                fatal("run_all: bad flag '", arg,
-                      "' (want --fabric=N with N >= 1)");
-            fabric_workers = static_cast<unsigned>(n);
+            fabric_workers = static_cast<unsigned>(
+                sim::parseUintFlag("run_all", arg, 1));
         } else if (arg == "--fabric-worker") {
             fabric_worker = true;
         } else if (arg.rfind("--fabric-worker-cmd=", 0) == 0) {

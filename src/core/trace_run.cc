@@ -212,7 +212,7 @@ replayTraceHierarchy(std::string trace_data,
 }
 
 SweepReplayOutcome
-replayTraceSweep(std::string trace_data, mem::SweepEngine engine)
+replayTraceSweep(std::string trace_data)
 {
     SweepReplayOutcome out;
     trace::TraceReader reader(std::move(trace_data));
@@ -221,9 +221,7 @@ replayTraceSweep(std::string trace_data, mem::SweepEngine engine)
         return out;
     }
     out.header = reader.header();
-    mem::SweepSimulator sweep{mem::SweepSimulator::paperSweep(),
-                              engine};
-    out.engine = sweep.engineName();
+    mem::SweepSimulator sweep{mem::SweepSimulator::paperSweep()};
     out.counts = trace::replayTrace(reader, nullptr, &sweep);
     if (!reader.complete()) {
         out.error = reader.error();
@@ -232,34 +230,6 @@ replayTraceSweep(std::string trace_data, mem::SweepEngine engine)
     out.icache = sweep.icacheResults();
     out.dcache = sweep.dcacheResults();
     out.instructions = sweep.instructions();
-    out.valid = true;
-    return out;
-}
-
-SweepReplayOutcome
-replayTraceSweepPerConfig(const std::string &trace_data)
-{
-    SweepReplayOutcome out;
-    out.engine = "per-config-replay";
-    const std::vector<sim::CacheParams> configs =
-        mem::SweepSimulator::paperSweep();
-    for (const sim::CacheParams &params : configs) {
-        trace::TraceReader reader(trace_data);
-        if (!reader.ok()) {
-            out.error = reader.error();
-            return out;
-        }
-        out.header = reader.header();
-        mem::SweepSimulator sweep{{params}, mem::SweepEngine::Legacy};
-        out.counts = trace::replayTrace(reader, nullptr, &sweep);
-        if (!reader.complete()) {
-            out.error = reader.error();
-            return out;
-        }
-        out.icache.push_back(sweep.icacheResults().front());
-        out.dcache.push_back(sweep.dcacheResults().front());
-        out.instructions = sweep.instructions();
-    }
     out.valid = true;
     return out;
 }

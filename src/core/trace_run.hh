@@ -56,7 +56,7 @@ std::string traceFileName(const ExperimentSpec &spec);
 std::string traceFilePath(const std::string &dir,
                           const ExperimentSpec &spec);
 
-/** The v1 header describing `system` about to run `spec`. */
+/** The trace header describing `system` about to run `spec`. */
 trace::TraceHeader traceHeaderFor(System &system,
                                   const ExperimentSpec &spec);
 
@@ -132,29 +132,13 @@ struct SweepReplayOutcome
     std::vector<mem::SweepResult> icache;
     std::vector<mem::SweepResult> dcache;
     std::uint64_t instructions = 0;
-    /** Name of the sweep engine that produced the counts. */
-    std::string engine;
 };
 
 /**
  * One decode of the trace through a SweepSimulator covering every
- * paper-sweep geometry. The default engine (Auto) resolves to the
- * single-pass stack-distance engine for the paper sweep; results are
- * bit-identical across engines.
+ * paper-sweep geometry.
  */
-SweepReplayOutcome
-replayTraceSweep(std::string trace_data,
-                 mem::SweepEngine engine = mem::SweepEngine::Auto);
-
-/**
- * Benchmarking baseline: replay the trace once per paper-sweep
- * geometry, each pass decoding the whole stream into a single-config
- * legacy SweepSimulator, then merge the per-config results. Same
- * numbers as replayTraceSweep at N-times the decode and walk cost —
- * this is the "per-size replay" column of BENCH_sweep.json.
- */
-SweepReplayOutcome
-replayTraceSweepPerConfig(const std::string &trace_data);
+SweepReplayOutcome replayTraceSweep(std::string trace_data);
 
 /**
  * Figure 16 sharing study from one SMP recording: build one hierarchy

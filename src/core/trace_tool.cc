@@ -1,13 +1,15 @@
 #include "core/trace_tool.hh"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/metrics_io.hh"
 #include "core/trace_run.hh"
+#include "sim/args.hh"
 #include "sim/log.hh"
 #include "trace/reader.hh"
 
@@ -30,10 +32,8 @@ usage()
         "         --total-cpus=N --cpus-per-l2=N --scale=N --seed=N\n"
         "         --warmup=T --measure=T --track-comm]\n"
         "  replay FILE [--l2-kb=N --cpus-per-l2=N]\n"
-        "  sweep FILE [--mode=auto|legacy|single-pass|per-config]\n"
-        "                             Figure 12/13 cache sweep\n"
-        "  sharing FILE [--mode=single-pass|per-degree]\n"
-        "                             Figure 16 shared-L2 what-if\n");
+        "  sweep FILE                 Figure 12/13 cache sweep\n"
+        "  sharing FILE               Figure 16 shared-L2 what-if\n");
     return 1;
 }
 
@@ -47,13 +47,11 @@ loadTrace(const std::string &path)
     return data;
 }
 
+/** Strict value of a numeric `--flag=N`, at most `hi`. */
 std::uint64_t
-parseU64(const std::string &arg, std::size_t prefix)
+numFlag(const std::string &arg, std::uint64_t hi = UINT_MAX)
 {
-    const std::string v = arg.substr(prefix);
-    if (v.empty())
-        fatal("middlesim-trace: bad flag '", arg, "'");
-    return std::strtoull(v.c_str(), nullptr, 10);
+    return sim::parseUintFlag("middlesim-trace", arg, 0, hi);
 }
 
 void
@@ -182,19 +180,19 @@ specFromFlags(const std::vector<std::string> &flags, std::string &out)
             else
                 fatal("middlesim-trace: unknown workload '", kind, "'");
         } else if (arg.rfind("--app-cpus=", 0) == 0) {
-            spec.appCpus = static_cast<unsigned>(parseU64(arg, 11));
+            spec.appCpus = static_cast<unsigned>(numFlag(arg));
         } else if (arg.rfind("--total-cpus=", 0) == 0) {
-            spec.totalCpus = static_cast<unsigned>(parseU64(arg, 13));
+            spec.totalCpus = static_cast<unsigned>(numFlag(arg));
         } else if (arg.rfind("--cpus-per-l2=", 0) == 0) {
-            spec.cpusPerL2 = static_cast<unsigned>(parseU64(arg, 14));
+            spec.cpusPerL2 = static_cast<unsigned>(numFlag(arg));
         } else if (arg.rfind("--scale=", 0) == 0) {
-            spec.scale = static_cast<unsigned>(parseU64(arg, 8));
+            spec.scale = static_cast<unsigned>(numFlag(arg));
         } else if (arg.rfind("--seed=", 0) == 0) {
-            spec.seed = parseU64(arg, 7);
+            spec.seed = numFlag(arg, UINT64_MAX);
         } else if (arg.rfind("--warmup=", 0) == 0) {
-            spec.warmup = parseU64(arg, 9);
+            spec.warmup = numFlag(arg, UINT64_MAX);
         } else if (arg.rfind("--measure=", 0) == 0) {
-            spec.measure = parseU64(arg, 10);
+            spec.measure = numFlag(arg, UINT64_MAX);
         } else if (arg == "--track-comm") {
             spec.trackCommunication = true;
         } else {
@@ -248,10 +246,9 @@ cmdReplay(const std::string &path,
     trace::ReplayOverrides overrides;
     for (const std::string &arg : flags) {
         if (arg.rfind("--l2-kb=", 0) == 0)
-            overrides.l2SizeBytes = parseU64(arg, 8) << 10;
+            overrides.l2SizeBytes = numFlag(arg, UINT64_MAX >> 10) << 10;
         else if (arg.rfind("--cpus-per-l2=", 0) == 0)
-            overrides.cpusPerL2 =
-                static_cast<unsigned>(parseU64(arg, 14));
+            overrides.cpusPerL2 = static_cast<unsigned>(numFlag(arg));
         else
             fatal("middlesim-trace: unknown replay flag '", arg, "'");
     }
@@ -268,35 +265,11 @@ cmdReplay(const std::string &path,
 }
 
 int
-cmdSweep(const std::string &path,
-         const std::vector<std::string> &flags)
+cmdSweep(const std::string &path)
 {
-    // Mode only selects how the counts are computed; stdout is
-    // byte-identical across modes (mode info goes to stderr) so the
-    // equivalence harness can diff the outputs directly.
-    std::string mode = "auto";
-    for (const std::string &arg : flags) {
-        if (arg.rfind("--mode=", 0) == 0)
-            mode = arg.substr(7);
-        else
-            fatal("middlesim-trace: unknown sweep flag '", arg, "'");
-    }
-    SweepReplayOutcome out;
-    if (mode == "auto")
-        out = replayTraceSweep(loadTrace(path));
-    else if (mode == "legacy")
-        out = replayTraceSweep(loadTrace(path),
-                               mem::SweepEngine::Legacy);
-    else if (mode == "single-pass")
-        out = replayTraceSweep(loadTrace(path),
-                               mem::SweepEngine::SinglePass);
-    else if (mode == "per-config")
-        out = replayTraceSweepPerConfig(loadTrace(path));
-    else
-        fatal("middlesim-trace: unknown sweep mode '", mode, "'");
+    const SweepReplayOutcome out = replayTraceSweep(loadTrace(path));
     if (!out.valid)
         fatal("middlesim-trace: '", path, "': ", out.error);
-    std::fprintf(stderr, "sweep engine: %s\n", out.engine.c_str());
     std::printf("replayed %llu refs (%s), %llu instructions\n",
                 static_cast<unsigned long long>(out.counts.refs),
                 out.header.label.c_str(),
@@ -328,23 +301,10 @@ printSharingRow(unsigned share, const HierarchyReplayOutcome &out,
 }
 
 int
-cmdSharing(const std::string &path,
-           const std::vector<std::string> &flags)
+cmdSharing(const std::string &path)
 {
-    // Default: single-pass fan-out (one decode, all degrees).
-    // --mode=per-degree replays the stream once per degree; the two
-    // modes print byte-identical stdout (mode info on stderr).
-    std::string mode = "single-pass";
-    for (const std::string &arg : flags) {
-        if (arg.rfind("--mode=", 0) == 0)
-            mode = arg.substr(7);
-        else
-            fatal("middlesim-trace: unknown sharing flag '", arg, "'");
-    }
-    if (mode != "single-pass" && mode != "per-degree")
-        fatal("middlesim-trace: unknown sharing mode '", mode, "'");
-
-    const std::string data = loadTrace(path);
+    // One decode of the recording feeds every sharing degree.
+    std::string data = loadTrace(path);
     trace::TraceReader probe{std::string(data)};
     if (!probe.ok())
         fatal("middlesim-trace: '", path, "': ", probe.error());
@@ -355,25 +315,12 @@ cmdSharing(const std::string &path,
             degrees.push_back(share);
     }
 
-    std::fprintf(stderr, "sharing mode: %s (%zu degrees)\n",
-                 mode.c_str(), degrees.size());
     std::printf("%8s %12s %12s %12s %12s\n", "cpusPerL2", "misses",
                 "coherence", "capacity", "c2c");
-    if (mode == "single-pass") {
-        const std::vector<HierarchyReplayOutcome> outs =
-            replayTraceSharing(std::string(data), degrees);
-        for (std::size_t i = 0; i < degrees.size(); ++i)
-            printSharingRow(degrees[i], outs[i], path);
-    } else {
-        for (unsigned share : degrees) {
-            trace::ReplayOverrides overrides;
-            overrides.cpusPerL2 = share;
-            printSharingRow(
-                share,
-                replayTraceHierarchy(std::string(data), overrides),
-                path);
-        }
-    }
+    const std::vector<HierarchyReplayOutcome> outs =
+        replayTraceSharing(std::move(data), degrees);
+    for (std::size_t i = 0; i < degrees.size(); ++i)
+        printSharingRow(degrees[i], outs[i], path);
     return 0;
 }
 
@@ -404,7 +351,7 @@ traceToolMain(int argc, char **argv)
         std::uint64_t limit = 100;
         for (const std::string &arg : rest) {
             if (arg.rfind("--limit=", 0) == 0)
-                limit = parseU64(arg, 8);
+                limit = numFlag(arg, UINT64_MAX);
             else
                 fatal("middlesim-trace: unknown timeline flag '", arg,
                       "'");
@@ -413,10 +360,10 @@ traceToolMain(int argc, char **argv)
     }
     if (cmd == "replay")
         return cmdReplay(path, rest);
-    if (cmd == "sweep")
-        return cmdSweep(path, rest);
-    if (cmd == "sharing")
-        return cmdSharing(path, rest);
+    if (cmd == "sweep" && rest.empty())
+        return cmdSweep(path);
+    if (cmd == "sharing" && rest.empty())
+        return cmdSharing(path);
     return usage();
 }
 

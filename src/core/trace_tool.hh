@@ -1,7 +1,7 @@
 /**
  * @file
  * The `middlesim-trace` command-line tool: inspect, validate, record
- * and replay `middlesim-trace-v1` reference traces.
+ * and replay `middlesim-trace-v3` reference traces.
  */
 
 #ifndef CORE_TRACE_TOOL_HH

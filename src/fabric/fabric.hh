@@ -42,7 +42,7 @@ struct FabricOptions
     /**
      * Alternative transport: spawn `/bin/sh -c <workerCommand>` per
      * worker instead of workerArgv — the command's stdin/stdout carry
-     * the frames, so `ssh host middlesim_fabric worker ...` attaches
+     * the frames, so `ssh host run_all --fabric-worker ...` attaches
      * a remote worker.
      */
     std::string workerCommand;

@@ -19,6 +19,7 @@
 #define MEM_FAULT_HH
 
 #include <cstdint>
+#include <string>
 
 #include "mem/memref.hh"
 
@@ -100,6 +101,35 @@ toString(FaultPlan::Kind k)
       case FaultPlan::Kind::NackStorm:            return "nack-storm";
     }
     return "?";
+}
+
+/** The names parseFaultKind() accepts, for usage errors. */
+inline constexpr const char *faultKindNames =
+    "none, drop-invalidate, keep-owner, skip-l1, drop-ack or nack-storm";
+
+/**
+ * Parse a fault-kind name: every toString() value plus the short
+ * aliases "skip-l1" and "drop-inval-ack". @return false on an unknown
+ * name (`out` is left untouched).
+ */
+inline bool
+parseFaultKind(const std::string &name, FaultPlan::Kind &out)
+{
+    if (name == "none")
+        out = FaultPlan::Kind::None;
+    else if (name == "drop-invalidate")
+        out = FaultPlan::Kind::DropInvalidate;
+    else if (name == "keep-owner")
+        out = FaultPlan::Kind::KeepOwnerOnSnoop;
+    else if (name == "skip-l1" || name == "skip-l1-back-inval")
+        out = FaultPlan::Kind::SkipL1BackInvalidate;
+    else if (name == "drop-ack" || name == "drop-inval-ack")
+        out = FaultPlan::Kind::DropInvalAck;
+    else if (name == "nack-storm")
+        out = FaultPlan::Kind::NackStorm;
+    else
+        return false;
+    return true;
 }
 
 } // namespace middlesim::mem

@@ -36,8 +36,11 @@ RefinementSweep::suitable(const std::vector<sim::CacheParams> &configs)
 RefinementSweep::RefinementSweep(
     const std::vector<sim::CacheParams> &configs)
 {
-    sim_assert(suitable(configs),
-               "refinement sweep: unsuitable configurations");
+    if (!suitable(configs)) {
+        fatal("sweep: cache geometries need one power-of-two block "
+              "size, power-of-two set counts and associativity <= ",
+              kMaxAssoc);
+    }
     unsigned shift = 0;
     while ((1u << shift) <
            static_cast<unsigned>(configs.front().blockBytes))
@@ -52,7 +55,6 @@ RefinementSweep::RefinementSweep(
         levels_.push_back(std::move(level));
     }
     misses_.assign(configs.size(), 0);
-    critHist_.assign(configs.size() + 1, 0);
 }
 
 void
@@ -64,13 +66,10 @@ RefinementSweep::access(Addr addr, bool count_miss)
         // The previous reference left this block MRU in every
         // geometry: a guaranteed hit everywhere with no recency
         // movement needed.
-        if (count_miss)
-            ++critHist_[0];
         return;
     }
     lastBlock_ = block;
 
-    std::size_t crit = levels_.size();
     for (std::size_t k = 0; k < levels_.size(); ++k) {
         Level &level = levels_[k];
         std::uint64_t *row =
@@ -87,16 +86,12 @@ RefinementSweep::access(Addr addr, bool count_miss)
             if (count_miss)
                 ++misses_[k];
             pos = level.assoc - 1;
-        } else if (crit == levels_.size()) {
-            crit = k;
         }
         // Move-to-front within the recency row.
         for (unsigned w = pos; w > 0; --w)
             row[w] = row[w - 1];
         row[0] = block;
     }
-    if (count_miss)
-        ++critHist_[crit];
 }
 
 void
@@ -104,7 +99,6 @@ RefinementSweep::resetCounters()
 {
     accesses_ = 0;
     misses_.assign(misses_.size(), 0);
-    critHist_.assign(critHist_.size(), 0);
 }
 
 void

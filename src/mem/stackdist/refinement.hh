@@ -12,15 +12,9 @@
  * reference stream updates every geometry at once.
  *
  * Per-geometry miss counts are bit-identical to simulating each
- * configuration with its own CacheArray (the legacy SweepSimulator
- * walk); tests/test_stackdist.cpp enforces this across randomized
- * geometries. When the configurations form an inclusion chain (same
- * block size and associativity, set counts refining), the engine
- * additionally bins every countable reference by its *critical
- * level* — the smallest configuration that hits — producing the
- * set-refinement analogue of a stack-distance histogram from which
- * all miss counts are derivable (misses of config k = references
- * whose critical level exceeds k).
+ * configuration with its own CacheArray; tests/test_stackdist.cpp
+ * enforces this against that naive oracle across randomized
+ * geometries.
  */
 
 #ifndef MEM_STACKDIST_REFINEMENT_HH
@@ -39,7 +33,7 @@ namespace middlesim::mem::stackdist
 class RefinementSweep
 {
   public:
-    /** `configs` must satisfy suitable(). */
+    /** Fatal, naming the rule, unless `configs` satisfy suitable(). */
     explicit RefinementSweep(
         const std::vector<sim::CacheParams> &configs);
 
@@ -47,8 +41,7 @@ class RefinementSweep
      * True when every geometry can be simulated by this engine: a
      * common power-of-two block size, power-of-two set counts, and
      * associativities small enough that a recency row stays cheap to
-     * shift (beyond that, a tree-based engine wins; see
-     * ReuseDistanceTracker for the fully-associative extreme).
+     * shift.
      */
     static bool suitable(const std::vector<sim::CacheParams> &configs);
 
@@ -58,8 +51,7 @@ class RefinementSweep
     /**
      * Feed one reference to every geometry. `count_miss` is false for
      * block-initializing stores: they install (update recency) but
-     * are never counted as misses, mirroring
-     * SweepSimulator::accessBank.
+     * are never counted as misses.
      */
     void access(Addr addr, bool count_miss);
 
@@ -68,20 +60,7 @@ class RefinementSweep
     /** Exact miss count of configuration i (ctor order). */
     std::uint64_t misses(std::size_t i) const { return misses_.at(i); }
 
-    /**
-     * Histogram of countable references by critical level: bucket k
-     * counts references whose smallest hitting configuration is k;
-     * the final bucket counts references that missed everywhere.
-     * Meaningful as a stack-distance histogram only under an
-     * inclusion chain (where hit sets are nested).
-     */
-    const std::vector<std::uint64_t> &
-    criticalHistogram() const
-    {
-        return critHist_;
-    }
-
-    /** Zero counters and histograms; keep cache contents. */
+    /** Zero counters; keep cache contents. */
     void resetCounters();
 
     /** Discard contents and counters. */
@@ -103,8 +82,6 @@ class RefinementSweep
     unsigned blockShift_;
     std::vector<Level> levels_;
     std::vector<std::uint64_t> misses_;
-    /** [levels + 1]; see criticalHistogram(). */
-    std::vector<std::uint64_t> critHist_;
     std::uint64_t accesses_ = 0;
     /** Previous reference's block: a repeat is MRU everywhere. */
     std::uint64_t lastBlock_ = kEmpty;

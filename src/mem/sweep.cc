@@ -3,92 +3,17 @@
 namespace middlesim::mem
 {
 
-namespace
+SweepSimulator::Bank::Bank(const std::vector<sim::CacheParams> &configs)
+    : refine(configs)
 {
-
-/**
- * An inclusion chain needs identical block size and associativity and
- * set counts that divide each successor's (set refinement); LRU then
- * guarantees each cache's contents are a subset of every larger one's.
- */
-bool
-isInclusionChain(const std::vector<sim::CacheParams> &configs)
-{
-    for (std::size_t i = 1; i < configs.size(); ++i) {
-        const auto &prev = configs[i - 1];
-        const auto &cur = configs[i];
-        if (cur.blockBytes != prev.blockBytes ||
-            cur.assoc != prev.assoc ||
-            cur.numSets() < prev.numSets() ||
-            cur.numSets() % prev.numSets() != 0) {
-            return false;
-        }
-    }
-    return true;
+    for (const auto &params : configs)
+        results.push_back({params, 0, 0});
 }
-
-/** All geometries fully associative with one common block size. */
-bool
-isFullyAssociativeLadder(const std::vector<sim::CacheParams> &configs)
-{
-    if (configs.empty())
-        return false;
-    const unsigned block = configs.front().blockBytes;
-    if (block == 0 || (block & (block - 1)) != 0)
-        return false;
-    for (const sim::CacheParams &p : configs) {
-        if (p.blockBytes != block || p.numSets() != 1)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
 
 SweepSimulator::SweepSimulator(
-    const std::vector<sim::CacheParams> &configs, SweepEngine engine)
-    : inclusionChain_(isInclusionChain(configs))
+    const std::vector<sim::CacheParams> &configs)
+    : ibank_(configs), dbank_(configs)
 {
-    if (engine != SweepEngine::Legacy) {
-        // The fully-associative check comes first: such ladders also
-        // pass the refinement check when the associativity is small,
-        // but the O(log n) tracker scales to any capacity.
-        if (isFullyAssociativeLadder(configs))
-            resolved_ = Resolved::ReuseStack;
-        else if (stackdist::RefinementSweep::suitable(configs))
-            resolved_ = Resolved::Refinement;
-        else if (engine == SweepEngine::SinglePass)
-            fatal("sweep: configurations admit no single-pass engine "
-                  "(need one power-of-two block size and power-of-two "
-                  "set counts)");
-    }
-
-    for (Bank *bank : {&ibank_, &dbank_}) {
-        for (const auto &params : configs)
-            bank->results.push_back({params, 0, 0});
-        switch (resolved_) {
-          case Resolved::Refinement:
-            bank->refine =
-                std::make_unique<stackdist::RefinementSweep>(configs);
-            break;
-          case Resolved::ReuseStack: {
-            std::vector<std::uint64_t> capacities;
-            capacities.reserve(configs.size());
-            for (const auto &params : configs)
-                capacities.push_back(params.numBlocks());
-            bank->reuse =
-                std::make_unique<stackdist::ReuseDistanceTracker>(
-                    capacities, configs.front().blockBytes);
-            break;
-          }
-          case Resolved::Legacy:
-            bank->caches.reserve(configs.size());
-            for (const auto &params : configs)
-                bank->caches.emplace_back(params);
-            bank->lastLines.assign(configs.size(), nullptr);
-            break;
-        }
-    }
 }
 
 std::vector<sim::CacheParams>
@@ -100,133 +25,25 @@ SweepSimulator::paperSweep()
     return configs;
 }
 
-const char *
-SweepSimulator::engineName() const
-{
-    switch (resolved_) {
-      case Resolved::Refinement:
-        return "stackdist-refinement";
-      case Resolved::ReuseStack:
-        return "stackdist-reuse";
-      case Resolved::Legacy:
-        break;
-    }
-    return "legacy-walk";
-}
-
-const std::vector<std::uint64_t> *
-SweepSimulator::icriticalHistogram() const
-{
-    return inclusionChain_ && ibank_.refine
-        ? &ibank_.refine->criticalHistogram()
-        : nullptr;
-}
-
-const std::vector<std::uint64_t> *
-SweepSimulator::dcriticalHistogram() const
-{
-    return inclusionChain_ && dbank_.refine
-        ? &dbank_.refine->criticalHistogram()
-        : nullptr;
-}
-
-void
-SweepSimulator::accessBank(Bank &bank, Addr addr, bool count_misses)
-{
-    if (bank.refine) {
-        bank.refine->access(addr, count_misses);
-        return;
-    }
-    if (bank.reuse) {
-        bank.reuse->access(addr, count_misses);
-        return;
-    }
-
-    ++bank.accesses;
-    const std::size_t n = bank.caches.size();
-
-    if (inclusionChain_) {
-        const Addr block =
-            n ? bank.caches[0].blockAddr(addr) : addr;
-        if (block == bank.lastBlock) {
-            // Same block as the previous reference in this bank:
-            // nothing was displaced in between, so every memoized
-            // line pointer is still current — touch and done.
-            for (std::size_t i = 0; i < n; ++i)
-                bank.caches[i].touch(*bank.lastLines[i]);
-            return;
-        }
-        bool hit = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            CacheArray &cache = bank.caches[i];
-            if (hit) {
-                // Inclusion: a hit below implies a hit here; only
-                // the LRU clock needs updating.
-                CacheLine *line = cache.find(addr);
-                sim_assert(line, "sweep inclusion violated");
-                cache.touch(*line);
-                bank.lastLines[i] = line;
-                continue;
-            }
-            if (CacheLine *line = cache.find(addr)) {
-                cache.touch(*line);
-                bank.lastLines[i] = line;
-                hit = true;
-                continue;
-            }
-            if (count_misses)
-                ++bank.results[i].misses;
-            CacheLine &frame = cache.victim(addr);
-            cache.install(frame, addr, CoherenceState::Shared);
-            bank.lastLines[i] = &frame;
-        }
-        bank.lastBlock = block;
-        return;
-    }
-
-    // Generic configurations: independent per-config walk.
-    for (std::size_t i = 0; i < n; ++i) {
-        CacheArray &cache = bank.caches[i];
-        if (CacheLine *line = cache.find(addr)) {
-            cache.touch(*line);
-        } else {
-            if (count_misses)
-                ++bank.results[i].misses;
-            CacheLine &frame = cache.victim(addr);
-            cache.install(frame, addr, CoherenceState::Shared);
-        }
-    }
-}
-
 void
 SweepSimulator::access(const MemRef &ref)
 {
     if (ref.type == AccessType::IFetch) {
-        accessBank(ibank_, ref.addr, /*count_misses=*/true);
+        ibank_.refine.access(ref.addr, /*count_miss=*/true);
     } else {
         // Block-initializing stores install without a fetch: counted
         // as an access, never a miss.
-        accessBank(dbank_, ref.addr,
-                   /*count_misses=*/ref.type != AccessType::BlockStore);
+        dbank_.refine.access(
+            ref.addr, /*count_miss=*/ref.type != AccessType::BlockStore);
     }
 }
 
 const std::vector<SweepResult> &
-SweepSimulator::syncedResults(const Bank &bank) const
+SweepSimulator::syncedResults(const Bank &bank)
 {
-    if (bank.refine) {
-        for (std::size_t i = 0; i < bank.results.size(); ++i) {
-            bank.results[i].accesses = bank.refine->accesses();
-            bank.results[i].misses = bank.refine->misses(i);
-        }
-    } else if (bank.reuse) {
-        for (std::size_t i = 0; i < bank.results.size(); ++i) {
-            bank.results[i].accesses = bank.reuse->accesses();
-            bank.results[i].misses = bank.reuse->misses(i);
-        }
-    } else {
-        for (auto &r : bank.results)
-            r.accesses = bank.accesses;
+    for (std::size_t i = 0; i < bank.results.size(); ++i) {
+        bank.results[i].accesses = bank.refine.accesses();
+        bank.results[i].misses = bank.refine.misses(i);
     }
     return bank.results;
 }
@@ -259,38 +76,20 @@ void
 SweepSimulator::resetCounters()
 {
     // Cache contents survive a counter reset (the warmup boundary),
-    // and so does the repeated-block memo in every engine: the
-    // memoized block is still resident and still MRU, so a
-    // post-reset repeat is correctly scored as a hit (regression
-    // tested in tests/test_sweep.cpp).
-    for (Bank *bank : {&ibank_, &dbank_}) {
-        for (auto &r : bank->results)
-            r = {r.params, 0, 0};
-        bank->accesses = 0;
-        if (bank->refine)
-            bank->refine->resetCounters();
-        if (bank->reuse)
-            bank->reuse->resetCounters();
-    }
+    // and so does the engine's repeated-block memo: the memoized block
+    // is still resident and still MRU, so a post-reset repeat is
+    // correctly scored as a hit (regression tested in
+    // tests/test_sweep.cpp).
+    ibank_.refine.resetCounters();
+    dbank_.refine.resetCounters();
     instructions_ = 0;
 }
 
 void
 SweepSimulator::reset()
 {
-    for (Bank *bank : {&ibank_, &dbank_}) {
-        for (auto &c : bank->caches)
-            c.invalidateAll();
-        for (auto &r : bank->results)
-            r = {r.params, 0, 0};
-        bank->accesses = 0;
-        bank->lastBlock = kNoBlock;
-        bank->lastLines.assign(bank->caches.size(), nullptr);
-        if (bank->refine)
-            bank->refine->reset();
-        if (bank->reuse)
-            bank->reuse->reset();
-    }
+    ibank_.refine.reset();
+    dbank_.refine.reset();
     instructions_ = 0;
 }
 

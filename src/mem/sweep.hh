@@ -6,46 +6,28 @@
  * miss rates for a single-processor system across cache sizes from
  * 64 KB to 16 MB (4-way, 64-byte blocks). Like the Sumo simulator the
  * authors used, SweepSimulator evaluates many cache geometries
- * simultaneously over a single reference stream: each reference is fed
- * to every configured cache.
+ * simultaneously over a single reference stream.
  *
  * Split caches are modeled: instruction fetches go to the I-bank,
  * loads/stores/atomics to the D-bank. There is no coherence (one
  * processor) and stores allocate (write-back, write-allocate), which
  * is the conventional configuration for miss-ratio sweeps.
  *
- * Engines (selected automatically, or forced via SweepEngine):
- *
- *  - Single-pass stack-distance (src/mem/stackdist/): the default
- *    whenever the geometries admit it. Set-associative ladders (the
- *    paper sweep, and any power-of-two geometry list sharing a block
- *    size) use the exact set-refinement engine — per-set recency rows
- *    updated once per reference, every geometry at once, with a
- *    critical-level histogram when the configurations form an
- *    inclusion chain. Fully-associative ladders use the exact
- *    O(log n) Fenwick-tree reuse-distance tracker. Miss and access
- *    counts are bit-identical to the legacy walk (enforced in
- *    tests/test_sweep.cpp and tests/test_stackdist.cpp).
- *
- *  - Legacy per-configuration walk: one CacheArray per geometry, with
- *    an LRU-inclusion fast path for chains (hit below implies hit
- *    above; a repeated block skips tag search via a memo). Retained
- *    for geometries the single-pass engines cannot represent and as
- *    the reference implementation the stack-distance results are
- *    validated against.
+ * Each bank is one set-refinement pass (src/mem/stackdist/): per-set
+ * recency rows updated once per reference, every geometry at once.
+ * Miss and access counts are bit-identical to simulating each
+ * configuration with its own CacheArray (enforced against that naive
+ * oracle in tests/test_sweep.cpp and tests/test_stackdist.cpp).
  */
 
 #ifndef MEM_SWEEP_HH
 #define MEM_SWEEP_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "mem/cache_array.hh"
 #include "mem/memref.hh"
 #include "mem/stackdist/refinement.hh"
-#include "mem/stackdist/reuse.hh"
 #include "sim/config.hh"
 
 namespace middlesim::mem
@@ -68,23 +50,16 @@ struct SweepResult
     }
 };
 
-/** Engine selection for SweepSimulator. */
-enum class SweepEngine
-{
-    /** Single-pass when the geometries admit it, else legacy. */
-    Auto,
-    /** Force the per-configuration CacheArray walk. */
-    Legacy,
-    /** Require a single-pass engine; fatal if none fits. */
-    SinglePass,
-};
-
 /** Bank of independent caches fed a common reference stream. */
 class SweepSimulator
 {
   public:
-    explicit SweepSimulator(const std::vector<sim::CacheParams> &configs,
-                            SweepEngine engine = SweepEngine::Auto);
+    /**
+     * A geometry list stackdist::RefinementSweep::suitable() rejects
+     * (mixed or non-power-of-two block sizes, non-power-of-two set
+     * counts, associativity above 64) is a fatal error.
+     */
+    explicit SweepSimulator(const std::vector<sim::CacheParams> &configs);
 
     /** The standard sweep of the paper: 64 KB..16 MB, 4-way, 64 B. */
     static std::vector<sim::CacheParams> paperSweep();
@@ -105,29 +80,6 @@ class SweepSimulator
     /** Misses per 1000 instructions for config i, data side. */
     double dmissPer1000(std::size_t i) const;
 
-    /** True when the configs form an LRU set-refinement chain. */
-    bool inclusionChain() const { return inclusionChain_; }
-
-    /** True when a single-pass stack-distance engine is active. */
-    bool
-    singlePass() const
-    {
-        return resolved_ != Resolved::Legacy;
-    }
-
-    /** Human-readable name of the active engine. */
-    const char *engineName() const;
-
-    /**
-     * Critical-level histograms of the instruction and data banks
-     * (countable references binned by the smallest configuration
-     * that hit; last bucket = missed everywhere). Only available
-     * from the set-refinement engine on an inclusion chain; nullptr
-     * otherwise.
-     */
-    const std::vector<std::uint64_t> *icriticalHistogram() const;
-    const std::vector<std::uint64_t> *dcriticalHistogram() const;
-
     /** Clear caches and counters. */
     void reset();
 
@@ -135,49 +87,22 @@ class SweepSimulator
     void resetCounters();
 
   private:
-    /** The engine the constructor settled on. */
-    enum class Resolved
-    {
-        Legacy,
-        Refinement,
-        ReuseStack,
-    };
-
     /** One side (I or D) of the split sweep. */
     struct Bank
     {
-        // Legacy walk state.
-        std::vector<CacheArray> caches; // smallest to largest
-        /** Accesses are identical across configs: one counter. */
-        std::uint64_t accesses = 0;
-        /** Memo of the previous reference's block and lines. */
-        Addr lastBlock = kNoBlock;
-        std::vector<CacheLine *> lastLines;
+        explicit Bank(const std::vector<sim::CacheParams> &configs);
 
-        // Single-pass engines (at most one non-null).
-        std::unique_ptr<stackdist::RefinementSweep> refine;
-        std::unique_ptr<stackdist::ReuseDistanceTracker> reuse;
-
+        stackdist::RefinementSweep refine;
         /** Per-config results; counters synced lazily. */
         mutable std::vector<SweepResult> results;
     };
 
-    static constexpr Addr kNoBlock = ~static_cast<Addr>(0);
-
-    /**
-     * Feed one reference through a bank. `count_misses` is false for
-     * block-initializing stores, which install without a data fetch
-     * and are counted as accesses but never as misses.
-     */
-    void accessBank(Bank &bank, Addr addr, bool count_misses);
-
-    /** Sync the lazily-maintained counters into results. */
-    const std::vector<SweepResult> &syncedResults(const Bank &b) const;
+    /** Sync the engine's counters into a bank's results. */
+    static const std::vector<SweepResult> &
+    syncedResults(const Bank &bank);
 
     Bank ibank_;
     Bank dbank_;
-    bool inclusionChain_ = false;
-    Resolved resolved_ = Resolved::Legacy;
     std::uint64_t instructions_ = 0;
 };
 

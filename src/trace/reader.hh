@@ -1,6 +1,6 @@
 /**
  * @file
- * TraceReader: streaming decoder of `middlesim-trace-v1` with hard
+ * TraceReader: streaming decoder of `middlesim-trace-v3` with hard
  * validation.
  *
  * A trace is an artifact that may have been truncated, bit-flipped

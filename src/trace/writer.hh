@@ -1,6 +1,6 @@
 /**
  * @file
- * TraceWriter: records a reference stream into `middlesim-trace-v1`.
+ * TraceWriter: records a reference stream into `middlesim-trace-v3`.
  */
 
 #ifndef TRACE_WRITER_HH

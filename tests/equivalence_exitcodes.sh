@@ -1,8 +1,8 @@
 #!/bin/bash
-# The equivalence harnesses must tell a crashed binary (exit 2) apart
-# from a byte-comparison mismatch (exit 1) — CI triage reads the exit
-# code. This test drives both scripts against shell-stub binaries: a
-# stub killed by SIGSEGV must yield exit 2, a well-behaved stub whose
+# The run_all equivalence harness must tell a crashed binary (exit 2)
+# apart from a byte-comparison mismatch (exit 1) — CI triage reads the
+# exit code. This test drives it against shell-stub binaries: a stub
+# killed by SIGSEGV must yield exit 2, a well-behaved stub whose
 # outputs merely differ must yield exit 1.
 #
 # Usage: equivalence_exitcodes.sh <tests dir>
@@ -10,8 +10,6 @@
 set -euo pipefail
 
 testsdir=${1:?usage: equivalence_exitcodes.sh <tests dir>}
-[ -x "$testsdir/sweep_equivalence.sh" ] ||
-    { echo "FAIL: missing $testsdir/sweep_equivalence.sh" >&2; exit 1; }
 
 workdir=$(mktemp -d /tmp/middlesim_eqexit.XXXXXX)
 trap 'rm -rf "$workdir"' EXIT
@@ -31,44 +29,6 @@ figures="fig04_scaling fig05_execmodes fig06_cpi fig07_datastall \
          fig08_c2c_ratio fig09_gc_effect fig10_c2c_timeline \
          fig11_livemem fig12_icache fig13_dcache fig14_comm_pct \
          fig15_comm_abs fig16_shared"
-
-# --- sweep harness: tool dies on a signal -> crash (exit 2) ---
-mkdir -p "$workdir/sweep_crash"
-cat > "$workdir/sweep_crash/middlesim-trace" <<'EOF'
-#!/bin/bash
-kill -SEGV $$
-EOF
-chmod +x "$workdir/sweep_crash/middlesim-trace"
-expect_status 2 "sweep harness vs crashing tool" \
-    "$testsdir/sweep_equivalence.sh" "$workdir/sweep_crash"
-
-# --- sweep harness: tool runs fine but modes disagree -> exit 1 ---
-mkdir -p "$workdir/sweep_diff"
-cat > "$workdir/sweep_diff/middlesim-trace" <<'EOF'
-#!/bin/bash
-cmd=${1:-}
-mode=auto
-for a in "$@"; do
-    case "$a" in --mode=*) mode=${a#--mode=} ;; esac
-done
-case "$cmd" in
-sweep)
-    if [ "$mode" = legacy ]; then
-        echo "engine: legacy-walk" >&2
-    else
-        echo "engine: stackdist" >&2
-    fi
-    echo "sweep table for mode $mode"
-    ;;
-sharing)
-    echo "sharing table"
-    ;;
-esac
-exit 0
-EOF
-chmod +x "$workdir/sweep_diff/middlesim-trace"
-expect_status 1 "sweep harness vs per-mode output drift" \
-    "$testsdir/sweep_equivalence.sh" "$workdir/sweep_diff"
 
 # Stub figure drivers: stable stdout plus a nonempty metrics file.
 make_figures() {

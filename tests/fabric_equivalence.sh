@@ -31,9 +31,7 @@ unset MIDDLESIM_FABRIC_TIMEOUT_MS
 fail() { echo "FAIL: $*" >&2; exit 1; }
 crash() { echo "CRASH: $*" >&2; exit 2; }
 
-for f in run_all middlesim-fabric; do
-    [ -x "$bindir/$f" ] || fail "missing binary: $bindir/$f"
-done
+[ -x "$bindir/run_all" ] || fail "missing binary: $bindir/run_all"
 
 workdir=$(mktemp -d /tmp/middlesim_fabric.XXXXXX)
 trap 'rm -rf "$workdir"' EXIT
@@ -129,10 +127,10 @@ requeues=$(stat_field "$workdir/kill.stats" requeues)
 [ "$requeues" -ge 1 ] ||
     fail "kill run recorded no requeue despite a dead worker"
 
-echo "# worker-cmd transport (middlesim-fabric CLI)" >&2
+echo "# worker-cmd transport" >&2
 run_tolerant "$workdir/cli.out" \
-    "$bindir/middlesim-fabric" run --workers=2 \
-    --worker-cmd="$bindir/middlesim-fabric worker --cache-dir=$workdir/cache_cli" \
+    "$bindir/run_all" --fabric=2 \
+    --fabric-worker-cmd="$bindir/run_all --fabric-worker --cache-dir=$workdir/cache_cli" \
     --cache-dir="$workdir/cache_cli" --stats-out="$workdir/cli.stats"
 expect_identical "$workdir/base.out" "$workdir/cli.out" \
     "stdout differs under the --worker-cmd transport"

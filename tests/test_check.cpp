@@ -568,3 +568,22 @@ TEST(CheckMatrix, EveryFaultKindCaughtByExpectedChecker)
         }
     }
 }
+
+TEST(FaultPlanNames, ParseInvertsToString)
+{
+    using Kind = mem::FaultPlan::Kind;
+    for (const Kind kind :
+         {Kind::None, Kind::DropInvalidate, Kind::KeepOwnerOnSnoop,
+          Kind::SkipL1BackInvalidate, Kind::DropInvalAck,
+          Kind::NackStorm}) {
+        Kind parsed = kind == Kind::None ? Kind::NackStorm : Kind::None;
+        ASSERT_TRUE(mem::parseFaultKind(mem::toString(kind), parsed))
+            << mem::toString(kind);
+        EXPECT_EQ(parsed, kind) << mem::toString(kind);
+    }
+    Kind parsed = Kind::None;
+    EXPECT_TRUE(mem::parseFaultKind("skip-l1", parsed));
+    EXPECT_EQ(parsed, Kind::SkipL1BackInvalidate);
+    EXPECT_FALSE(mem::parseFaultKind("drop-everything", parsed));
+    EXPECT_EQ(parsed, Kind::SkipL1BackInvalidate);
+}

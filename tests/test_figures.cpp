@@ -100,6 +100,23 @@ TEST(FigureOptions, TimescaleShrinksIntervalsProportionally)
     unsetenv("MIDDLESIM_TIMESCALE");
 }
 
+TEST(FigureOptions, Fig16SpecsCarryInterconnectSettings)
+{
+    // Every figure builds its points from one spec builder, so the
+    // interconnect options reach Figure 16 just as they reach 4-10.
+    FigureOptions opt;
+    opt.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    opt.numaNodes = 2;
+    opt.topology = sim::Topology::Mesh;
+    opt.dirOccupancy = 4;
+    const auto specs = core::fig16GridSpecs(opt);
+    ASSERT_FALSE(specs.empty());
+    for (const core::ExperimentSpec &spec : specs) {
+        EXPECT_EQ(spec.topology, opt.topology);
+        EXPECT_EQ(spec.dirOccupancy, opt.dirOccupancy);
+    }
+}
+
 TEST(Report, RendersTablesAndVerdicts)
 {
     FigureResult fig;

@@ -1,32 +1,28 @@
 /**
  * @file
- * Stack/reuse-distance engine tests: Fenwick primitive, exact
- * equivalence of the single-pass engines against the naive
- * per-configuration CacheArray walk across randomized geometries and
- * streams, critical-histogram invariants, and the stated tolerance of
- * the opt-in set-sampling approximation.
+ * Set-refinement sweep engine tests: exact equivalence against the
+ * naive per-configuration oracle (tests/naive_sweep.hh) across
+ * randomized geometries and streams, counter resets, and the fatal
+ * rejection of geometry lists the engine cannot represent.
  *
- * The randomized passes reuse the seeded stress RNG (sim::Rng) so
- * every failure is reproducible from the printed seed. Set
+ * The randomized pass reuses the seeded stress RNG (sim::Rng) so
+ * every failure is reproducible from the printed trial. Set
  * MIDDLESIM_DEEP_SWEEP=1 (the nightly workflow does) for a deeper
- * pass: more geometries per trial, longer streams, more trials.
+ * pass: more trials and longer streams.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
-#include "mem/stackdist/fenwick.hh"
 #include "mem/stackdist/refinement.hh"
-#include "mem/stackdist/reuse.hh"
-#include "mem/stackdist/sampled.hh"
 #include "mem/sweep.hh"
+#include "naive_sweep.hh"
 #include "sim/rng.hh"
 
 using namespace middlesim;
-using mem::AccessType;
 using mem::SweepSimulator;
 
 namespace
@@ -39,63 +35,7 @@ deepSweep()
     return env && *env != '\0' && *env != '0';
 }
 
-/** Reference model: every configuration simulated independently. */
-struct NaiveBank
-{
-    std::vector<mem::CacheArray> caches;
-    std::vector<std::uint64_t> misses;
-    std::uint64_t accesses = 0;
-
-    explicit NaiveBank(const std::vector<sim::CacheParams> &configs)
-        : misses(configs.size(), 0)
-    {
-        for (const auto &params : configs)
-            caches.emplace_back(params);
-    }
-
-    void
-    access(mem::Addr addr, bool count_misses)
-    {
-        ++accesses;
-        for (std::size_t i = 0; i < caches.size(); ++i) {
-            mem::CacheArray &cache = caches[i];
-            if (mem::CacheLine *line = cache.find(addr)) {
-                cache.touch(*line);
-            } else {
-                if (count_misses)
-                    ++misses[i];
-                mem::CacheLine &frame = cache.victim(addr);
-                cache.install(frame, addr,
-                              mem::CoherenceState::Shared);
-            }
-        }
-    }
-};
-
-/** A clustered trace: repeats, streaming runs, random far jumps. */
-mem::MemRef
-nextRef(sim::Rng &rng, mem::Addr &cursor)
-{
-    const auto move = rng.uniform(100);
-    if (move < 35) {
-        // Stay in the current block (different byte offset).
-    } else if (move < 75) {
-        cursor += 64; // sequential run
-    } else {
-        cursor = rng.uniform(32 * 1024) * 64; // far jump
-    }
-    const auto kind = rng.uniform(100);
-    AccessType type = AccessType::Load;
-    if (kind < 35)
-        type = AccessType::IFetch;
-    else if (kind < 45)
-        type = AccessType::Store;
-    else if (kind < 50)
-        type = AccessType::BlockStore;
-    return {cursor + rng.uniform(64), type, 0};
-}
-
-/** Random single-pass-suitable geometry list (common block size). */
+/** Random refinement-suitable geometry list (common block size). */
 std::vector<sim::CacheParams>
 randomGeometries(sim::Rng &rng)
 {
@@ -114,185 +54,29 @@ randomGeometries(sim::Rng &rng)
 
 } // namespace
 
-TEST(Fenwick, MatchesNaivePrefixSums)
-{
-    // Exercise the tracker's actual usage: 0/1 marks toggled per
-    // slot (per-position counts never go negative).
-    sim::Rng rng(0xF3EDu);
-    mem::stackdist::Fenwick tree(64);
-    std::vector<std::uint32_t> naive(64, 0);
-    for (int step = 0; step < 2000; ++step) {
-        const std::size_t i = rng.uniform(64);
-        if (naive[i]) {
-            tree.add(i, -1);
-            naive[i] = 0;
-        } else {
-            tree.add(i, 1);
-            naive[i] = 1;
-        }
-        const std::size_t q = rng.uniform(64);
-        std::uint64_t expect = 0;
-        for (std::size_t k = 0; k <= q; ++k)
-            expect += naive[k];
-        ASSERT_EQ(tree.prefix(q), expect) << "step " << step;
-    }
-}
-
-TEST(Fenwick, ClearAndResetDiscardCounts)
-{
-    mem::stackdist::Fenwick tree(8);
-    tree.add(3, 5);
-    EXPECT_EQ(tree.prefix(7), 5u);
-    tree.clear();
-    EXPECT_EQ(tree.prefix(7), 0u);
-    EXPECT_EQ(tree.size(), 8u);
-    tree.reset(16);
-    EXPECT_EQ(tree.size(), 16u);
-    EXPECT_EQ(tree.prefix(15), 0u);
-}
-
-TEST(ReuseDistance, MatchesNaiveFullyAssociativeLadder)
-{
-    // Capacities in blocks; fully-associative CacheArray reference.
-    const std::vector<std::uint64_t> caps = {4, 16, 64, 256};
-    std::vector<sim::CacheParams> configs;
-    for (std::uint64_t c : caps)
-        configs.push_back({c * 64, static_cast<unsigned>(c), 64});
-
-    mem::stackdist::ReuseDistanceTracker tracker(caps, 64);
-    NaiveBank naive(configs);
-    sim::Rng rng(0xD15Cu);
-    mem::Addr cursor = 0;
-    const int steps = deepSweep() ? 60000 : 15000;
-    for (int step = 0; step < steps; ++step) {
-        const mem::MemRef ref = nextRef(rng, cursor);
-        const bool count = ref.type != AccessType::BlockStore;
-        tracker.access(ref.addr, count);
-        naive.access(ref.addr, count);
-    }
-    ASSERT_EQ(tracker.accesses(), naive.accesses);
-    for (std::size_t i = 0; i < caps.size(); ++i)
-        EXPECT_EQ(tracker.misses(i), naive.misses[i]) << "cap " << i;
-}
-
-TEST(ReuseDistance, SurvivesSlotCompaction)
-{
-    // Every access consumes a slot, so > kInitialSlots accesses force
-    // at least one compaction; counts must be unaffected.
-    const std::vector<std::uint64_t> caps = {8, 128};
-    std::vector<sim::CacheParams> configs;
-    for (std::uint64_t c : caps)
-        configs.push_back({c * 64, static_cast<unsigned>(c), 64});
-
-    mem::stackdist::ReuseDistanceTracker tracker(caps, 64);
-    NaiveBank naive(configs);
-    sim::Rng rng(0xC0DAu);
-    mem::Addr cursor = 0;
-    for (int step = 0; step < (1 << 17); ++step) {
-        const mem::MemRef ref = nextRef(rng, cursor);
-        tracker.access(ref.addr, true);
-        naive.access(ref.addr, true);
-    }
-    for (std::size_t i = 0; i < caps.size(); ++i)
-        EXPECT_EQ(tracker.misses(i), naive.misses[i]) << "cap " << i;
-}
-
-TEST(ReuseDistance, BlockStoreInstallsWithoutCounting)
-{
-    mem::stackdist::ReuseDistanceTracker tracker({4}, 64);
-    tracker.access(0x1000, /*count_miss=*/false); // cold install
-    EXPECT_EQ(tracker.accesses(), 1u);
-    EXPECT_EQ(tracker.misses(0), 0u);
-    EXPECT_EQ(tracker.coldMisses(), 0u);
-    tracker.access(0x1000, /*count_miss=*/true); // now resident: hit
-    EXPECT_EQ(tracker.misses(0), 0u);
-    tracker.access(0x2000, /*count_miss=*/true); // genuinely cold
-    EXPECT_EQ(tracker.misses(0), 1u);
-}
-
-TEST(ReuseDistance, ResetCountersKeepsStackAndMemo)
-{
-    mem::stackdist::ReuseDistanceTracker tracker({4}, 64);
-    tracker.access(0x1000, true);
-    tracker.access(0x2000, true);
-    tracker.resetCounters();
-    EXPECT_EQ(tracker.accesses(), 0u);
-    EXPECT_EQ(tracker.misses(0), 0u);
-    // Post-reset repeat of the pre-reset block: counted, not a miss.
-    tracker.access(0x2000, true);
-    EXPECT_EQ(tracker.accesses(), 1u);
-    EXPECT_EQ(tracker.misses(0), 0u);
-    tracker.access(0x1000, true);
-    EXPECT_EQ(tracker.misses(0), 0u);
-}
-
 TEST(Refinement, MatchesNaiveAcrossRandomGeometries)
 {
-    // Satellite 3: ≥50 random geometry trials, both banks, clustered
+    // At least 50 random geometry trials, both banks, clustered
     // streams, exact equality against the naive CacheArray walk.
     const int trials = deepSweep() ? 300 : 60;
     const int steps = deepSweep() ? 12000 : 4000;
     for (int trial = 0; trial < trials; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
         sim::Rng rng(0x5EED0000u + static_cast<std::uint64_t>(trial));
         const auto configs = randomGeometries(rng);
         ASSERT_TRUE(
             mem::stackdist::RefinementSweep::suitable(configs));
 
-        SweepSimulator sweep(configs, mem::SweepEngine::SinglePass);
-        NaiveBank inaive(configs), dnaive(configs);
+        SweepSimulator sweep(configs);
+        test::NaiveSweep naive(configs);
         mem::Addr cursor = 0;
         for (int step = 0; step < steps; ++step) {
-            const mem::MemRef ref = nextRef(rng, cursor);
+            const mem::MemRef ref = test::nextRef(rng, cursor);
             sweep.access(ref);
-            if (ref.type == AccessType::IFetch)
-                inaive.access(ref.addr, true);
-            else
-                dnaive.access(ref.addr,
-                              ref.type != AccessType::BlockStore);
+            naive.access(ref);
         }
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            ASSERT_EQ(sweep.icacheResults()[i].misses,
-                      inaive.misses[i])
-                << "trial " << trial << " config " << i << " (I)";
-            ASSERT_EQ(sweep.dcacheResults()[i].misses,
-                      dnaive.misses[i])
-                << "trial " << trial << " config " << i << " (D)";
-            ASSERT_EQ(sweep.icacheResults()[i].accesses,
-                      inaive.accesses);
-            ASSERT_EQ(sweep.dcacheResults()[i].accesses,
-                      dnaive.accesses);
-        }
-    }
-}
-
-TEST(Refinement, CriticalHistogramDerivesMissCounts)
-{
-    // On an inclusion chain, misses(k) == countable references whose
-    // critical level exceeds k, and the histogram sums to the number
-    // of countable references.
-    const auto configs = SweepSimulator::paperSweep();
-    mem::stackdist::RefinementSweep refine(configs);
-    sim::Rng rng(0xCA11u);
-    mem::Addr cursor = 0;
-    std::uint64_t countable = 0;
-    for (int step = 0; step < 20000; ++step) {
-        const mem::MemRef ref = nextRef(rng, cursor);
-        const bool count = ref.type != AccessType::BlockStore;
-        refine.access(ref.addr, count);
-        countable += count;
-    }
-    const std::vector<std::uint64_t> &hist =
-        refine.criticalHistogram();
-    ASSERT_EQ(hist.size(), configs.size() + 1);
-    std::uint64_t total = 0;
-    for (std::uint64_t h : hist)
-        total += h;
-    EXPECT_EQ(total, countable);
-    for (std::size_t k = 0; k < configs.size(); ++k) {
-        std::uint64_t expect = 0;
-        for (std::size_t c = k + 1; c < hist.size(); ++c)
-            expect += hist[c];
-        EXPECT_EQ(refine.misses(k), expect) << "config " << k;
+        test::expectMatchesOracle(sweep.icacheResults(),
+                                  sweep.dcacheResults(), naive);
     }
 }
 
@@ -312,91 +96,21 @@ TEST(Refinement, ResetCountersKeepsContents)
         EXPECT_EQ(refine.misses(i), 0u) << "config " << i;
 }
 
-TEST(SetSampled, ExactWhenSamplingDisabled)
+TEST(SweepDeath, UnrepresentableGeometriesAreFatal)
 {
-    // sampleBits=0 samples every set: must equal the exact engine.
-    const auto configs = SweepSimulator::paperSweep();
-    mem::stackdist::SetSampledSweep sampled(configs, 0);
-    mem::stackdist::RefinementSweep exact(configs);
-    sim::Rng rng(0x5A3Du);
-    mem::Addr cursor = 0;
-    for (int step = 0; step < 20000; ++step) {
-        const mem::MemRef ref = nextRef(rng, cursor);
-        const bool count = ref.type != AccessType::BlockStore;
-        sampled.access(ref.addr, count);
-        exact.access(ref.addr, count);
+    // The engine represents any geometry list sharing one
+    // power-of-two block size with power-of-two set counts and at
+    // most 64 ways; anything else is rejected at construction with
+    // that rule, never approximated.
+    const std::vector<std::vector<sim::CacheParams>> rejected = {
+        {{2 * 128 * 64, 128, 64}},                 // 128 ways
+        {{64 * 1024, 4, 32}, {128 * 1024, 4, 64}}, // two block sizes
+        {{3 * 4 * 64, 4, 64}},                     // three sets
+    };
+    for (const auto &configs : rejected) {
+        EXPECT_FALSE(mem::stackdist::RefinementSweep::suitable(configs));
+        EXPECT_EXIT(SweepSimulator{configs}, ::testing::ExitedWithCode(1),
+                    "one power-of-two block size, power-of-two set "
+                    "counts and associativity <= 64");
     }
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(sampled.sampleFactor(i), 1u);
-        EXPECT_EQ(sampled.estimatedMisses(i), exact.misses(i))
-            << "config " << i;
-    }
-}
-
-TEST(SetSampled, EstimateWithinStatedTolerance)
-{
-    // The stated tolerance of the opt-in approximation: on seeded
-    // clustered streams, 1-in-4 set sampling estimates each
-    // configuration's miss count within 25% relative error (with a
-    // small absolute floor for near-zero counts). Deterministic under
-    // the fixed seeds; the nightly deep pass re-checks more seeds.
-    const auto configs = SweepSimulator::paperSweep();
-    const int trials = deepSweep() ? 20 : 4;
-    for (int trial = 0; trial < trials; ++trial) {
-        mem::stackdist::SetSampledSweep sampled(configs, 2);
-        mem::stackdist::RefinementSweep exact(configs);
-        sim::Rng rng(0x7A8B0000u + static_cast<std::uint64_t>(trial));
-        mem::Addr cursor = 0;
-        for (int step = 0; step < 60000; ++step) {
-            const mem::MemRef ref = nextRef(rng, cursor);
-            const bool count = ref.type != AccessType::BlockStore;
-            sampled.access(ref.addr, count);
-            exact.access(ref.addr, count);
-        }
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            const double est =
-                static_cast<double>(sampled.estimatedMisses(i));
-            const double ref =
-                static_cast<double>(exact.misses(i));
-            const double slack = std::max(0.25 * ref, 200.0);
-            EXPECT_NEAR(est, ref, slack)
-                << "trial " << trial << " config " << i;
-        }
-    }
-}
-
-TEST(SweepEngine, FullyAssociativeLadderUsesReuseTracker)
-{
-    std::vector<sim::CacheParams> configs;
-    for (std::uint64_t blocks : {16u, 64u, 256u})
-        configs.push_back(
-            {blocks * 64, static_cast<unsigned>(blocks), 64});
-    SweepSimulator sweep(configs);
-    EXPECT_TRUE(sweep.singlePass());
-    EXPECT_STREQ(sweep.engineName(), "stackdist-reuse");
-
-    SweepSimulator legacy(configs, mem::SweepEngine::Legacy);
-    EXPECT_FALSE(legacy.singlePass());
-    sim::Rng rng(0xFAFAu);
-    mem::Addr cursor = 0;
-    for (int step = 0; step < 10000; ++step) {
-        const mem::MemRef ref = nextRef(rng, cursor);
-        sweep.access(ref);
-        legacy.access(ref);
-    }
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(sweep.icacheResults()[i].misses,
-                  legacy.icacheResults()[i].misses);
-        EXPECT_EQ(sweep.dcacheResults()[i].misses,
-                  legacy.dcacheResults()[i].misses);
-    }
-}
-
-TEST(SweepEngine, OversizedAssociativityFallsBackToLegacy)
-{
-    // 128-way with multiple sets exceeds the recency-row bound and is
-    // not fully associative: Auto silently falls back to the walk.
-    SweepSimulator sweep({{2 * 128 * 64, 128, 64}});
-    EXPECT_FALSE(sweep.singlePass());
-    EXPECT_STREQ(sweep.engineName(), "legacy-walk");
 }

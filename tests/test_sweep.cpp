@@ -1,8 +1,8 @@
 /**
  * @file
- * Multi-size uniprocessor cache sweep tests, including the
- * equivalence proof-by-test of the inclusion fast path against a
- * naive per-configuration reference simulation.
+ * Multi-size uniprocessor cache sweep tests: the split I/D banks,
+ * counters and resets, and bit-identity of the single-pass engine with
+ * the naive per-configuration oracle (tests/naive_sweep.hh).
  */
 
 #include <gtest/gtest.h>
@@ -10,94 +10,14 @@
 #include <vector>
 
 #include "mem/sweep.hh"
+#include "naive_sweep.hh"
 #include "sim/rng.hh"
 
 using namespace middlesim;
 using mem::AccessType;
 using mem::SweepSimulator;
-
-namespace
-{
-
-/** Reference model: every configuration simulated independently. */
-struct NaiveBank
-{
-    std::vector<mem::CacheArray> caches;
-    std::vector<std::uint64_t> misses;
-    std::uint64_t accesses = 0;
-
-    explicit NaiveBank(const std::vector<sim::CacheParams> &configs)
-        : misses(configs.size(), 0)
-    {
-        for (const auto &params : configs)
-            caches.emplace_back(params);
-    }
-
-    void
-    access(mem::Addr addr, bool count_misses)
-    {
-        ++accesses;
-        for (std::size_t i = 0; i < caches.size(); ++i) {
-            mem::CacheArray &cache = caches[i];
-            if (mem::CacheLine *line = cache.find(addr)) {
-                cache.touch(*line);
-            } else {
-                if (count_misses)
-                    ++misses[i];
-                mem::CacheLine &frame = cache.victim(addr);
-                cache.install(frame, addr,
-                              mem::CoherenceState::Shared);
-            }
-        }
-    }
-};
-
-/** Reference model of the full split sweep. */
-struct NaiveSweep
-{
-    NaiveBank ibank;
-    NaiveBank dbank;
-
-    explicit NaiveSweep(const std::vector<sim::CacheParams> &configs)
-        : ibank(configs), dbank(configs)
-    {
-    }
-
-    void
-    access(const mem::MemRef &ref)
-    {
-        if (ref.type == AccessType::IFetch)
-            ibank.access(ref.addr, true);
-        else
-            dbank.access(ref.addr,
-                         ref.type != AccessType::BlockStore);
-    }
-};
-
-/** A clustered trace: repeats, streaming runs, random far jumps. */
-mem::MemRef
-nextRef(sim::Rng &rng, mem::Addr &cursor)
-{
-    const auto move = rng.uniform(100);
-    if (move < 35) {
-        // Stay in the current block (different byte offset).
-    } else if (move < 75) {
-        cursor += 64; // sequential run
-    } else {
-        cursor = rng.uniform(32 * 1024) * 64; // far jump
-    }
-    const auto kind = rng.uniform(100);
-    AccessType type = AccessType::Load;
-    if (kind < 35)
-        type = AccessType::IFetch;
-    else if (kind < 45)
-        type = AccessType::Store;
-    else if (kind < 50)
-        type = AccessType::BlockStore;
-    return {cursor + rng.uniform(64), type, 0};
-}
-
-} // namespace
+using test::NaiveSweep;
+using test::nextRef;
 
 TEST(Sweep, PaperConfigsSpan64KTo16M)
 {
@@ -185,30 +105,15 @@ TEST(Sweep, FullResetClearsContents)
     EXPECT_EQ(sweep.dcacheResults()[0].misses, 1u);
 }
 
-TEST(Sweep, PaperSweepUsesTheInclusionFastPath)
-{
-    EXPECT_TRUE(
-        SweepSimulator(SweepSimulator::paperSweep()).inclusionChain());
-    // Mixed associativity breaks set refinement: generic walk.
-    EXPECT_FALSE(
-        SweepSimulator({{64 * 1024, 4, 64}, {128 * 1024, 2, 64}})
-            .inclusionChain());
-    // Mixed block size likewise.
-    EXPECT_FALSE(
-        SweepSimulator({{64 * 1024, 4, 32}, {128 * 1024, 4, 64}})
-            .inclusionChain());
-}
-
 TEST(Sweep, FastPathMatchesNaiveReference)
 {
-    // Scaled-down inclusion chain (64 KB..1 MB) so a 120k-reference
-    // trace exercises every cache's capacity.
+    // Scaled-down ladder (64 KB..1 MB) so a 120k-reference trace
+    // exercises every cache's capacity.
     std::vector<sim::CacheParams> configs;
     for (std::uint64_t kb = 64; kb <= 1024; kb *= 2)
         configs.push_back({kb * 1024, 4, 64});
 
     SweepSimulator sweep(configs);
-    ASSERT_TRUE(sweep.inclusionChain());
     NaiveSweep naive(configs);
 
     sim::Rng rng(11);
@@ -219,16 +124,10 @@ TEST(Sweep, FastPathMatchesNaiveReference)
         naive.access(ref);
     }
 
-    const auto &ires = sweep.icacheResults();
-    const auto &dres = sweep.dcacheResults();
-    ASSERT_EQ(ires.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(ires[i].accesses, naive.ibank.accesses) << i;
-        EXPECT_EQ(ires[i].misses, naive.ibank.misses[i]) << i;
-        EXPECT_EQ(dres[i].accesses, naive.dbank.accesses) << i;
-        EXPECT_EQ(dres[i].misses, naive.dbank.misses[i]) << i;
-    }
+    test::expectMatchesOracle(sweep.icacheResults(),
+                              sweep.dcacheResults(), naive);
     // The trace discriminates: some config actually missed.
+    const auto &dres = sweep.dcacheResults();
     EXPECT_GT(dres.front().misses, 0u);
     EXPECT_LT(dres.back().misses, dres.front().misses);
 }
@@ -242,105 +141,79 @@ TEST(Sweep, FastPathMatchesNaiveAcrossCounterReset)
         configs.push_back({kb * 1024, 4, 64});
 
     SweepSimulator sweep(configs);
-    NaiveSweep warm(configs);
+    NaiveSweep naive(configs);
 
     sim::Rng rng(23);
     mem::Addr cursor = 0;
-    std::vector<mem::MemRef> measured;
-    for (int i = 0; i < 40000; ++i) {
+    for (int i = 0; i < 80000; ++i) {
+        if (i == 40000) {
+            sweep.resetCounters();
+            naive.resetCounters();
+        }
         const mem::MemRef ref = nextRef(rng, cursor);
         sweep.access(ref);
-        warm.access(ref); // reference stays warm too
+        naive.access(ref);
     }
-    sweep.resetCounters();
-    NaiveBank ref_i = std::move(warm.ibank);
-    NaiveBank ref_d = std::move(warm.dbank);
-    ref_i.accesses = 0;
-    ref_d.accesses = 0;
-    ref_i.misses.assign(configs.size(), 0);
-    ref_d.misses.assign(configs.size(), 0);
-    for (int i = 0; i < 40000; ++i) {
-        const mem::MemRef ref = nextRef(rng, cursor);
-        sweep.access(ref);
-        if (ref.type == AccessType::IFetch)
-            ref_i.access(ref.addr, true);
-        else
-            ref_d.access(ref.addr,
-                         ref.type != AccessType::BlockStore);
-    }
-
-    const auto &ires = sweep.icacheResults();
-    const auto &dres = sweep.dcacheResults();
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(ires[i].misses, ref_i.misses[i]) << i;
-        EXPECT_EQ(dres[i].misses, ref_d.misses[i]) << i;
-        EXPECT_EQ(ires[i].accesses, ref_i.accesses) << i;
-        EXPECT_EQ(dres[i].accesses, ref_d.accesses) << i;
-    }
+    test::expectMatchesOracle(sweep.icacheResults(),
+                              sweep.dcacheResults(), naive);
 }
 
 TEST(Sweep, EnginesBitIdenticalOnPaperSweep)
 {
-    // Forced legacy walk vs forced single-pass engine: identical miss
-    // and access counts on the paper sweep, reference by reference.
+    // The single-pass engine vs the naive oracle on the full paper
+    // sweep: identical miss and access counts for every geometry.
     const auto configs = SweepSimulator::paperSweep();
-    SweepSimulator legacy(configs, mem::SweepEngine::Legacy);
-    SweepSimulator fast(configs, mem::SweepEngine::SinglePass);
-    ASSERT_FALSE(legacy.singlePass());
-    ASSERT_TRUE(fast.singlePass());
-    EXPECT_STREQ(fast.engineName(), "stackdist-refinement");
+    SweepSimulator sweep(configs);
+    NaiveSweep naive(configs);
 
     sim::Rng rng(31);
     mem::Addr cursor = 0;
     for (int i = 0; i < 120000; ++i) {
         const mem::MemRef ref = nextRef(rng, cursor);
-        legacy.access(ref);
-        fast.access(ref);
+        sweep.access(ref);
+        naive.access(ref);
     }
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(fast.icacheResults()[i].misses,
-                  legacy.icacheResults()[i].misses) << i;
-        EXPECT_EQ(fast.dcacheResults()[i].misses,
-                  legacy.dcacheResults()[i].misses) << i;
-        EXPECT_EQ(fast.icacheResults()[i].accesses,
-                  legacy.icacheResults()[i].accesses) << i;
-        EXPECT_EQ(fast.dcacheResults()[i].accesses,
-                  legacy.dcacheResults()[i].accesses) << i;
-    }
-    // And the critical histogram is exposed for the inclusion chain.
-    ASSERT_NE(fast.icriticalHistogram(), nullptr);
-    ASSERT_NE(fast.dcriticalHistogram(), nullptr);
-    EXPECT_EQ(legacy.icriticalHistogram(), nullptr);
+    test::expectMatchesOracle(sweep.icacheResults(),
+                              sweep.dcacheResults(), naive);
 }
 
 TEST(Sweep, WarmupMemoSurvivesCounterReset)
 {
-    // Satellite regression: the repeated-block memo (lastBlock /
-    // lastLines) is deliberately kept across resetCounters(). A
-    // post-warmup repeat of the last pre-warmup block must be counted
-    // as an access and score as a hit in every engine — the memoized
-    // line is still resident and still MRU.
+    // The repeated-block memo is deliberately kept across
+    // resetCounters(). A post-warmup repeat of the last pre-warmup
+    // block must be counted as an access and score as a hit — the
+    // memoized block is still resident and still MRU — exactly as in
+    // the oracle.
     const auto configs = SweepSimulator::paperSweep();
-    for (auto engine :
-         {mem::SweepEngine::Legacy, mem::SweepEngine::SinglePass}) {
-        SweepSimulator sweep(configs, engine);
-        sweep.access({0xABC40, AccessType::Load, 0});   // warmup miss
-        sweep.access({0xABC44, AccessType::Store, 0});  // memo repeat
-        sweep.access({0xABC40, AccessType::IFetch, 0}); // I-bank too
-        sweep.resetCounters();
+    SweepSimulator sweep(configs);
+    NaiveSweep naive(configs);
+    const std::vector<mem::MemRef> warmup = {
+        {0xABC40, AccessType::Load, 0},   // warmup miss
+        {0xABC44, AccessType::Store, 0},  // memo repeat
+        {0xABC40, AccessType::IFetch, 0}, // I-bank too
+    };
+    // Same block again, first thing after the warmup boundary.
+    const std::vector<mem::MemRef> measured = {
+        {0xABC48, AccessType::Load, 0},
+        {0xABC4C, AccessType::IFetch, 0},
+    };
+    for (const mem::MemRef &ref : warmup) {
+        sweep.access(ref);
+        naive.access(ref);
+    }
+    sweep.resetCounters();
+    naive.resetCounters();
+    for (const mem::MemRef &ref : measured) {
+        sweep.access(ref);
+        naive.access(ref);
+    }
 
-        // Same block again, first thing after the warmup boundary.
-        sweep.access({0xABC48, AccessType::Load, 0});
-        sweep.access({0xABC4C, AccessType::IFetch, 0});
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            EXPECT_EQ(sweep.dcacheResults()[i].accesses, 1u)
-                << sweep.engineName() << " config " << i;
-            EXPECT_EQ(sweep.dcacheResults()[i].misses, 0u)
-                << sweep.engineName() << " config " << i;
-            EXPECT_EQ(sweep.icacheResults()[i].accesses, 1u)
-                << sweep.engineName() << " config " << i;
-            EXPECT_EQ(sweep.icacheResults()[i].misses, 0u)
-                << sweep.engineName() << " config " << i;
-        }
+    test::expectMatchesOracle(sweep.icacheResults(),
+                              sweep.dcacheResults(), naive);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_EQ(sweep.dcacheResults()[i].accesses, 1u) << i;
+        EXPECT_EQ(sweep.dcacheResults()[i].misses, 0u) << i;
+        EXPECT_EQ(sweep.icacheResults()[i].accesses, 1u) << i;
+        EXPECT_EQ(sweep.icacheResults()[i].misses, 0u) << i;
     }
 }

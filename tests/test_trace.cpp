@@ -28,6 +28,7 @@
 #include "core/figures_internal.hh"
 #include "core/trace_run.hh"
 #include "mem/trace_sink.hh"
+#include "naive_sweep.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
 #include "sim/threadpool.hh"
@@ -555,46 +556,39 @@ TEST(TraceReplay, SweepReplayMatchesExecutionDrivenSweep)
     }
 }
 
-TEST(TraceReplay, SweepEnginesAgreeOnRecordedTrace)
+TEST(TraceReplay, SweepReplayMatchesNaiveOracle)
 {
-    // One recording, three sweep paths: the auto-selected single-pass
-    // stack-distance engine, the forced legacy walk, and the
-    // per-configuration replay baseline must produce identical miss
-    // and access counts for every paper-sweep geometry.
+    // One recording, two sweep paths: replayTraceSweep's single-pass
+    // engine and the naive per-configuration oracle fed the same
+    // decoded stream must produce identical miss and access counts for
+    // every paper-sweep geometry.
     core::TraceRecordOutcome rec =
         core::recordTraceRun(uniprocessorJbbSpec());
     ASSERT_FALSE(rec.traceData.empty());
 
-    core::SweepReplayOutcome fast =
+    const core::SweepReplayOutcome fast =
         core::replayTraceSweep(rec.traceData);
-    core::SweepReplayOutcome legacy = core::replayTraceSweep(
-        rec.traceData, mem::SweepEngine::Legacy);
-    core::SweepReplayOutcome percfg =
-        core::replayTraceSweepPerConfig(rec.traceData);
     ASSERT_TRUE(fast.valid) << fast.error;
-    ASSERT_TRUE(legacy.valid) << legacy.error;
-    ASSERT_TRUE(percfg.valid) << percfg.error;
-    EXPECT_EQ(fast.engine, "stackdist-refinement");
-    EXPECT_EQ(legacy.engine, "legacy-walk");
-    EXPECT_EQ(fast.instructions, legacy.instructions);
-    EXPECT_EQ(fast.instructions, percfg.instructions);
 
-    ASSERT_EQ(fast.icache.size(), legacy.icache.size());
-    ASSERT_EQ(fast.icache.size(), percfg.icache.size());
-    for (std::size_t i = 0; i < fast.icache.size(); ++i) {
-        EXPECT_EQ(fast.icache[i].misses, legacy.icache[i].misses)
-            << "icache config " << i;
-        EXPECT_EQ(fast.dcache[i].misses, legacy.dcache[i].misses)
-            << "dcache config " << i;
-        EXPECT_EQ(fast.icache[i].misses, percfg.icache[i].misses)
-            << "icache config " << i << " (per-config)";
-        EXPECT_EQ(fast.dcache[i].misses, percfg.dcache[i].misses)
-            << "dcache config " << i << " (per-config)";
-        EXPECT_EQ(fast.icache[i].accesses, percfg.icache[i].accesses)
-            << "icache config " << i;
-        EXPECT_EQ(fast.dcache[i].accesses, percfg.dcache[i].accesses)
-            << "dcache config " << i;
+    // Mirror the replay protocol: counters restart at the warmup
+    // boundary, instructions arrive as an annotation.
+    test::NaiveSweep oracle(mem::SweepSimulator::paperSweep());
+    std::uint64_t instructions = 0;
+    trace::TraceReader reader{std::string(rec.traceData)};
+    trace::TraceRecord r;
+    while (reader.next(r)) {
+        if (r.isRef) {
+            oracle.access(r.ref);
+        } else if (r.kind == mem::TraceAnnotation::StatsReset) {
+            oracle.resetCounters();
+            instructions = 0;
+        } else if (r.kind == mem::TraceAnnotation::Instructions) {
+            instructions += r.arg;
+        }
     }
+    ASSERT_TRUE(reader.complete()) << reader.error();
+    EXPECT_EQ(fast.instructions, instructions);
+    test::expectMatchesOracle(fast.icache, fast.dcache, oracle);
 }
 
 TEST(TraceReplay, SharingFanoutBitIdenticalToPerDegree)
