@@ -109,27 +109,45 @@ BM_SweepAccessClustered(benchmark::State &state)
 }
 BENCHMARK(BM_SweepAccessClustered);
 
+/**
+ * The per-block record lookup on the L2 miss path: a warm table,
+ * lookups of already-present blocks.
+ */
 void
-BM_BlockMetaLookup(benchmark::State &state)
+blockMetaLookup(benchmark::State &state, unsigned groups, bool directory)
 {
-    // The per-block metadata lookup on the L2 miss path: a warm
-    // table, mostly lookups of already-present blocks.
-    mem::BlockMetaTable table;
+    mem::BlockMetaTable table(groups, directory);
     sim::Rng rng(7);
     std::vector<mem::Addr> keys;
     keys.reserve(100000);
     for (unsigned i = 0; i < 100000; ++i) {
         keys.push_back(
             static_cast<mem::Addr>(rng.uniform(1u << 22)) * 64);
-        table[keys.back()].everCachedMask.set(0);
+        table[keys.back()].everCached().set(0);
     }
     std::size_t i = 0;
     for (auto _ : state) {
-        mem::LineMeta &meta = table[keys[i++ % keys.size()]];
-        benchmark::DoNotOptimize(&meta);
+        const mem::LineMeta meta = table[keys[i++ % keys.size()]];
+        benchmark::DoNotOptimize(meta.presence().data());
     }
+    state.counters["slot_bytes"] = static_cast<double>(table.slotBytes());
+}
+
+/** The 16-group snooping record of the paper's E6000. */
+void
+BM_BlockMetaLookup(benchmark::State &state)
+{
+    blockMetaLookup(state, 16, false);
 }
 BENCHMARK(BM_BlockMetaLookup);
+
+/** The 128-group directory record of the many-core machine. */
+void
+BM_BlockMetaLookupDir128(benchmark::State &state)
+{
+    blockMetaLookup(state, 128, true);
+}
+BENCHMARK(BM_BlockMetaLookupDir128);
 
 void
 BM_ZipfSample(benchmark::State &state)

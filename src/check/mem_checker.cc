@@ -63,15 +63,15 @@ MemChecker::checkDirectoryBlock(mem::Addr block,
                                 const SharerSet &valid_set,
                                 sim::Tick now, const char *ctx)
 {
-    const mem::DirEntry *de = h_.peekDirEntry(block);
-    const SharerSet dir_sharers =
-        de ? de->sharers : SharerSet(groups_);
-    if (dir_sharers != valid_set) {
+    const mem::ConstLineMeta meta = h_.peekMeta(block);
+    const bool sharers_ok =
+        meta ? meta.sharers() == valid_set.bits() : valid_set.none();
+    if (!sharers_ok) {
         report_.violate("dir.sharer-desync",
             formatMessage(ctx, "block 0x", std::hex, block, std::dec,
                           " directory sharer vector ",
-                          dir_sharers.toHex(), " but valid copies ",
-                          valid_set.toHex()),
+                          meta ? meta.sharers().toHex() : "0x0",
+                          " but valid copies ", valid_set.toHex()),
             now);
     }
 
@@ -85,7 +85,7 @@ MemChecker::checkDirectoryBlock(mem::Addr block,
             break;
         }
     }
-    const std::int32_t dir_owner = de ? de->owner : -1;
+    const std::int32_t dir_owner = meta ? meta.owner() : -1;
     if (dir_owner != actual_owner) {
         report_.violate("dir.owner-desync",
             formatMessage(ctx, "block 0x", std::hex, block, std::dec,
@@ -203,14 +203,14 @@ MemChecker::preAccess(const mem::MemRef &ref, sim::Tick now)
     }
 
     // 5. Snoop-filter consistency.
-    const mem::LineMeta *meta = h_.peekMeta(block);
+    const mem::ConstLineMeta meta = h_.peekMeta(block);
     const bool presence_ok =
-        meta ? meta->presenceMask == validSet : validSet.none();
+        meta ? meta.presence() == validSet.bits() : validSet.none();
     if (!presence_ok) {
         report_.violate("meta.presence-desync",
             formatMessage("block 0x", std::hex, block, std::dec,
                           " presence mask ",
-                          meta ? meta->presenceMask.toHex() : "0x0",
+                          meta ? meta.presence().toHex() : "0x0",
                           " but valid copies ", validSet.toHex()),
             now);
     }
@@ -526,8 +526,9 @@ MemChecker::auditFull(sim::Tick now)
     std::unordered_map<mem::Addr, Agg> blocks;
     for (unsigned g = 0; g < groups_; ++g) {
         h_.l2Array(g).forEach([&](const mem::CacheLine &line) {
-            Agg &a = blocks[line.tag];
-            if (a.valid.words() == 0 && groups_ > SharerSet::inlineBits)
+            const auto [it, fresh] = blocks.try_emplace(line.tag);
+            Agg &a = it->second;
+            if (fresh)
                 a.valid = SharerSet(groups_);
             a.valid.set(g);
             if (mem::isOwner(line.state))
@@ -556,14 +557,14 @@ MemChecker::auditFull(sim::Tick now)
                               " owner copies"),
                 now);
         }
-        const mem::LineMeta *meta = h_.peekMeta(block);
+        const mem::ConstLineMeta meta = h_.peekMeta(block);
         const bool presence_ok =
-            meta ? meta->presenceMask == a.valid : a.valid.none();
+            meta ? meta.presence() == a.valid.bits() : a.valid.none();
         if (!presence_ok) {
             report_.violate("meta.presence-desync",
                 formatMessage("audit: block 0x", std::hex, block,
                               std::dec, " presence ",
-                              meta ? meta->presenceMask.toHex() : "0x0",
+                              meta ? meta.presence().toHex() : "0x0",
                               " but valid ", a.valid.toHex()),
                 now);
         }
@@ -571,30 +572,44 @@ MemChecker::auditFull(sim::Tick now)
             checkDirectoryBlock(block, a.valid, now, "audit: ");
     }
 
+    // Blocks no L2 holds whose record claims a copy, in address order
+    // so the report does not depend on the table's slot layout.
+    const auto orphans = [&](auto &&claims_copy) {
+        std::vector<mem::Addr> found;
+        h_.forEachMeta([&](mem::Addr block, mem::ConstLineMeta meta) {
+            if (claims_copy(meta) && !blocks.count(block))
+                found.push_back(block);
+        });
+        std::sort(found.begin(), found.end());
+        return found;
+    };
+
     // Presence bits claiming blocks no L2 actually holds.
-    h_.forEachMeta([&](mem::Addr block, const mem::LineMeta &meta) {
-        if (meta.presenceMask.none() || blocks.count(block))
-            return;
+    for (const mem::Addr block : orphans([](mem::ConstLineMeta meta) {
+             return meta.presence().any();
+         })) {
         report_.violate("meta.presence-desync",
             formatMessage("audit: block 0x", std::hex, block, std::dec,
-                          " presence ", meta.presenceMask.toHex(),
+                          " presence ",
+                          h_.peekMeta(block).presence().toHex(),
                           " but no valid L2 copy exists"),
             now);
-    });
+    }
 
-    // Directory entries claiming sharers for blocks no L2 holds.
+    // Directory state claiming sharers for blocks no L2 holds.
     if (dir_) {
-        dir_->forEach([&](mem::Addr block, const mem::DirEntry &de) {
-            if ((de.sharers.none() && de.owner < 0) ||
-                blocks.count(block))
-                return;
+        for (const mem::Addr block : orphans([](mem::ConstLineMeta meta) {
+                 return meta.sharers().any() || meta.owner() >= 0;
+             })) {
+            const mem::ConstLineMeta meta = h_.peekMeta(block);
             report_.violate("dir.sharer-desync",
                 formatMessage("audit: block 0x", std::hex, block,
                               std::dec, " directory records sharers ",
-                              de.sharers.toHex(), " owner ", de.owner,
+                              meta.sharers().toHex(), " owner ",
+                              meta.owner(),
                               " but no valid L2 copy exists"),
                 now);
-        });
+        }
     }
 
     // Full L1 inclusion.

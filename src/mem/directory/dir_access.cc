@@ -48,7 +48,7 @@ namespace middlesim::mem
 
 sim::Tick
 Hierarchy::dirHomeAcquire(Addr block, unsigned group, unsigned home,
-                          unsigned req_hops, DirEntry &entry,
+                          unsigned req_hops, LineMeta meta,
                           sim::Tick now)
 {
     if (!dir_->contended())
@@ -59,18 +59,18 @@ Hierarchy::dirHomeAcquire(Addr block, unsigned group, unsigned home,
     // cumulative backoff always overtakes them within kDirRetryBound
     // attempts (livelock freedom, DESIGN.md §3.15).
     const sim::Tick round_trip = 2 * req_hops * lat_.hop;
+    const sim::Tick transient_until = meta.transientUntil();
     sim::Tick extra = 0;
     for (unsigned attempt = 0;; ++attempt) {
         const sim::Tick t = now + extra;
-        const bool transient =
-            entry.transientUntil > t &&
-            entry.transientUntil - t <= kDirNackHorizon;
+        const bool transient = transient_until > t &&
+                               transient_until - t <= kDirNackHorizon;
         sim::Tick queue = 0;
         if (!faultFires(FaultPlan::Kind::NackStorm, block, group) &&
             !transient &&
             dir_->tryAcquireHome(home, t, lat_.directoryLookup,
                                  queue)) {
-            entry.transientUntil = t + queue + lat_.directoryLookup;
+            meta.setTransientUntil(t + queue + lat_.directoryLookup);
             return extra + queue;
         }
         dir_->noteNack();
@@ -91,16 +91,17 @@ Hierarchy::dirHomeAcquire(Addr block, unsigned group, unsigned home,
 
 bool
 Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
-                                bool want_data, DirEntry &entry,
-                                LineMeta &meta, unsigned &inval_count)
+                                bool want_data, LineMeta meta,
+                                unsigned &inval_count)
 {
     bool supplied = false;
-    const unsigned home = cfg_.homeNodeOf(block, cfg_.l2.blockBytes);
-    const SharerSet targets = entry.sharers;
-    targets.forEachSetExcept(group, [&](unsigned g) {
+    const unsigned home = dir_->homeOf(block);
+    const GroupBits sharers = meta.sharers();
+    const GroupBitsCopy targets(sharers);
+    targets.bits().forEachSetExcept(group, [&](unsigned g) {
         ++dir_->invalidationsSent();
         ++inval_count;
-        dir_->chargeHops(home, cfg_.nodeOfGroup(g), 2);
+        dir_->chargeHops(home, dir_->nodeOfGroup(g), 2);
         CacheLine *peer = l2_[g].find(block);
         sim_assert(peer || fault_,
                    "directory sharer vector out of sync (invalidate)");
@@ -115,7 +116,7 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
             // Invalidation lost in flight: the stale copy survives,
             // but the home already cleared the bit — it believes the
             // message landed.
-            entry.sharers.clear(g);
+            sharers.clear(g);
             return;
         }
         if (peer)
@@ -126,7 +127,7 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
             return;
         }
         ++dir_->acksReceived();
-        entry.sharers.clear(g);
+        sharers.clear(g);
     });
     return supplied;
 }
@@ -144,37 +145,38 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
     if (trackComm_)
         recordTouched(meta_[block]);
 
-    const unsigned my_node = cfg_.nodeOfGroup(group);
-    const unsigned home = cfg_.homeNodeOf(block, cfg_.l2.blockBytes);
-    const unsigned req_hops = cfg_.hopsBetween(my_node, home);
+    CacheLine *line = l2.find(ref.addr);
+    if (line && (!want_write || canWrite(line->state))) {
+        l2.touch(*line);
+        ++st.l2Hits;
+        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
+    }
+    if (line && line->state == CoherenceState::Exclusive) {
+        // Silent E->M upgrade: the directory already records this
+        // group as owner; no message leaves the node.
+        line->state = CoherenceState::Modified;
+        l2.touch(*line);
+        ++st.l2Hits;
+        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
+    }
 
-    if (CacheLine *line = l2.find(ref.addr)) {
-        if (!want_write || canWrite(line->state)) {
-            l2.touch(*line);
-            ++st.l2Hits;
-            return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-        }
-        if (line->state == CoherenceState::Exclusive) {
-            // Silent E->M upgrade: the directory already records this
-            // group as owner; no message leaves the node.
-            line->state = CoherenceState::Modified;
-            l2.touch(*line);
-            ++st.l2Hits;
-            return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-        }
+    const unsigned my_node = dir_->nodeOfGroup(group);
+    const unsigned home = dir_->homeOf(block);
+    const unsigned req_hops = dir_->hops(my_node, home);
+    const LineMeta meta = meta_[block];
+
+    if (line) {
         // Shared: ownership upgrade through the home.
-        LineMeta &meta = meta_[block];
-        DirEntry &entry = dir_->entry(block);
         ++dir_->upgrades();
         dir_->chargeHops(my_node, home, 2);
         const sim::Tick contention =
-            dirHomeAcquire(block, group, home, req_hops, entry, now) +
+            dirHomeAcquire(block, group, home, req_hops, meta, now) +
             dir_->linkTraverse(my_node, home, lat_.hop) +
             dir_->linkTraverse(home, my_node, lat_.hop);
         unsigned invals = 0;
-        dirInvalidateSharers(block, group, false, entry, meta, invals);
-        entry.sharers.set(group);
-        entry.owner = static_cast<std::int32_t>(group);
+        dirInvalidateSharers(block, group, false, meta, invals);
+        meta.sharers().set(group);
+        meta.setOwner(static_cast<std::int32_t>(group));
         line->state = CoherenceState::Modified;
         l2.touch(*line);
         ++st.upgrades;
@@ -184,9 +186,7 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
     }
 
     // L2 miss: GetS/GetM to the block's home.
-    LineMeta &meta = meta_[block];
     const MissClass mclass = classifyMiss(meta, group);
-    DirEntry &entry = dir_->entry(block);
     bool peer_supplied = false;
     sim::Tick data_leg = lat_.memory;
     dir_->chargeHops(my_node, home, 2);
@@ -199,26 +199,25 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
     // leg is charged per branch below — it runs home -> requester, or
     // along the forward path when an owner supplies the data.
     sim::Tick contention =
-        dirHomeAcquire(block, group, home, req_hops, entry, now) +
+        dirHomeAcquire(block, group, home, req_hops, meta, now) +
         dir_->linkTraverse(my_node, home, lat_.hop);
 
     if (want_write) {
         ++dir_->getM();
         unsigned invals = 0;
-        const std::int32_t prev_owner = entry.owner;
+        const std::int32_t prev_owner = meta.owner();
         peer_supplied =
-            dirInvalidateSharers(block, group, true, entry, meta,
-                                 invals);
+            dirInvalidateSharers(block, group, true, meta, invals);
         if (peer_supplied) {
             // Data came owner->requester; add the forward legs.
             // (prev_owner can only be -1 here under injected faults
             // that left a rogue M copy; charge no hops then.)
             unsigned fwd_hops = 0;
             if (prev_owner >= 0) {
-                const unsigned owner_node = cfg_.nodeOfGroup(
+                const unsigned owner_node = dir_->nodeOfGroup(
                     static_cast<unsigned>(prev_owner));
-                fwd_hops = cfg_.hopsBetween(home, owner_node) +
-                           cfg_.hopsBetween(owner_node, my_node);
+                fwd_hops = dir_->hops(home, owner_node) +
+                           dir_->hops(owner_node, my_node);
                 dir_->chargeHops(home, owner_node, 1);
                 dir_->chargeHops(owner_node, my_node, 1);
                 contention +=
@@ -232,13 +231,13 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
         } else {
             contention += dir_->linkTraverse(home, my_node, lat_.hop);
         }
-        entry.sharers.set(group);
-        entry.owner = static_cast<std::int32_t>(group);
+        meta.sharers().set(group);
+        meta.setOwner(static_cast<std::int32_t>(group));
     } else {
         ++dir_->getS();
-        if (entry.owner >= 0 &&
-            entry.owner != static_cast<std::int32_t>(group)) {
-            const unsigned og = static_cast<unsigned>(entry.owner);
+        const std::int32_t owner = meta.owner();
+        if (owner >= 0 && owner != static_cast<std::int32_t>(group)) {
+            const unsigned og = static_cast<unsigned>(owner);
             CacheLine *peer = l2_[og].find(ref.addr);
             sim_assert(peer || fault_,
                        "directory owner out of sync (forward)");
@@ -255,10 +254,10 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
                                 block, og)) {
                     peer->state = CoherenceState::Shared;
                 }
-                const unsigned owner_node = cfg_.nodeOfGroup(og);
+                const unsigned owner_node = dir_->nodeOfGroup(og);
                 const unsigned fwd_hops =
-                    cfg_.hopsBetween(home, owner_node) +
-                    cfg_.hopsBetween(owner_node, my_node);
+                    dir_->hops(home, owner_node) +
+                    dir_->hops(owner_node, my_node);
                 dir_->chargeHops(home, owner_node, 1);
                 dir_->chargeHops(owner_node, my_node, 1);
                 contention +=
@@ -267,14 +266,14 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
                 data_leg = lat_.cacheToCache + fwd_hops * lat_.hop;
             }
             // The home records the downgrade either way.
-            entry.owner = -1;
+            meta.setOwner(-1);
         }
         if (!peer_supplied)
             contention += dir_->linkTraverse(home, my_node, lat_.hop);
-        const bool solo = entry.sharers.none();
-        entry.sharers.set(group);
+        const bool solo = meta.sharers().none();
+        meta.sharers().set(group);
         if (solo)
-            entry.owner = static_cast<std::int32_t>(group);
+            meta.setOwner(static_cast<std::int32_t>(group));
     }
 
     const sim::Tick latency = lat_.directoryLookup +
@@ -309,12 +308,12 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
         install_state = CoherenceState::Modified;
     } else {
         install_state =
-            entry.owner == static_cast<std::int32_t>(group)
+            meta.owner() == static_cast<std::int32_t>(group)
                 ? CoherenceState::Exclusive
                 : CoherenceState::Shared;
     }
     l2.install(victim, ref.addr, install_state);
-    meta.presenceMask.set(group);
+    meta.presence().set(group);
 
     return {latency, served, mclass};
 }
@@ -331,65 +330,51 @@ Hierarchy::l2BlockStoreDirectory(const MemRef &ref, sim::Tick now)
     if (trackComm_)
         recordTouched(meta_[block]);
 
-    const unsigned my_node = cfg_.nodeOfGroup(group);
-    const unsigned home = cfg_.homeNodeOf(block, cfg_.l2.blockBytes);
-    const unsigned req_hops = cfg_.hopsBetween(my_node, home);
-
-    if (CacheLine *line = l2.find(ref.addr)) {
-        if (canWrite(line->state)) {
-            // Streaming store: do not promote the line.
-            ++st.l2Hits;
-            return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-        }
-        if (line->state == CoherenceState::Exclusive) {
-            // Silent upgrade, as for a store hit.
-            line->state = CoherenceState::Modified;
-            ++st.l2Hits;
-            return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-        }
-        // Shared: claim ownership through the home. The whole line is
-        // overwritten, so no data moves.
-        LineMeta &meta = meta_[block];
-        DirEntry &entry = dir_->entry(block);
-        ++dir_->upgrades();
-        dir_->chargeHops(my_node, home, 2);
-        const sim::Tick contention =
-            dirHomeAcquire(block, group, home, req_hops, entry, now) +
-            dir_->linkTraverse(my_node, home, lat_.hop) +
-            dir_->linkTraverse(home, my_node, lat_.hop);
-        unsigned invals = 0;
-        dirInvalidateSharers(block, group, false, entry, meta, invals);
-        entry.sharers.set(group);
-        entry.owner = static_cast<std::int32_t>(group);
+    CacheLine *line = l2.find(ref.addr);
+    if (line && canWrite(line->state)) {
+        // Streaming store: do not promote the line.
+        ++st.l2Hits;
+        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
+    }
+    if (line && line->state == CoherenceState::Exclusive) {
+        // Silent upgrade, as for a store hit.
         line->state = CoherenceState::Modified;
-        l2.touch(*line);
-        const sim::Tick latency = lat_.l2Hit + lat_.directoryLookup +
-                                  2 * req_hops * lat_.hop + contention;
-        return {latency, ServedBy::L2, MissClass::None};
+        ++st.l2Hits;
+        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
     }
 
-    // Not present: claim the line without fetching. A peer's dirty
-    // copy is dropped (it is wholly overwritten), not copied back.
-    LineMeta &meta = meta_[block];
-    DirEntry &entry = dir_->entry(block);
-    ++dir_->getM();
+    // Shared, or not present: claim ownership through the home. The
+    // whole line is overwritten, so no data moves; a peer's dirty
+    // copy is dropped, not copied back.
+    const unsigned my_node = dir_->nodeOfGroup(group);
+    const unsigned home = dir_->homeOf(block);
+    const unsigned req_hops = dir_->hops(my_node, home);
+    const LineMeta meta = meta_[block];
+    if (line)
+        ++dir_->upgrades();
+    else
+        ++dir_->getM();
     dir_->chargeHops(my_node, home, 2);
     const sim::Tick contention =
-        dirHomeAcquire(block, group, home, req_hops, entry, now) +
+        dirHomeAcquire(block, group, home, req_hops, meta, now) +
         dir_->linkTraverse(my_node, home, lat_.hop) +
         dir_->linkTraverse(home, my_node, lat_.hop);
     unsigned invals = 0;
-    dirInvalidateSharers(block, group, false, entry, meta, invals);
-    meta.everCachedMask.set(group);
-    meta.invalidatedMask.clear(group);
-
-    CacheLine &victim = l2.victim(ref.addr);
-    if (victim.valid())
-        evictLine(group, victim, ref.cpu, now);
-    l2.installStreaming(victim, ref.addr, CoherenceState::Modified);
-    meta.presenceMask.set(group);
-    entry.sharers.set(group);
-    entry.owner = static_cast<std::int32_t>(group);
+    dirInvalidateSharers(block, group, false, meta, invals);
+    if (line) {
+        line->state = CoherenceState::Modified;
+        l2.touch(*line);
+    } else {
+        meta.everCached().set(group);
+        meta.invalidated().clear(group);
+        CacheLine &victim = l2.victim(ref.addr);
+        if (victim.valid())
+            evictLine(group, victim, ref.cpu, now);
+        l2.installStreaming(victim, ref.addr, CoherenceState::Modified);
+        meta.presence().set(group);
+    }
+    meta.sharers().set(group);
+    meta.setOwner(static_cast<std::int32_t>(group));
     const sim::Tick latency = lat_.l2Hit + lat_.directoryLookup +
                               2 * req_hops * lat_.hop + contention;
     return {latency, ServedBy::L2, MissClass::None};

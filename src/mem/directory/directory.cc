@@ -1,11 +1,12 @@
 #include "mem/directory/directory.hh"
 
+#include <bit>
+
 namespace middlesim::mem
 {
 
-DirectoryController::DirectoryController(unsigned num_groups,
-                                         sim::MetricRegistry *metrics)
-    : entries_(1u << 16, DirEntry(num_groups)), metrics_(metrics)
+DirectoryController::DirectoryController(sim::MetricRegistry *metrics)
+    : metrics_(metrics)
 {
     auto bind = [&](sim::Counter *&slot, const char *name, unsigned i) {
         slot = metrics ? &metrics->counter(name) : &fallback_[i];
@@ -41,9 +42,24 @@ DirectoryController::DirectoryController(unsigned num_groups,
 void
 DirectoryController::configure(const sim::MachineConfig &cfg)
 {
-    cfg_ = cfg;
+    nodes_ = cfg.numaNodes;
+    blockShift_ = static_cast<unsigned>(std::countr_zero(cfg.l2.blockBytes));
+    groupNode_.resize(cfg.numL2s());
+    for (unsigned g = 0; g < cfg.numL2s(); ++g)
+        groupNode_[g] = cfg.nodeOfGroup(g);
+    mesh_ = cfg.topology == sim::Topology::Mesh;
+    if (mesh_) {
+        meshWidth_ = cfg.meshWidth();
+        meshHeight_ = cfg.meshHeight();
+        meshX_.resize(nodes_);
+        meshY_.resize(nodes_);
+        for (unsigned n = 0; n < nodes_; ++n) {
+            meshX_[n] = cfg.meshX(n);
+            meshY_[n] = cfg.meshY(n);
+        }
+    }
     slotsPerHome_ = cfg.dirOccupancy;
-    if (cfg.topology == sim::Topology::Mesh && metrics_) {
+    if (mesh_ && metrics_) {
         meshXHops_ = &metrics_->counter("mem.numa.mesh.x_hops");
         meshYHops_ = &metrics_->counter("mem.numa.mesh.y_hops");
     }
@@ -143,16 +159,12 @@ DirectoryController::linkTraverse(unsigned from, unsigned to,
     if (!contended() || from == to)
         return 0;
     unsigned node = from;
-    sim::Tick total = 0;
-    if (cfg_.topology == sim::Topology::Mesh) {
-        const unsigned w = cfg_.meshWidth();
-        const unsigned h = cfg_.numaNodes / w;
-        total += walkAxis(node, from % w, to % w, w, 1, 0, per_hop);
-        total += walkAxis(node, node / w, to / w, h, w, 2, per_hop);
-    } else {
-        total += walkAxis(node, from, to, cfg_.numaNodes, 1, 0,
-                          per_hop);
-    }
+    if (!mesh_)
+        return walkAxis(node, from, to, nodes_, 1, 0, per_hop);
+    sim::Tick total = walkAxis(node, meshX_[from], meshX_[to],
+                               meshWidth_, 1, 0, per_hop);
+    total += walkAxis(node, meshY_[node], meshY_[to], meshHeight_,
+                      meshWidth_, 2, per_hop);
     return total;
 }
 
@@ -182,12 +194,6 @@ DirectoryController::recordMissLatency(sim::Tick latency)
     while (b < kLatBuckets - 1 && latency > kDirLatEdges[b])
         ++b;
     ++*latBuckets_[b];
-}
-
-void
-DirectoryController::clear()
-{
-    entries_.clear();
 }
 
 } // namespace middlesim::mem

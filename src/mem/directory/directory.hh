@@ -3,10 +3,11 @@
  * Full-map directory state for the many-core MESI protocol plane.
  *
  * Each block has one home NUMA node (physical memory is
- * block-interleaved across nodes). The home keeps a directory entry
- * per block it has ever served: a width-parameterized sharer vector
- * (one bit per L2 group) plus the owning group when a sole copy is
- * outstanding in Exclusive or Modified. A requester sends GetS/GetM
+ * block-interleaved across nodes). The home's directory state for a
+ * block — a full-map sharer vector (one bit per L2 group) plus the
+ * owning group when a sole copy is outstanding in Exclusive or
+ * Modified — lives inline in the block's record in the hierarchy's
+ * BlockMetaTable (block_meta.hh). A requester sends GetS/GetM
  * to the home; the home answers from memory, or forwards to the owner
  * (a 3-hop transaction ending in a cache-to-cache transfer), or
  * invalidates sharers and collects acks. Replacements notify the home
@@ -14,13 +15,15 @@
  * — precisely the invariant the directory checker in src/check/
  * audits against the real cache states.
  *
- * The controller also carries the protocol's message accounting
- * (requests, forwards, invalidations, acks, home writebacks, put
- * notices) and the NUMA traffic split (local vs. remote misses, hops
- * traversed), surfaced through MetricRegistry as `mem.dir.*` /
- * `mem.numa.*` — registered only when the directory protocol is
- * active, so snooping-bus metric output is byte-identical to before
- * this subsystem existed.
+ * The controller holds no per-block state. It carries the machine's
+ * topology, precomputed once by configure() so the access path does
+ * no division or factorization per message, the protocol's message
+ * accounting (requests, forwards, invalidations, acks, home
+ * writebacks, put notices) and the NUMA traffic split (local vs.
+ * remote misses, hops traversed), surfaced through MetricRegistry as
+ * `mem.dir.*` / `mem.numa.*` — registered only when the directory
+ * protocol is active, so snooping-bus metric output is byte-identical
+ * to before this subsystem existed.
  *
  * Contention plane (DESIGN.md §3.15, opt-in via
  * MachineConfig::dirOccupancy): each home owns a bounded set of
@@ -43,9 +46,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "mem/block_meta.hh"
 #include "mem/memref.hh"
-#include "mem/sharer_set.hh"
 #include "sim/config.hh"
 #include "sim/metrics.hh"
 #include "sim/ticks.hh"
@@ -79,31 +80,12 @@ inline constexpr unsigned kDirNackBackoffCap = 6;
  */
 inline constexpr sim::Tick kDirNackHorizon = 512;
 
-/** Home-node directory record for one block. */
-struct DirEntry
-{
-    /** L2 groups the directory believes hold a copy. */
-    SharerSet sharers;
-    /** Group holding the block Exclusive/Modified; -1 when none. */
-    std::int32_t owner = -1;
-    /**
-     * End of the home-side transient window of the last transaction
-     * on this block (0 = quiescent / contention plane disabled).
-     * Requests landing inside the window are NACKed.
-     */
-    sim::Tick transientUntil = 0;
-
-    DirEntry() = default;
-
-    explicit DirEntry(unsigned num_groups) : sharers(num_groups) {}
-};
-
 /**
- * The directory protocol's bookkeeping plane: per-block entries plus
+ * The directory protocol's bookkeeping plane: the topology,
  * message/NUMA accounting and (opt-in) home/link contention state.
  * Transition logic lives in the Hierarchy's directory access path
- * (mem/directory/dir_access.cc), which mutates entries through this
- * controller.
+ * (mem/directory/dir_access.cc), which keeps the per-block directory
+ * state in the hierarchy's block records.
  */
 class DirectoryController
 {
@@ -112,42 +94,42 @@ class DirectoryController
      * @param metrics registry for the mem.dir.* / mem.numa.* counters;
      *        nullptr counts into private fallbacks (tests).
      */
-    DirectoryController(unsigned num_groups,
-                        sim::MetricRegistry *metrics);
+    explicit DirectoryController(sim::MetricRegistry *metrics);
 
     /**
-     * Arm the topology/contention plane from the machine config.
-     * Registers the contended-mode counters (and the mesh per-axis
-     * hop split) only when actually enabled, keeping default metric
-     * output byte-identical to the contention-free model.
+     * Arm the topology/contention plane from the machine config: the
+     * group -> node map, each node's mesh coordinates and the mesh
+     * dimensions (all O(nodes)), and the home/link state. Registers
+     * the contended-mode counters (and the mesh per-axis hop split)
+     * only when actually enabled, keeping default metric output
+     * byte-identical to the contention-free model.
      */
     void configure(const sim::MachineConfig &cfg);
+
+    /** NUMA node owning L2 group `group` (MachineConfig::nodeOfGroup). */
+    unsigned nodeOfGroup(unsigned group) const { return groupNode_[group]; }
+
+    /** Home node of a block-aligned address (MachineConfig::homeNodeOf). */
+    unsigned
+    homeOf(Addr block) const
+    {
+        return static_cast<unsigned>((block >> blockShift_) % nodes_);
+    }
+
+    /** Hop distance between two nodes (MachineConfig::hopsBetween). */
+    unsigned
+    hops(unsigned a, unsigned b) const
+    {
+        if (!mesh_)
+            return sim::MachineConfig::ringDistance(a, b, nodes_);
+        return hopsX(a, b) + hopsY(a, b);
+    }
 
     /** True when home occupancy / link queuing is modeled. */
     bool contended() const { return slotsPerHome_ != 0; }
 
     /** In-flight transaction slots per home (0 = contention-free). */
     unsigned slotsPerHome() const { return slotsPerHome_; }
-
-    /** Find-or-create the entry for a block-aligned address. */
-    DirEntry &entry(Addr block) { return entries_[block]; }
-
-    /** Lookup without insertion; nullptr when the home never saw it. */
-    const DirEntry *peek(Addr block) const
-    {
-        return entries_.find(block);
-    }
-
-    /** Visit every directory entry (checker audits). */
-    template <typename F>
-    void
-    forEach(F &&fn) const
-    {
-        entries_.forEach(std::forward<F>(fn));
-    }
-
-    /** Drop all entries (invalidateAll). */
-    void clear();
 
     /**
      * Try to claim an in-flight slot at home `home` for `service`
@@ -185,11 +167,16 @@ class DirectoryController
     void
     chargeHops(unsigned a, unsigned b, unsigned count)
     {
-        hopsTraversed() += count * cfg_.hopsBetween(a, b);
-        if (cfg_.topology == sim::Topology::Mesh) {
-            *meshXHops_ += count * cfg_.meshHopsX(a, b);
-            *meshYHops_ += count * cfg_.meshHopsY(a, b);
+        if (!mesh_) {
+            hopsTraversed() +=
+                count * sim::MachineConfig::ringDistance(a, b, nodes_);
+            return;
         }
+        const unsigned x = hopsX(a, b);
+        const unsigned y = hopsY(a, b);
+        hopsTraversed() += count * (x + y);
+        *meshXHops_ += count * x;
+        *meshYHops_ += count * y;
     }
 
     /** Bucket a contended-mode miss latency into the mem.dir.lat.* CDF. */
@@ -243,14 +230,38 @@ class DirectoryController
         double utilization = 0.0;
     };
 
+    /** Mesh X-axis leg between two nodes (shorter way around). */
+    unsigned
+    hopsX(unsigned a, unsigned b) const
+    {
+        return sim::MachineConfig::ringDistance(meshX_[a], meshX_[b],
+                                                meshWidth_);
+    }
+
+    /** Mesh Y-axis leg between two nodes (shorter way around). */
+    unsigned
+    hopsY(unsigned a, unsigned b) const
+    {
+        return sim::MachineConfig::ringDistance(meshY_[a], meshY_[b],
+                                                meshHeight_);
+    }
+
     /** Walk one axis of the route, claiming each directed link. */
     sim::Tick walkAxis(unsigned &node, unsigned coord, unsigned target,
                        unsigned size, unsigned stride, unsigned fwd_dir,
                        sim::Tick per_hop);
 
-    BlockMetaTableT<DirEntry> entries_;
     sim::MetricRegistry *metrics_;
-    sim::MachineConfig cfg_;
+
+    // Topology, fixed by configure().
+    unsigned nodes_ = 1;
+    unsigned blockShift_ = 6;
+    bool mesh_ = false;
+    unsigned meshWidth_ = 1;
+    unsigned meshHeight_ = 1;
+    std::vector<unsigned> groupNode_;
+    std::vector<unsigned> meshX_;
+    std::vector<unsigned> meshY_;
 
     unsigned slotsPerHome_ = 0;
     std::vector<HomeState> homes_;

@@ -7,10 +7,43 @@
 namespace middlesim::mem
 {
 
+namespace
+{
+
+/** Validate the machine and return its L2 group count. */
+unsigned
+checkedGroupCount(const sim::MachineConfig &cfg)
+{
+    cfg.validate();
+    // Block records carry one bit per L2 group; each protocol
+    // declares how wide a machine it supports. The snooping bus keeps
+    // its historical ceiling — every L2 observes every transaction,
+    // and the model was only ever validated at bus scales — while the
+    // directory's full-map vectors are width-parameterized up to a
+    // sanity bound.
+    if (cfg.protocol == sim::CoherenceProtocol::SnoopBus &&
+        cfg.numL2s() > kMaxSnoopGroups) {
+        fatal("hierarchy: ", cfg.numL2s(),
+              " L2 groups exceed kMaxSnoopGroups=", kMaxSnoopGroups,
+              " for the snooping bus; select --protocol=directory "
+              "for many-core geometries");
+    }
+    if (cfg.numL2s() > kMaxDirectoryGroups) {
+        fatal("hierarchy: ", cfg.numL2s(),
+              " L2 groups exceed kMaxDirectoryGroups=",
+              kMaxDirectoryGroups);
+    }
+    return cfg.numL2s();
+}
+
+} // namespace
+
 Hierarchy::Hierarchy(const sim::MachineConfig &config,
                      const LatencyModel &latency, bool bus_contention,
                      sim::MetricRegistry *metrics)
-    : cfg_(config), lat_(latency), bus_(bus_contention)
+    : cfg_(config), lat_(latency), bus_(bus_contention),
+      meta_(checkedGroupCount(cfg_),
+            cfg_.protocol == sim::CoherenceProtocol::DirectoryMesi)
 {
     invalidations_ = metrics
         ? &metrics->counter("mem.coherence.invalidations")
@@ -21,29 +54,8 @@ Hierarchy::Hierarchy(const sim::MachineConfig &config,
     copybacksSupplied_ = metrics
         ? &metrics->counter("mem.coherence.copybacks_supplied")
         : &fallbackCounters_[2];
-    cfg_.validate();
-    // Per-block sharer sets carry one bit per L2 group; each protocol
-    // declares how wide a machine it supports. The snooping bus keeps
-    // its historical ceiling — every L2 observes every transaction,
-    // and the model was only ever validated at bus scales — while the
-    // directory's full-map vectors are width-parameterized up to a
-    // sanity bound.
-    if (cfg_.protocol == sim::CoherenceProtocol::SnoopBus &&
-        cfg_.numL2s() > kMaxSnoopGroups) {
-        fatal("hierarchy: ", cfg_.numL2s(),
-              " L2 groups exceed kMaxSnoopGroups=", kMaxSnoopGroups,
-              " for the snooping bus; select --protocol=directory "
-              "for many-core geometries");
-    }
-    if (cfg_.numL2s() > kMaxDirectoryGroups) {
-        fatal("hierarchy: ", cfg_.numL2s(),
-              " L2 groups exceed kMaxDirectoryGroups=",
-              kMaxDirectoryGroups);
-    }
-    meta_ = BlockMetaTable(1u << 18, LineMeta(cfg_.numL2s()));
     if (cfg_.protocol == sim::CoherenceProtocol::DirectoryMesi) {
-        dir_ = std::make_unique<DirectoryController>(cfg_.numL2s(),
-                                                     metrics);
+        dir_ = std::make_unique<DirectoryController>(metrics);
         dir_->configure(cfg_);
     }
 
@@ -146,9 +158,9 @@ Hierarchy::l2Access(const MemRef &ref, sim::Tick now, bool is_instr,
             return {lat_.l2Hit, ServedBy::L2, MissClass::None};
         }
         // Ownership upgrade: we hold S or O data; invalidate peers.
-        LineMeta &meta = meta_[block];
-        const SharerSet peers = meta.presenceMask;
-        peers.forEachSetExcept(group, [&](unsigned g) {
+        const LineMeta meta = meta_[block];
+        const GroupBitsCopy peers(meta.presence());
+        peers.bits().forEachSetExcept(group, [&](unsigned g) {
             CacheLine *peer = l2_[g].find(ref.addr);
             sim_assert(peer, "presence mask out of sync (upgrade)");
             if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
@@ -165,11 +177,11 @@ Hierarchy::l2Access(const MemRef &ref, sim::Tick now, bool is_instr,
     // L2 miss: snoop peers for an owner; handle peer state changes.
     // The presence mask narrows the snoop to caches actually holding
     // the block instead of probing every L2 on the bus.
-    LineMeta &meta = meta_[block];
+    const LineMeta meta = meta_[block];
     const MissClass mclass = classifyMiss(meta, group);
     bool peer_supplied = false;
-    const SharerSet peers = meta.presenceMask;
-    peers.forEachSetExcept(group, [&](unsigned g) {
+    const GroupBitsCopy peers(meta.presence());
+    peers.bits().forEachSetExcept(group, [&](unsigned g) {
         CacheLine *peer = l2_[g].find(ref.addr);
         sim_assert(peer, "presence mask out of sync (snoop)");
         if (isOwner(peer->state)) {
@@ -216,7 +228,7 @@ Hierarchy::l2Access(const MemRef &ref, sim::Tick now, bool is_instr,
     l2.install(victim, ref.addr,
                want_write ? CoherenceState::Modified
                           : CoherenceState::Shared);
-    meta.presenceMask.set(group);
+    meta.presence().set(group);
 
     return {latency, served, mclass};
 }
@@ -271,9 +283,9 @@ Hierarchy::l2BlockStore(const MemRef &ref, sim::Tick now)
         }
         // Shared or owned: invalidate peers, upgrade in place. The
         // whole line is overwritten, so no data moves.
-        LineMeta &meta = meta_[block];
-        const SharerSet peers = meta.presenceMask;
-        peers.forEachSetExcept(group, [&](unsigned g) {
+        const LineMeta meta = meta_[block];
+        const GroupBitsCopy peers(meta.presence());
+        peers.bits().forEachSetExcept(group, [&](unsigned g) {
             CacheLine *peer = l2_[g].find(ref.addr);
             sim_assert(peer, "presence mask out of sync (blockstore)");
             if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
@@ -287,47 +299,47 @@ Hierarchy::l2BlockStore(const MemRef &ref, sim::Tick now)
 
     // Not present: claim the line without fetching. A peer's dirty
     // copy is dropped (it is wholly overwritten), not copied back.
-    LineMeta &meta = meta_[block];
-    const SharerSet peers = meta.presenceMask;
-    peers.forEachSetExcept(group, [&](unsigned g) {
+    const LineMeta meta = meta_[block];
+    const GroupBitsCopy peers(meta.presence());
+    peers.bits().forEachSetExcept(group, [&](unsigned g) {
         CacheLine *peer = l2_[g].find(ref.addr);
         sim_assert(peer, "presence mask out of sync (blockstore claim)");
         if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
             invalidateForRemoteWrite(g, *peer, meta);
     });
     const sim::Tick queue = bus_.acquire(now, lat_.busAddrOccupancy);
-    meta.everCachedMask.set(group);
-    meta.invalidatedMask.clear(group);
+    meta.everCached().set(group);
+    meta.invalidated().clear(group);
 
     CacheLine &victim = l2.victim(ref.addr);
     if (victim.valid())
         evictLine(group, victim, ref.cpu, now);
     l2.installStreaming(victim, ref.addr, CoherenceState::Modified);
-    meta.presenceMask.set(group);
+    meta.presence().set(group);
     return {lat_.l2Hit + queue, ServedBy::L2, MissClass::None};
 }
 
 MissClass
-Hierarchy::classifyMiss(LineMeta &meta, unsigned group)
+Hierarchy::classifyMiss(LineMeta meta, unsigned group)
 {
     MissClass mclass;
-    if (!meta.everCachedMask.test(group)) {
+    if (!meta.everCached().test(group)) {
         mclass = MissClass::Cold;
-    } else if (meta.invalidatedMask.test(group)) {
+    } else if (meta.invalidated().test(group)) {
         mclass = MissClass::Coherence;
     } else {
         mclass = MissClass::CapacityConflict;
     }
-    meta.everCachedMask.set(group);
-    meta.invalidatedMask.clear(group);
+    meta.everCached().set(group);
+    meta.invalidated().clear(group);
     return mclass;
 }
 
 void
-Hierarchy::recordTouched(LineMeta &meta)
+Hierarchy::recordTouched(LineMeta meta)
 {
-    if (!(meta.flags & LineMeta::Touched)) {
-        meta.flags |= LineMeta::Touched;
+    if (!meta.touched()) {
+        meta.setTouched(true);
         ++touchedCount_;
     }
 }
@@ -341,37 +353,37 @@ Hierarchy::evictLine(unsigned group, CacheLine &victim, unsigned req_cpu,
         if (!dir_)
             bus_.acquire(now, lat_.busOccupancy);
     }
+    const LineMeta meta = meta_.find(victim.tag);
+    sim_assert(meta, "evicting a line with no metadata");
     // Replacements notify the home so the sharer vector stays exact.
     if (dir_)
-        dirHandlePut(group, victim);
+        dirHandlePut(group, victim, meta);
     // Record replacement (not invalidation) as the removal cause.
-    LineMeta *meta = meta_.find(victim.tag);
-    sim_assert(meta, "evicting a line with no metadata");
-    meta->invalidatedMask.clear(group);
-    meta->presenceMask.clear(group);
+    meta.invalidated().clear(group);
+    meta.presence().clear(group);
     backInvalidateL1s(group, victim.tag);
     victim.state = CoherenceState::Invalid;
 }
 
 void
-Hierarchy::dirHandlePut(unsigned group, const CacheLine &victim)
+Hierarchy::dirHandlePut(unsigned group, const CacheLine &victim,
+                        LineMeta meta)
 {
-    DirEntry &entry = dir_->entry(victim.tag);
     ++dir_->putNotices();
     if (victim.state == CoherenceState::Modified)
         ++dir_->writebacksToHome();
-    if (entry.owner == static_cast<std::int32_t>(group))
-        entry.owner = -1;
-    entry.sharers.clear(group);
+    if (meta.owner() == static_cast<std::int32_t>(group))
+        meta.setOwner(-1);
+    meta.sharers().clear(group);
 }
 
 void
 Hierarchy::invalidateForRemoteWrite(unsigned group, CacheLine &line,
-                                    LineMeta &meta)
+                                    LineMeta meta)
 {
     ++*invalidations_;
-    meta.invalidatedMask.set(group);
-    meta.presenceMask.clear(group);
+    meta.invalidated().set(group);
+    meta.presence().clear(group);
     backInvalidateL1s(group, line.tag);
     line.state = CoherenceState::Invalid;
 }
@@ -436,9 +448,7 @@ Hierarchy::resetCommunicationTracking()
         traceSink_->annotation(TraceAnnotation::CommTrackReset, 0, 0, 0);
     c2cPerLine_.reset();
     touchedCount_ = 0;
-    meta_.forEach([](Addr, LineMeta &meta) {
-        meta.flags &= ~LineMeta::Touched;
-    });
+    meta_.forEach([](Addr, LineMeta meta) { meta.setTouched(false); });
 }
 
 void
@@ -487,19 +497,17 @@ Hierarchy::invalidateAll()
         c.invalidateAll();
     for (auto &c : l2_)
         c.invalidateAll();
-    // Drop all removal-cause and presence metadata (subsequent misses
-    // classify as cold again) but keep communication-tracking state,
-    // which is reset only by resetCommunicationTracking().
+    // Drop all removal-cause, presence and directory state (subsequent
+    // misses classify as cold again) but keep communication-tracking
+    // state, which is reset only by resetCommunicationTracking().
     std::vector<Addr> touched;
-    meta_.forEach([&](Addr block, LineMeta &meta) {
-        if (meta.flags & LineMeta::Touched)
+    meta_.forEach([&](Addr block, LineMeta meta) {
+        if (meta.touched())
             touched.push_back(block);
     });
     meta_.clear();
     for (Addr block : touched)
-        meta_[block].flags = LineMeta::Touched;
-    if (dir_)
-        dir_->clear();
+        meta_[block].setTouched(true);
 }
 
 } // namespace middlesim::mem

@@ -78,7 +78,7 @@ class TimelineSampler
  * capped only by a sanity bound well above the 512-CPU target.
  */
 inline constexpr unsigned kMaxSnoopGroups = 32;
-inline constexpr unsigned kMaxDirectoryGroups = 1024;
+inline constexpr unsigned kMaxDirectoryGroups = 64 * kMaxGroupWords;
 
 /** The full coherent memory system of one simulated machine. */
 class Hierarchy
@@ -171,27 +171,23 @@ class Hierarchy
     /** The directory controller; nullptr under the snooping bus. */
     const DirectoryController *directory() const { return dir_.get(); }
 
-    /** Directory entry for a block (nullptr: no directory / unseen). */
-    const DirEntry *
-    peekDirEntry(Addr block) const
-    {
-        return dir_ ? dir_->peek(block) : nullptr;
-    }
-
     // Read-only inspection API for checkers and tests.
     unsigned numGroups() const { return cfg_.numL2s(); }
     const CacheArray &l1iArray(unsigned cpu) const { return l1i_[cpu]; }
     const CacheArray &l1dArray(unsigned cpu) const { return l1d_[cpu]; }
     const CacheArray &l2Array(unsigned group) const { return l2_[group]; }
 
-    /** Per-block metadata of `block` (nullptr when never cached). */
-    const LineMeta *
+    /**
+     * The record of `block` (a null view when never cached). Under the
+     * directory protocol it includes the home's sharers and owner.
+     */
+    ConstLineMeta
     peekMeta(Addr block) const
     {
         return meta_.find(block);
     }
 
-    /** Visit every per-block metadata entry (checker audits). */
+    /** Visit every block record: fn(block, view) (checker audits). */
     template <typename F>
     void
     forEachMeta(F &&fn) const
@@ -267,11 +263,12 @@ class Hierarchy
      * forwarded owner supplied data (want_data GetM only).
      */
     bool dirInvalidateSharers(Addr block, unsigned group,
-                              bool want_data, DirEntry &entry,
-                              LineMeta &meta, unsigned &inval_count);
+                              bool want_data, LineMeta meta,
+                              unsigned &inval_count);
 
     /** Replacement notice to the home (PutS/PutE/PutM). */
-    void dirHandlePut(unsigned group, const CacheLine &victim);
+    void dirHandlePut(unsigned group, const CacheLine &victim,
+                      LineMeta meta);
 
     /**
      * Contended-mode home acquisition: the NACK/retry loop with
@@ -281,7 +278,7 @@ class Hierarchy
      * transient window on success. 0 when the plane is disabled.
      */
     sim::Tick dirHomeAcquire(Addr block, unsigned group, unsigned home,
-                             unsigned req_hops, DirEntry &entry,
+                             unsigned req_hops, LineMeta meta,
                              sim::Tick now);
 
     /** Common L2-miss accounting tail (class, regions, instr/data). */
@@ -297,10 +294,10 @@ class Hierarchy
     }
 
     /** Classify an L2 miss for group g and update metadata. */
-    MissClass classifyMiss(LineMeta &meta, unsigned group);
+    MissClass classifyMiss(LineMeta meta, unsigned group);
 
     /** Record a distinct touched line (communication tracking). */
-    void recordTouched(LineMeta &meta);
+    void recordTouched(LineMeta meta);
 
     /** Block-initializing store: install M without a data fetch. */
     AccessResult l2BlockStore(const MemRef &ref, sim::Tick now);
@@ -311,7 +308,7 @@ class Hierarchy
 
     /** Invalidate a block in group g due to a remote write. */
     void invalidateForRemoteWrite(unsigned group, CacheLine &line,
-                                  LineMeta &meta);
+                                  LineMeta meta);
 
     /** Remove the block from the L1s of every CPU in group g. */
     void backInvalidateL1s(unsigned group, Addr block);
@@ -325,6 +322,7 @@ class Hierarchy
     std::vector<CacheArray> l2_;  // per group
     std::vector<CacheStats> stats_; // per CPU
 
+    /** One inline record per block, directory state included. */
     BlockMetaTable meta_;
     std::vector<Region> regions_;
 

@@ -1,18 +1,18 @@
 /**
  * @file
- * Width-parameterized sharer-group bit set.
+ * Sharer-group bit vectors: word views and an owning set.
  *
- * Historically the per-block metadata packed "which L2 groups hold a
- * copy" into a raw uint32_t, silently capping the machine at 32
- * sharer groups. Directory geometries go to 512 CPUs, so the sharer
- * representation is now an explicit small-buffer bitset: geometries
- * with at most 64 groups (every snooping configuration and most
- * directory ones) live in a single inline word — same cost as the old
- * mask on the hot snoop path — while wider geometries spill to a heap
- * array sized at construction.
+ * Each per-block record carries several vectors with one bit per L2
+ * group (ever cached, invalidated, present, and the directory's
+ * sharers). Their width is fixed when the machine is built:
+ * ceil(groups / 64) words. The records store those words inline (see
+ * block_meta.hh), and code reaches them through GroupBits, a view of
+ * `n` words with no storage of its own. ConstGroupBits is the
+ * read-only view.
  *
- * The set is deep-copyable (BlockMetaTable slots copy on grow) and
- * word-addressable so checkers can compare whole vectors cheaply.
+ * SharerSet owns its words in a vector sized ceil(groups / 64). It
+ * is the checker's shadow state and a convenience for tests; the
+ * simulated machine never allocates one.
  */
 
 #ifndef MEM_SHARER_SET_HH
@@ -21,103 +21,64 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace middlesim::mem
 {
 
-/** Dynamic-width bitset over sharer-group indices. */
-class SharerSet
+/**
+ * View of `n` 64-bit words holding one bit per sharer group: group g
+ * is bit g % 64 of word g / 64. Group indices must be below 64 * n.
+ * `Word` is std::uint64_t for a mutable view and const std::uint64_t
+ * for a read-only one.
+ */
+template <typename Word>
+class GroupBitsRef
 {
+    static constexpr bool kMutable = !std::is_const_v<Word>;
+
   public:
-    /** Groups representable without heap storage. */
-    static constexpr unsigned inlineBits = 64;
+    GroupBitsRef(Word *words, unsigned n) : w_(words), n_(n) {}
 
-    SharerSet() = default;
+    /** A mutable view converts to a read-only one. */
+    operator GroupBitsRef<const std::uint64_t>() const { return {w_, n_}; }
 
-    /** A set sized for `num_groups` groups, all bits clear. */
-    explicit SharerSet(unsigned num_groups)
+    /** Number of 64-bit words in the vector. */
+    unsigned words() const { return n_; }
+
+    /** The i-th word (0 when past the end). */
+    std::uint64_t word(unsigned i) const { return i < n_ ? w_[i] : 0; }
+
+    Word *data() const { return w_; }
+
+    bool test(unsigned g) const { return (w_[g / 64] >> (g % 64)) & 1u; }
+
+    void
+    set(unsigned g) const requires kMutable
     {
-        if (num_groups > inlineBits) {
-            words_ = (num_groups + 63) / 64;
-            ext_ = std::make_unique<std::uint64_t[]>(words_);
-            std::memset(ext_.get(), 0, words_ * sizeof(std::uint64_t));
-        }
-    }
-
-    SharerSet(const SharerSet &o) { assign(o); }
-
-    SharerSet &
-    operator=(const SharerSet &o)
-    {
-        if (this != &o)
-            assign(o);
-        return *this;
-    }
-
-    SharerSet(SharerSet &&) = default;
-    SharerSet &operator=(SharerSet &&) = default;
-
-    /** Number of 64-bit words backing the set. */
-    unsigned words() const { return words_; }
-
-    /** The i-th backing word (0 when past the end). */
-    std::uint64_t
-    word(unsigned i) const
-    {
-        if (ext_)
-            return i < words_ ? ext_[i] : 0;
-        return i == 0 ? inline_ : 0;
-    }
-
-    bool
-    test(unsigned g) const
-    {
-        if (ext_) {
-            unsigned w = g / 64;
-            return w < words_ && ((ext_[w] >> (g % 64)) & 1u);
-        }
-        return g < inlineBits && ((inline_ >> g) & 1u);
+        w_[g / 64] |= std::uint64_t{1} << (g % 64);
     }
 
     void
-    set(unsigned g)
+    clear(unsigned g) const requires kMutable
     {
-        if (ext_)
-            ext_[g / 64] |= std::uint64_t{1} << (g % 64);
-        else
-            inline_ |= std::uint64_t{1} << g;
+        w_[g / 64] &= ~(std::uint64_t{1} << (g % 64));
     }
 
     void
-    clear(unsigned g)
+    clearAll() const requires kMutable
     {
-        if (ext_) {
-            unsigned w = g / 64;
-            if (w < words_)
-                ext_[w] &= ~(std::uint64_t{1} << (g % 64));
-        } else if (g < inlineBits) {
-            inline_ &= ~(std::uint64_t{1} << g);
-        }
-    }
-
-    void
-    clearAll()
-    {
-        if (ext_)
-            std::memset(ext_.get(), 0, words_ * sizeof(std::uint64_t));
-        else
-            inline_ = 0;
+        std::memset(w_, 0, n_ * sizeof(std::uint64_t));
     }
 
     bool
     none() const
     {
-        if (!ext_)
-            return inline_ == 0;
-        for (unsigned i = 0; i < words_; ++i) {
-            if (ext_[i])
+        for (unsigned i = 0; i < n_; ++i) {
+            if (w_[i])
                 return false;
         }
         return true;
@@ -128,49 +89,34 @@ class SharerSet
     unsigned
     count() const
     {
-        if (!ext_)
-            return static_cast<unsigned>(std::popcount(inline_));
-        unsigned n = 0;
-        for (unsigned i = 0; i < words_; ++i)
-            n += static_cast<unsigned>(std::popcount(ext_[i]));
-        return n;
+        unsigned c = 0;
+        for (unsigned i = 0; i < n_; ++i)
+            c += static_cast<unsigned>(std::popcount(w_[i]));
+        return c;
     }
 
     /** Lowest set group index; -1 when empty. */
     int
     first() const
     {
-        if (!ext_) {
-            return inline_ ? std::countr_zero(inline_) : -1;
-        }
-        for (unsigned i = 0; i < words_; ++i) {
-            if (ext_[i])
-                return static_cast<int>(i * 64u) +
-                       std::countr_zero(ext_[i]);
+        for (unsigned i = 0; i < n_; ++i) {
+            if (w_[i])
+                return static_cast<int>(i * 64u) + std::countr_zero(w_[i]);
         }
         return -1;
     }
 
-    /** Call fn(group) for every set bit, ascending. */
+    /**
+     * Call fn(group) for every set bit, ascending. Each word is read
+     * once, before its bits are visited.
+     */
     template <typename F>
     void
     forEachSet(F &&fn) const
     {
-        if (!ext_) {
-            for (std::uint64_t m = inline_; m;) {
-                unsigned g = static_cast<unsigned>(std::countr_zero(m));
-                m &= m - 1;
-                fn(g);
-            }
-            return;
-        }
-        for (unsigned i = 0; i < words_; ++i) {
-            for (std::uint64_t m = ext_[i]; m;) {
-                unsigned g = i * 64u +
-                             static_cast<unsigned>(std::countr_zero(m));
-                m &= m - 1;
-                fn(g);
-            }
+        for (unsigned i = 0; i < n_; ++i) {
+            for (std::uint64_t m = w_[i]; m; m &= m - 1)
+                fn(i * 64u + static_cast<unsigned>(std::countr_zero(m)));
         }
     }
 
@@ -185,36 +131,17 @@ class SharerSet
         });
     }
 
-    bool
-    operator==(const SharerSet &o) const
-    {
-        unsigned n = words_ > o.words_ ? words_ : o.words_;
-        if (n == 0)
-            n = 1;
-        for (unsigned i = 0; i < n; ++i) {
-            if (word(i) != o.word(i))
-                return false;
-        }
-        return true;
-    }
-
-    bool operator!=(const SharerSet &o) const { return !(*this == o); }
-
-    /** Hex rendering of the backing words, most-significant first. */
+    /** Hex rendering of the words, most-significant first. */
     std::string
     toHex() const
     {
         static const char *digits = "0123456789abcdef";
-        unsigned n = ext_ ? words_ : 1;
-        std::string out;
-        out.reserve(2 + n * 16);
-        out += "0x";
+        std::string out = "0x";
         bool started = false;
-        for (unsigned i = n; i-- > 0;) {
-            std::uint64_t w = word(i);
+        for (unsigned i = n_; i-- > 0;) {
             for (int nib = 15; nib >= 0; --nib) {
-                unsigned d =
-                    static_cast<unsigned>((w >> (nib * 4)) & 0xf);
+                const unsigned d =
+                    static_cast<unsigned>((w_[i] >> (nib * 4)) & 0xf);
                 if (!started && d == 0 && !(i == 0 && nib == 0))
                     continue;
                 started = true;
@@ -225,26 +152,68 @@ class SharerSet
     }
 
   private:
-    void
-    assign(const SharerSet &o)
+    Word *w_;
+    unsigned n_;
+};
+
+using GroupBits = GroupBitsRef<std::uint64_t>;
+using ConstGroupBits = GroupBitsRef<const std::uint64_t>;
+
+/** Equal sets; the narrower vector reads as zero-extended. */
+inline bool
+operator==(ConstGroupBits a, ConstGroupBits b)
+{
+    const unsigned n = a.words() > b.words() ? a.words() : b.words();
+    for (unsigned i = 0; i < n; ++i) {
+        if (a.word(i) != b.word(i))
+            return false;
+    }
+    return true;
+}
+
+/** Owning sharer-group set (checker shadow state, tests). */
+class SharerSet
+{
+  public:
+    SharerSet() = default;
+
+    /** A set sized for `num_groups` groups, all bits clear. */
+    explicit SharerSet(unsigned num_groups) : w_((num_groups + 63) / 64)
     {
-        words_ = o.words_;
-        inline_ = o.inline_;
-        if (o.ext_) {
-            ext_ = std::make_unique<std::uint64_t[]>(words_);
-            std::memcpy(ext_.get(), o.ext_.get(),
-                        words_ * sizeof(std::uint64_t));
-        } else {
-            ext_.reset();
-        }
     }
 
-    /** Inline storage for sets of <= 64 groups (the common case). */
-    std::uint64_t inline_ = 0;
-    /** Heap storage for wider sets; null when inline_ is active. */
-    std::unique_ptr<std::uint64_t[]> ext_;
-    /** Word count when ext_ is active; 0 means inline. */
-    unsigned words_ = 0;
+    GroupBits bits() { return {w_.data(), words()}; }
+    ConstGroupBits bits() const { return {w_.data(), words()}; }
+
+    unsigned words() const { return static_cast<unsigned>(w_.size()); }
+    bool test(unsigned g) const { return g < 64 * words() && bits().test(g); }
+    void set(unsigned g) { bits().set(g); }
+    void clear(unsigned g) { bits().clear(g); }
+    void clearAll() { bits().clearAll(); }
+    bool none() const { return bits().none(); }
+    bool any() const { return bits().any(); }
+    unsigned count() const { return bits().count(); }
+    int first() const { return bits().first(); }
+    std::string toHex() const { return bits().toHex(); }
+
+    template <typename F>
+    void
+    forEachSet(F &&fn) const
+    {
+        bits().forEachSet(std::forward<F>(fn));
+    }
+
+    template <typename F>
+    void
+    forEachSetExcept(unsigned skip, F &&fn) const
+    {
+        bits().forEachSetExcept(skip, std::forward<F>(fn));
+    }
+
+    bool operator==(const SharerSet &o) const { return bits() == o.bits(); }
+
+  private:
+    std::vector<std::uint64_t> w_;
 };
 
 } // namespace middlesim::mem

@@ -1,13 +1,14 @@
 /**
  * @file
- * Open-addressed per-block metadata table tests (the coherence
- * hot-path replacement for unordered_map/set in mem::Hierarchy) and
- * the width-parameterized SharerSet it stores.
+ * The hierarchy's per-block table (one inline record per block, on
+ * the coherence hot path of mem::Hierarchy) and the sharer-group bit
+ * vectors: record word views and the owning SharerSet.
  */
 
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/block_meta.hh"
@@ -16,6 +17,7 @@
 
 using namespace middlesim;
 using mem::BlockMetaTable;
+using mem::ConstLineMeta;
 using mem::LineMeta;
 using mem::SharerSet;
 
@@ -77,30 +79,51 @@ TEST(SharerSetTest, DeepCopyIsIndependent)
     EXPECT_TRUE(c.test(100));
 }
 
+TEST(SharerSetTest, ViewsShareTheWordAlgorithms)
+{
+    // A stack copy of a record vector walks like the original, and a
+    // SharerSet compares equal to a view of the same bits.
+    std::uint64_t words[2] = {0, 0};
+    const mem::GroupBits bits(words, 2);
+    bits.set(3);
+    bits.set(100);
+    const mem::GroupBitsCopy copy(bits);
+    bits.clear(3);
+    std::vector<unsigned> seen;
+    copy.bits().forEachSet([&](unsigned g) { seen.push_back(g); });
+    EXPECT_EQ(seen, (std::vector<unsigned>{3, 100}));
+    SharerSet s(128);
+    s.set(100);
+    EXPECT_TRUE(s.bits() == bits);
+    EXPECT_EQ(bits.toHex(), s.toHex());
+    EXPECT_EQ(bits.first(), 100);
+}
+
 TEST(BlockMeta, InsertFindAndMutate)
 {
-    BlockMetaTable table;
+    BlockMetaTable table(16, false);
     EXPECT_EQ(table.size(), 0u);
-    EXPECT_EQ(table.find(0x1000), nullptr);
+    EXPECT_FALSE(table.find(0x1000));
 
-    LineMeta &meta = table[0x1000];
+    const LineMeta meta = table[0x1000];
     EXPECT_EQ(table.size(), 1u);
-    meta.everCachedMask.set(0);
-    meta.everCachedMask.set(2);
-    meta.presenceMask.set(0);
+    meta.everCached().set(0);
+    meta.everCached().set(2);
+    meta.presence().set(0);
 
-    LineMeta *found = table.find(0x1000);
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found->everCachedMask.count(), 2u);
-    EXPECT_TRUE(found->everCachedMask.test(2));
-    EXPECT_TRUE(found->presenceMask.test(0));
+    const LineMeta found = table.find(0x1000);
+    ASSERT_TRUE(found);
+    EXPECT_EQ(found.everCached().count(), 2u);
+    EXPECT_TRUE(found.everCached().test(2));
+    EXPECT_TRUE(found.presence().test(0));
+    EXPECT_TRUE(found.invalidated().none());
     // operator[] of an existing key returns the same slot.
-    EXPECT_EQ(&table[0x1000], found);
+    EXPECT_EQ(table[0x1000].presence().data(), found.presence().data());
 }
 
 TEST(BlockMeta, FindNeverInserts)
 {
-    BlockMetaTable table;
+    BlockMetaTable table(16, false);
     table[64];
     table.find(128);
     table.find(~static_cast<mem::Addr>(0) - 63);
@@ -110,49 +133,110 @@ TEST(BlockMeta, FindNeverInserts)
 TEST(BlockMeta, GrowsPastInitialCapacityWithoutLosingEntries)
 {
     // Force several rehashes and mirror against unordered_map.
-    BlockMetaTable table(16);
+    BlockMetaTable table(32, false, 16);
     std::unordered_map<mem::Addr, std::uint32_t> mirror;
     sim::Rng rng(5);
     for (int i = 0; i < 50000; ++i) {
         const mem::Addr block = rng.uniform(20000) * 64;
         const unsigned bit = static_cast<unsigned>(rng.uniform(32));
-        table[block].everCachedMask.set(bit);
+        table[block].everCached().set(bit);
         mirror[block] |= 1u << bit;
     }
     EXPECT_EQ(table.size(), mirror.size());
     for (const auto &[block, mask] : mirror) {
-        LineMeta *meta = table.find(block);
-        ASSERT_NE(meta, nullptr) << block;
+        const LineMeta meta = table.find(block);
+        ASSERT_TRUE(meta) << block;
         for (unsigned g = 0; g < 32; ++g)
-            EXPECT_EQ(meta->everCachedMask.test(g),
-                      ((mask >> g) & 1u) != 0)
+            EXPECT_EQ(meta.everCached().test(g), ((mask >> g) & 1u) != 0)
                 << block << " group " << g;
     }
 }
 
-TEST(BlockMeta, PrototypeSizesWideGeometryEntries)
+TEST(BlockMeta, WideGeometryRecordsKeepTheirWidth)
 {
-    // A prototype-carrying table hands out entries whose sharer sets
-    // are already sized for the wide machine, across growth.
-    mem::BlockMetaTableT<LineMeta> table(4, LineMeta(512));
-    for (mem::Addr block = 0; block < 64 * 64; block += 64)
-        table[block].presenceMask.set(300);
+    // A table built for a 512-group directory machine hands out
+    // records whose vectors span all eight words, across growth.
+    BlockMetaTable table(512, true, 4);
+    for (mem::Addr block = 0; block < 64 * 64; block += 64) {
+        table[block].presence().set(300);
+        table[block].sharers().set(511);
+    }
     EXPECT_EQ(table.size(), 64u);
-    table.forEach([&](mem::Addr, LineMeta &meta) {
-        EXPECT_TRUE(meta.presenceMask.test(300));
-        EXPECT_GE(meta.presenceMask.words(), 8u);
+    table.forEach([&](mem::Addr, LineMeta meta) {
+        EXPECT_TRUE(meta.presence().test(300));
+        EXPECT_TRUE(meta.sharers().test(511));
+        EXPECT_EQ(meta.sharers().count(), 1u);
+        EXPECT_EQ(meta.presence().words(), 8u);
     });
+}
+
+TEST(BlockMeta, SlotsAreSizedToTheMachine)
+{
+    // key + flags/owner + three W-word vectors (+ sharers and the
+    // transient window under the directory protocol).
+    EXPECT_EQ(BlockMetaTable(16, false).slotBytes(), 40u);
+    EXPECT_EQ(BlockMetaTable(32, false).slotBytes(), 40u);
+    EXPECT_EQ(BlockMetaTable(64, true).slotBytes(), 56u);
+    EXPECT_EQ(BlockMetaTable(65, true).slotBytes(), 88u);
+    EXPECT_EQ(BlockMetaTable(128, true).slotBytes(), 88u);
+    EXPECT_EQ(BlockMetaTable(512, true).slotBytes(), 280u);
+    BlockMetaTable widest(1024, true);
+    EXPECT_EQ(widest[0].sharers().words(), mem::kMaxGroupWords);
+}
+
+TEST(BlockMeta, StartsSmallAndDoublesAtSeventyPercentLoad)
+{
+    BlockMetaTable table(16, false);
+    EXPECT_EQ(table.capacity(), BlockMetaTable::kInitialSlots);
+    const std::size_t limit = BlockMetaTable::kInitialSlots * 7 / 10;
+    for (mem::Addr i = 0; i < limit; ++i)
+        table[i * 64];
+    EXPECT_EQ(table.capacity(), BlockMetaTable::kInitialSlots);
+    table[limit * 64];
+    EXPECT_EQ(table.capacity(), 2 * BlockMetaTable::kInitialSlots);
+    EXPECT_EQ(table.size(), limit + 1);
+}
+
+TEST(BlockMeta, DirectoryFieldsStartQuiescentAndStayIndependent)
+{
+    BlockMetaTable table(128, true, 16);
+    const LineMeta meta = table[0x40];
+    EXPECT_EQ(meta.owner(), -1);
+    EXPECT_TRUE(meta.sharers().none());
+    EXPECT_EQ(meta.transientUntil(), 0u);
+    EXPECT_FALSE(meta.touched());
+
+    meta.setOwner(127);
+    meta.setTouched(true);
+    meta.setTransientUntil(99);
+    EXPECT_EQ(meta.owner(), 127);
+    EXPECT_TRUE(meta.touched());
+    meta.setOwner(-1);
+    EXPECT_EQ(meta.owner(), -1);
+    EXPECT_TRUE(meta.touched());
+    meta.setOwner(0);
+    meta.setTouched(false);
+    EXPECT_EQ(meta.owner(), 0);
+
+    // Growth moves whole records.
+    for (mem::Addr block = 0x80; block < 64 * 200; block += 64)
+        table[block];
+    const ConstLineMeta moved = std::as_const(table).find(0x40);
+    ASSERT_TRUE(moved);
+    EXPECT_EQ(moved.owner(), 0);
+    EXPECT_EQ(moved.transientUntil(), 99u);
+    EXPECT_FALSE(moved.touched());
 }
 
 TEST(BlockMeta, ForEachVisitsEveryEntryOnce)
 {
-    BlockMetaTable table;
+    BlockMetaTable table(16, false);
     for (mem::Addr block = 0; block < 100 * 64; block += 64)
-        table[block].flags |= LineMeta::Touched;
+        table[block].setTouched(true);
     std::size_t visits = 0;
-    table.forEach([&](mem::Addr block, LineMeta &meta) {
+    table.forEach([&](mem::Addr block, LineMeta meta) {
         EXPECT_EQ(block % 64, 0u);
-        EXPECT_TRUE(meta.flags & LineMeta::Touched);
+        EXPECT_TRUE(meta.touched());
         ++visits;
     });
     EXPECT_EQ(visits, 100u);
@@ -160,11 +244,13 @@ TEST(BlockMeta, ForEachVisitsEveryEntryOnce)
 
 TEST(BlockMeta, ClearEmptiesTheTable)
 {
-    BlockMetaTable table;
-    table[0x40].presenceMask.set(0);
+    BlockMetaTable table(16, true);
+    table[0x40].presence().set(0);
+    table[0x40].setOwner(3);
     table.clear();
     EXPECT_EQ(table.size(), 0u);
-    EXPECT_EQ(table.find(0x40), nullptr);
+    EXPECT_FALSE(table.find(0x40));
     // Reinsertion after clear starts fresh.
-    EXPECT_TRUE(table[0x40].presenceMask.none());
+    EXPECT_TRUE(table[0x40].presence().none());
+    EXPECT_EQ(table[0x40].owner(), -1);
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/checker.hh"
@@ -493,6 +494,66 @@ TEST(CheckReportTest, BoundedCollectionUnderRealFlood)
     EXPECT_EQ(report.violations().size(), 4u);
     EXPECT_GT(report.totalViolations(), 4u);
     EXPECT_EQ(report.refsChecked, stream.size());
+}
+
+TEST(CheckReportTest, AuditListsOrphanRecordsInAddressOrder)
+{
+    // Records claiming a copy no L2 holds are reported in block
+    // address order, whatever the table's slot layout, so the cap
+    // keeps the lowest addresses: presence pass first, then the
+    // directory pass.
+    trace::TraceHeader h = header(4, 1, 4096, 2, 32768, 4);
+    h.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    h.numaNodes = 2;
+    h.trackCommunication = true;
+    auto hierarchy = trace::hierarchyFor(h);
+    std::vector<mem::Addr> blocks;
+    sim::Rng rng(17);
+    for (unsigned i = 0; i < 300; ++i) {
+        const mem::Addr block = 0x4000'0000ULL + 64 * rng.uniform(1u << 20);
+        hierarchy->access({block, mem::AccessType::Load, i % 4}, i);
+        blocks.push_back(block);
+    }
+    std::sort(blocks.begin(), blocks.end());
+    blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+
+    // Drop every copy (the touched records survive), then forge a
+    // stale presence bit and sharer into each record.
+    hierarchy->invalidateAll();
+    for (const mem::Addr block : blocks) {
+        const mem::ConstLineMeta meta = hierarchy->peekMeta(block);
+        ASSERT_TRUE(meta);
+        const_cast<std::uint64_t *>(meta.presence().data())[0] |= 1;
+        const_cast<std::uint64_t *>(meta.sharers().data())[0] |= 2;
+    }
+
+    const auto audit = [&](std::size_t cap) {
+        check::CheckOptions opts;
+        opts.failFast = false;
+        opts.maxViolations = cap;
+        check::CheckReport report(opts);
+        check::MemChecker checker(*hierarchy, report);
+        checker.auditFull(0);
+        EXPECT_EQ(report.totalViolations(), 2 * blocks.size());
+        std::vector<std::pair<std::string, mem::Addr>> listed;
+        for (const check::Violation &v : report.violations()) {
+            const std::size_t at = v.detail.find("0x");
+            listed.emplace_back(
+                v.invariant, std::stoull(v.detail.substr(at + 2), nullptr,
+                                         16));
+        }
+        return listed;
+    };
+
+    std::vector<std::pair<std::string, mem::Addr>> expected;
+    for (const char *invariant :
+         {"meta.presence-desync", "dir.sharer-desync"}) {
+        for (const mem::Addr block : blocks)
+            expected.emplace_back(invariant, block);
+    }
+    EXPECT_EQ(audit(expected.size()), expected);
+    expected.resize(3);
+    EXPECT_EQ(audit(3), expected);
 }
 
 // ---------------------------------------------------------------------

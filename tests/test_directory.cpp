@@ -520,25 +520,80 @@ TEST(DirMesh, DegenerateMeshMatchesRing)
 
 TEST(DirMesh, ChargeHopsSplitsAxesExactly)
 {
-    sim::MetricRegistry reg;
-    const sim::MachineConfig m =
-        dirMachine(16, 1, 16, sim::Topology::Mesh, 1);
-    mem::DirectoryController dir(m.numL2s(), &reg);
-    dir.configure(m);
-    sim::Rng rng(42);
-    std::uint64_t want = 0;
-    for (unsigned i = 0; i < 500; ++i) {
-        const unsigned a = static_cast<unsigned>(rng.uniform(16));
-        const unsigned b = static_cast<unsigned>(rng.uniform(16));
-        dir.chargeHops(a, b, 1);
-        want += m.hopsBetween(a, b);
+    // Every node pair, charged one at a time: mem.numa.hops moves by
+    // MachineConfig::hopsBetween, and on the mesh the per-axis
+    // counters move by meshHopsX / meshHopsY.
+    std::vector<unsigned> node_counts;
+    for (unsigned n = 1; n <= 16; ++n)
+        node_counts.push_back(n);
+    node_counts.push_back(32);
+    node_counts.push_back(64);
+    for (const sim::Topology topo :
+         {sim::Topology::Ring, sim::Topology::Mesh}) {
+        const bool mesh = topo == sim::Topology::Mesh;
+        for (const unsigned nodes : node_counts) {
+            SCOPED_TRACE(testing::Message()
+                         << sim::toString(topo) << " " << nodes);
+            sim::MetricRegistry reg;
+            const sim::MachineConfig m =
+                dirMachine(nodes, 1, nodes, topo, 1);
+            mem::DirectoryController dir(&reg);
+            dir.configure(m);
+            const sim::Counter &hops = reg.counter("mem.numa.hops");
+            const sim::Counter *x =
+                mesh ? &reg.counter("mem.numa.mesh.x_hops") : nullptr;
+            const sim::Counter *y =
+                mesh ? &reg.counter("mem.numa.mesh.y_hops") : nullptr;
+            for (unsigned a = 0; a < nodes; ++a) {
+                for (unsigned b = 0; b < nodes; ++b) {
+                    const std::uint64_t h0 = hops.value();
+                    const std::uint64_t x0 = mesh ? x->value() : 0;
+                    const std::uint64_t y0 = mesh ? y->value() : 0;
+                    dir.chargeHops(a, b, 1);
+                    ASSERT_EQ(hops.value() - h0, m.hopsBetween(a, b))
+                        << a << "->" << b;
+                    if (mesh) {
+                        ASSERT_EQ(x->value() - x0, m.meshHopsX(a, b))
+                            << a << "->" << b;
+                        ASSERT_EQ(y->value() - y0, m.meshHopsY(a, b))
+                            << a << "->" << b;
+                    }
+                }
+            }
+            if (mesh && m.meshHeight() > 1) {
+                EXPECT_GT(x->value(), 0u);
+                EXPECT_GT(y->value(), 0u);
+            }
+        }
     }
-    const auto x = reg.counter("mem.numa.mesh.x_hops").value();
-    const auto y = reg.counter("mem.numa.mesh.y_hops").value();
-    EXPECT_EQ(reg.counter("mem.numa.hops").value(), want);
-    EXPECT_EQ(x + y, want);
-    EXPECT_GT(x, 0u);
-    EXPECT_GT(y, 0u);
+}
+
+TEST(DirMesh, CachedTopologyMatchesMachineConfig)
+{
+    // The controller's precomputed group -> node map, home
+    // interleaving and hop distances agree with MachineConfig at
+    // power-of-two and other node counts, on both topologies.
+    for (const sim::Topology topo :
+         {sim::Topology::Ring, sim::Topology::Mesh}) {
+        for (const unsigned nodes : {1u, 2u, 3u, 6u, 8u, 12u, 16u, 64u}) {
+            SCOPED_TRACE(testing::Message()
+                         << sim::toString(topo) << " " << nodes);
+            const sim::MachineConfig m =
+                dirMachine(4 * nodes, 2, nodes, topo);
+            mem::DirectoryController dir(nullptr);
+            dir.configure(m);
+            for (unsigned g = 0; g < m.numL2s(); ++g)
+                ASSERT_EQ(dir.nodeOfGroup(g), m.nodeOfGroup(g)) << g;
+            for (mem::Addr block = 0; block < 64 * 1000; block += 64)
+                ASSERT_EQ(dir.homeOf(block), m.homeNodeOf(block, 64))
+                    << block;
+            for (unsigned a = 0; a < nodes; ++a) {
+                for (unsigned b = 0; b < nodes; ++b)
+                    ASSERT_EQ(dir.hops(a, b), m.hopsBetween(a, b))
+                        << a << "->" << b;
+            }
+        }
+    }
 }
 
 TEST(DirMesh, ContendedMeshStreamChecksClean)
@@ -567,7 +622,7 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
             1 + static_cast<unsigned>(rng.uniform(3));
         const sim::MachineConfig m =
             dirMachine(8, 2, nodes, topo, occupancy);
-        mem::DirectoryController dir(m.numL2s(), nullptr);
+        mem::DirectoryController dir(nullptr);
         dir.configure(m);
         ASSERT_TRUE(dir.contended());
         ASSERT_EQ(dir.slotsPerHome(), occupancy);

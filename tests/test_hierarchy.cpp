@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "mem/bus.hh"
 #include "mem/hierarchy.hh"
+#include "sim/metrics.hh"
 #include "sim/rng.hh"
+#include "sim/serialize.hh"
 
 using namespace middlesim;
 using mem::AccessType;
@@ -194,4 +199,143 @@ TEST(Bus, ContentionDisabled)
     bus.acquire(0, 1000);
     bus.advanceEpoch(100);
     EXPECT_EQ(bus.acquire(0, 1000), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Pinned per-access results. A seeded stream over a hot shared set, a
+// per-CPU private pool and a cold pool drives Hierarchy::access on
+// five geometries. Every AccessResult, the final per-CPU CacheStats,
+// the region counters, the communication-tracking state and the
+// metric registry fold into one FNV-1a digest per geometry. The
+// constants were recorded before the per-block metadata moved into
+// one inline record, so any change to the simulated behaviour of
+// either protocol shows up here.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+struct DigestGeometry
+{
+    const char *name;
+    unsigned cpus;
+    unsigned cpusPerL2;
+    sim::CoherenceProtocol protocol;
+    unsigned numaNodes;
+    sim::Topology topology;
+    unsigned occupancy;
+    bool trackComm;
+    bool invalidateMidStream;
+    std::uint64_t digest;
+};
+
+void
+putWord(std::string &buf, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+std::uint64_t
+hierarchyDigest(const DigestGeometry &g)
+{
+    sim::MachineConfig m;
+    m.totalCpus = g.cpus;
+    m.appCpus = g.cpus;
+    m.cpusPerL2 = g.cpusPerL2;
+    m.protocol = g.protocol;
+    m.numaNodes = g.numaNodes;
+    m.topology = g.topology;
+    m.dirOccupancy = g.occupancy;
+    m.l1i = {1024, 2, 64};
+    m.l1d = {1024, 2, 64};
+    m.l2 = {8192, 4, 64};
+
+    sim::MetricRegistry reg;
+    Hierarchy h(m, mem::LatencyModel{}, true, &reg);
+    if (g.trackComm) {
+        h.setCommunicationTracking(true);
+        h.defineRegion("hot", 0, 48 * 64);
+    }
+
+    constexpr unsigned kRefs = 20000;
+    constexpr mem::Addr kPrivateBase = 1u << 20;
+    constexpr mem::Addr kColdBase = 1u << 26;
+    sim::Rng rng(0x5eed + g.cpus);
+    std::string buf;
+    sim::Tick now = 0;
+    for (unsigned i = 0; i < kRefs; ++i) {
+        if (g.invalidateMidStream && i == kRefs / 2)
+            h.invalidateAll();
+        if (i % 1000 == 999)
+            h.advanceContentionEpoch(4000);
+        const unsigned cpu = static_cast<unsigned>(rng.uniform(g.cpus));
+        const auto pool = rng.uniform(10);
+        const mem::Addr addr =
+            pool < 4   ? rng.uniform(48) * 64 + rng.uniform(64)
+            : pool < 7 ? kPrivateBase + (cpu * 64 + rng.uniform(64)) * 64
+                       : kColdBase + rng.uniform(4096) * 64;
+        const auto k = rng.uniform(20);
+        const AccessType t = k < 4    ? AccessType::IFetch
+                             : k < 11 ? AccessType::Load
+                             : k < 16 ? AccessType::Store
+                             : k < 18 ? AccessType::Atomic
+                                      : AccessType::BlockStore;
+        now += rng.uniform(32);
+        const mem::AccessResult r = h.access({addr, t, cpu}, now);
+        putWord(buf, r.latency);
+        buf.push_back(static_cast<char>(r.servedBy));
+        buf.push_back(static_cast<char>(r.missClass));
+    }
+
+    for (unsigned c = 0; c < g.cpus; ++c) {
+        const mem::CacheStats &s = h.cpuStats(c);
+        for (std::uint64_t v :
+             {s.ifetches, s.loads, s.stores, s.atomics, s.l1iHits,
+              s.l1dHits, s.l2Accesses, s.l2Hits, s.missCold,
+              s.missCoherence, s.missCapacity, s.c2cTransfers,
+              s.upgrades, s.writebacks, s.blockStores, s.instrMisses,
+              s.dataMisses})
+            putWord(buf, v);
+    }
+    for (const Hierarchy::Region &region : h.regions()) {
+        putWord(buf, region.missCold);
+        putWord(buf, region.missCoherence);
+        putWord(buf, region.missCapacity);
+    }
+    for (const auto &[line, count] : h.c2cPerLine().sortedItems()) {
+        putWord(buf, line);
+        putWord(buf, count);
+    }
+    putWord(buf, h.touchedLines());
+    std::ostringstream json;
+    reg.snapshot().writeJson(json);
+    buf += json.str();
+    return sim::fnv1a64(buf);
+}
+
+} // namespace
+
+TEST(HierarchyDigest, PerAccessResultsArePinned)
+{
+    using sim::CoherenceProtocol;
+    using sim::Topology;
+    const DigestGeometry geometries[] = {
+        {"snoop-16cpu-4perL2", 16, 4, CoherenceProtocol::SnoopBus, 1,
+         Topology::Ring, 0, true, false, 0xa734c05b96a97ba7ULL},
+        {"dir-64-ring", 64, 1, CoherenceProtocol::DirectoryMesi, 8,
+         Topology::Ring, 0, false, false, 0x2ea4e73cd2a3241eULL},
+        {"dir-96-mesh3x2-occ2", 96, 1, CoherenceProtocol::DirectoryMesi,
+         6, Topology::Mesh, 2, true, false, 0x559c0d8eac426b8cULL},
+        {"dir-128-mesh-occ4", 128, 1, CoherenceProtocol::DirectoryMesi,
+         8, Topology::Mesh, 4, false, false, 0x516aa22e45f56c9aULL},
+        {"dir-512-ring-invalidate", 512, 1,
+         CoherenceProtocol::DirectoryMesi, 16, Topology::Ring, 0, true,
+         true, 0x16735d5c41d4e206ULL},
+    };
+    for (const DigestGeometry &g : geometries) {
+        SCOPED_TRACE(g.name);
+        EXPECT_EQ(sim::hashHex(hierarchyDigest(g)),
+                  sim::hashHex(g.digest));
+    }
 }
