@@ -14,9 +14,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiment.hh"
+#include "sim/args.hh"
 
 using namespace middlesim;
 using core::ExperimentSpec;
@@ -52,9 +52,14 @@ spec(WorkloadKind kind, unsigned cpus, double ts)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    const bool quick = std::getenv("MIDDLESIM_QUICK") != nullptr;
+    bool quick = false;
+    sim::parseOptions("ablation_mechanisms",
+                      {{"", "MIDDLESIM_QUICK", "",
+                        "1: half-length intervals",
+                        sim::setSwitch(quick)}},
+                      argc, argv);
     const double ts = quick ? 0.5 : 1.0;
 
     std::printf("=== ablation: mechanism -> behavior ===\n\n");

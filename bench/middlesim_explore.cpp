@@ -19,13 +19,11 @@
  */
 
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
-#include "check/checker.hh"
 #include "check/shrink.hh"
 #include "explore/explorer.hh"
 #include "mem/fault.hh"
@@ -53,7 +51,7 @@ struct Options
     unsigned depthBudget = 0;
     std::uint64_t maxExecutions = 0;
     unsigned jobs = 1;
-    bool dpor = true;
+    bool noDpor = false;
     bool timing = false;
     mem::FaultPlan::Kind inject = mem::FaultPlan::Kind::None;
     std::uint64_t injectPeriod = 1;
@@ -68,68 +66,47 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto num = [&](std::uint64_t lo = 0,
-                             std::uint64_t hi = UINT_MAX) {
-            return sim::parseUintFlag("middlesim_explore", arg, lo, hi);
-        };
-        if (arg.rfind("--cpus=", 0) == 0) {
-            opt.cpus = static_cast<unsigned>(num(1, 8));
-        } else if (arg.rfind("--cpus-per-l2=", 0) == 0) {
-            opt.cpusPerL2 = static_cast<unsigned>(num(1));
-        } else if (arg.rfind("--protocol=", 0) == 0) {
-            if (!sim::parseProtocol(arg.substr(11), opt.protocol))
-                fatal("middlesim_explore: unknown --protocol value '",
-                      arg.substr(11), "' (want snoop or directory)");
-        } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            opt.numaNodes = static_cast<unsigned>(num(1));
-        } else if (arg.rfind("--topology=", 0) == 0) {
-            if (!sim::parseTopology(arg.substr(11), opt.topology))
-                fatal("middlesim_explore: unknown --topology value '",
-                      arg.substr(11), "' (want ring or mesh)");
-        } else if (arg.rfind("--dir-occupancy=", 0) == 0) {
-            opt.dirOccupancy = static_cast<unsigned>(num());
-        } else if (arg.rfind("--blocks=", 0) == 0) {
-            opt.blocks = static_cast<unsigned>(num(1));
-        } else if (arg.rfind("--refs=", 0) == 0) {
-            opt.refs = static_cast<unsigned>(num());
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            opt.seed = num(0, UINT64_MAX);
-        } else if (arg.rfind("--depth-budget=", 0) == 0) {
-            opt.depthBudget = static_cast<unsigned>(num());
-        } else if (arg.rfind("--max-executions=", 0) == 0) {
-            opt.maxExecutions = num(0, UINT64_MAX);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            opt.jobs = static_cast<unsigned>(num(1));
-        } else if (arg == "--no-dpor") {
-            opt.dpor = false;
-        } else if (arg == "--timing") {
-            opt.timing = true;
-        } else if (arg.rfind("--inject=", 0) == 0) {
-            if (!mem::parseFaultKind(arg.substr(9), opt.inject))
-                fatal("middlesim_explore: unknown --inject value '",
-                      arg.substr(9), "' (want ", mem::faultKindNames,
-                      ")");
-        } else if (arg.rfind("--inject-period=", 0) == 0) {
-            opt.injectPeriod = num(0, UINT64_MAX);
-        } else if (arg.rfind("--inject-salt=", 0) == 0) {
-            opt.injectSalt = num(0, UINT64_MAX);
-        } else if (arg.rfind("--out=", 0) == 0) {
-            opt.out = arg.substr(6);
-        } else if (arg.rfind("--report=", 0) == 0) {
-            opt.report = arg.substr(9);
-        } else {
-            fatal("middlesim_explore: unknown flag '", arg,
-                  "' (supported: --cpus=N, --cpus-per-l2=N, "
-                  "--protocol=snoop|directory, --numa-nodes=N, "
-                  "--topology=ring|mesh, --dir-occupancy=N, "
-                  "--blocks=N, --refs=N, --seed=N, --depth-budget=N, "
-                  "--max-executions=N, --jobs=N, --no-dpor, --timing, "
-                  "--inject=KIND, --inject-period=N, --inject-salt=N, "
-                  "--out=DIR, --report=FILE)");
-        }
-    }
+    const sim::OptionTable table = {
+        {"--cpus", "", "N", "CPUs (default 2)", sim::setUint(opt.cpus, 1, 8)},
+        {"--cpus-per-l2", "", "N", "CPUs per L2 (default 1)",
+         sim::setUint(opt.cpusPerL2, 1)},
+        {"--protocol", "", "snoop|directory", "coherence protocol",
+         sim::setChoice(opt.protocol, sim::parseProtocol,
+                        "snoop or directory")},
+        {"--numa-nodes", "", "N", "NUMA nodes (directory only)",
+         sim::setUint(opt.numaNodes, 1)},
+        {"--topology", "", "ring|mesh", "node interconnect (directory only)",
+         sim::setChoice(opt.topology, sim::parseTopology, "ring or mesh")},
+        {"--dir-occupancy", "", "N", "slots per home (directory only)",
+         sim::setUint(opt.dirOccupancy)},
+        {"--blocks", "", "N", "distinct blocks (default 2)",
+         sim::setUint(opt.blocks, 1)},
+        {"--refs", "", "N", "references over all CPUs (default 12)",
+         sim::setUint(opt.refs)},
+        {"--seed", "", "N", "stream seed (default 1)", sim::setU64(opt.seed)},
+        {"--depth-budget", "", "N", "longest schedule prefix (0 = all)",
+         sim::setUint(opt.depthBudget)},
+        {"--max-executions", "", "N", "paths per root subtree (0 = all)",
+         sim::setU64(opt.maxExecutions)},
+        {"--jobs", "", "N", "threads over root subtrees (default 1)",
+         sim::setUint(opt.jobs, 1)},
+        {"--no-dpor", "", "", "enumerate without DPOR pruning",
+         sim::setSwitch(opt.noDpor)},
+        {"--timing", "", "", "report wall-clock seconds",
+         sim::setSwitch(opt.timing)},
+        {"--inject", "", "KIND", "arm a fault the exploration must find",
+         sim::setChoice(opt.inject, mem::parseFaultKind,
+                        mem::faultKindNames)},
+        {"--inject-period", "", "N", "fault period (default 1)",
+         sim::setU64(opt.injectPeriod)},
+        {"--inject-salt", "", "N", "fault salt (default 0)",
+         sim::setU64(opt.injectSalt)},
+        {"--out", "", "DIR", "write the minimized .mst repro into DIR",
+         sim::setText(opt.out)},
+        {"--report", "", "FILE", "write the JSON report to FILE",
+         sim::setText(opt.report)},
+    };
+    sim::parseOptions("middlesim_explore", table, argc, argv);
     if (opt.cpus % opt.cpusPerL2 != 0)
         fatal("middlesim_explore: --cpus-per-l2 must divide --cpus");
     const unsigned groups = opt.cpus / opt.cpusPerL2;
@@ -163,7 +140,6 @@ int
 main(int argc, char **argv)
 {
     const Options opt = parseArgs(argc, argv);
-    check::setCheckingEnabled(false);
 
     const trace::TraceHeader header = explore::exploreHeader(
         opt.cpus, opt.cpusPerL2, opt.seed, opt.protocol,
@@ -183,7 +159,7 @@ main(int argc, char **argv)
 
     explore::ExploreOptions eopts;
     eopts.depthBudget = opt.depthBudget;
-    eopts.dpor = opt.dpor;
+    eopts.dpor = !opt.noDpor;
     eopts.jobs = opt.jobs;
     eopts.maxExecutionsPerBranch = opt.maxExecutions;
 
@@ -207,7 +183,7 @@ main(int argc, char **argv)
     rc.seed = opt.seed;
     rc.inject = mem::toString(opt.inject);
     rc.depthBudget = opt.depthBudget;
-    rc.dpor = opt.dpor;
+    rc.dpor = !opt.noDpor;
     if (opt.timing)
         rc.wallSeconds = wall;
 

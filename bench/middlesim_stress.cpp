@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -80,47 +79,34 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto num = [&](std::uint64_t lo = 0,
-                             std::uint64_t hi = UINT_MAX) {
-            return sim::parseUintFlag("middlesim_stress", arg, lo, hi);
-        };
-        if (arg.rfind("--seeds=", 0) == 0) {
-            opt.seeds = static_cast<unsigned>(num());
-        } else if (arg.rfind("--seed0=", 0) == 0) {
-            opt.seed0 = num(0, UINT64_MAX);
-        } else if (arg.rfind("--budget=", 0) == 0) {
-            opt.budget = sim::parseSecondsFlag("middlesim_stress", arg);
-        } else if (arg.rfind("--refs=", 0) == 0) {
-            opt.refs = static_cast<unsigned>(num(1));
-        } else if (arg.rfind("--out=", 0) == 0) {
-            opt.out = arg.substr(6);
-        } else if (arg.rfind("--inject=", 0) == 0) {
-            if (!mem::parseFaultKind(arg.substr(9), opt.inject))
-                fatal("middlesim_stress: unknown --inject value '",
-                      arg.substr(9), "' (want ", mem::faultKindNames,
-                      ")");
-        } else if (arg.rfind("--inject-period=", 0) == 0) {
-            opt.injectPeriod = num(0, UINT64_MAX);
-        } else if (arg.rfind("--inject-salt=", 0) == 0) {
-            opt.injectSalt = num(0, UINT64_MAX);
-        } else if (arg.rfind("--repro=", 0) == 0) {
-            opt.repro = arg.substr(8);
-        } else if (arg.rfind("--mode=", 0) == 0) {
-            opt.mode = arg.substr(7);
-            if (opt.mode != "synthetic" && opt.mode != "workload" &&
-                opt.mode != "both")
-                fatal("middlesim_stress: bad --mode '", opt.mode,
-                      "' (want synthetic, workload or both)");
-        } else {
-            fatal("middlesim_stress: unknown flag '", arg,
-                  "' (supported: --seeds=N, --seed0=N, --budget=SECs, "
-                  "--refs=N, --out=DIR, --inject=KIND, "
-                  "--inject-period=N, --inject-salt=N, --mode=MODE, "
-                  "--repro=FILE.mst)");
-        }
-    }
+    const sim::OptionTable table = {
+        {"--seeds", "", "N", "seeds to run (default 25)",
+         sim::setUint(opt.seeds)},
+        {"--seed0", "", "N", "first seed (default 1)", sim::setU64(opt.seed0)},
+        {"--budget", "", "SECONDS", "time budget (default 60s; 0 = none)",
+         sim::setSeconds(opt.budget)},
+        {"--refs", "", "N", "references per seed (default 20000)",
+         sim::setUint(opt.refs, 1)},
+        {"--out", "", "DIR", "write minimized .mst repros into DIR",
+         sim::setText(opt.out)},
+        {"--inject", "", "KIND", "arm a fault every seed must catch",
+         sim::setChoice(opt.inject, mem::parseFaultKind,
+                        mem::faultKindNames)},
+        {"--inject-period", "", "N", "fault period (default 1)",
+         sim::setU64(opt.injectPeriod)},
+        {"--inject-salt", "", "N", "fault salt (default 0)",
+         sim::setU64(opt.injectSalt)},
+        {"--mode", "", "MODE", "synthetic, workload or both",
+         [&opt](const std::string &v) {
+             if (v != "synthetic" && v != "workload" && v != "both")
+                 return std::string("synthetic, workload or both");
+             opt.mode = v;
+             return std::string();
+         }},
+        {"--repro", "", "FILE.mst", "replay a repro instead of stressing",
+         sim::setText(opt.repro)},
+    };
+    sim::parseOptions("middlesim_stress", table, argc, argv);
     return opt;
 }
 
@@ -600,9 +586,6 @@ int
 main(int argc, char **argv)
 {
     const Options opt = parseArgs(argc, argv);
-    // This driver arms checkers explicitly in collection mode; the
-    // process-wide fail-fast opt-in must not preempt it.
-    check::setCheckingEnabled(false);
 
     if (!opt.repro.empty())
         return replayRepro(opt);

@@ -1,7 +1,5 @@
 #include "check/checker.hh"
 
-#include <cstdlib>
-
 #include "check/jvm_checker.hh"
 #include "check/mem_checker.hh"
 #include "check/sched_checker.hh"
@@ -49,34 +47,20 @@ Checker::finalize(sim::Tick now)
 namespace
 {
 
-/** -1 = not yet resolved from the environment. */
-int &
-checkState()
-{
-    static int state = -1;
-    return state;
-}
+bool gCheckingEnabled = false;
 
 } // namespace
 
 bool
 checkingEnabled()
 {
-    int &s = checkState();
-    if (s < 0) {
-        const char *env = std::getenv("MIDDLESIM_CHECK");
-        s = (env && env[0] != '\0' &&
-             !(env[0] == '0' && env[1] == '\0'))
-                ? 1
-                : 0;
-    }
-    return s == 1;
+    return gCheckingEnabled;
 }
 
 void
 setCheckingEnabled(bool on)
 {
-    checkState() = on ? 1 : 0;
+    gCheckingEnabled = on;
 }
 
 CheckOptions &

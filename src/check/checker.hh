@@ -66,9 +66,8 @@ class Checker
 };
 
 /**
- * Process-wide opt-in: true when MIDDLESIM_CHECK is set to a nonzero
- * value in the environment, or setCheckingEnabled(true) was called
- * (the --check flag of the figure drivers).
+ * Process-wide opt-in: false until setCheckingEnabled(true) is called
+ * (by the figure drivers' --check / MIDDLESIM_CHECK=1).
  */
 bool checkingEnabled();
 void setCheckingEnabled(bool on);

@@ -1,7 +1,6 @@
 #include "core/figures.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
@@ -67,49 +66,6 @@ figureSpec(WorkloadKind kind, unsigned cpus, const FigureOptions &opt)
     return spec;
 }
 
-FigureOptions
-FigureOptions::fromEnv()
-{
-    FigureOptions opt;
-    if (const char *runs = std::getenv("MIDDLESIM_RUNS"))
-        opt.runs = static_cast<unsigned>(std::atoi(runs));
-    if (const char *quick = std::getenv("MIDDLESIM_QUICK")) {
-        if (std::atoi(quick) != 0) {
-            opt.runs = 1;
-            opt.timeScale = 0.5;
-        }
-    }
-    if (const char *ts = std::getenv("MIDDLESIM_TIMESCALE")) {
-        const double v = std::atof(ts);
-        if (v > 0.0)
-            opt.timeScale = v;
-    }
-    if (const char *proto = std::getenv("MIDDLESIM_PROTOCOL")) {
-        if (*proto != '\0' &&
-            !sim::parseProtocol(proto, opt.protocol))
-            fatal("MIDDLESIM_PROTOCOL: unknown protocol '", proto,
-                  "' (want snoop or directory)");
-    }
-    if (const char *nodes = std::getenv("MIDDLESIM_NUMA_NODES")) {
-        const int v = std::atoi(nodes);
-        if (v >= 1)
-            opt.numaNodes = static_cast<unsigned>(v);
-    }
-    if (const char *topo = std::getenv("MIDDLESIM_TOPOLOGY")) {
-        if (*topo != '\0' && !sim::parseTopology(topo, opt.topology))
-            fatal("MIDDLESIM_TOPOLOGY: unknown topology '", topo,
-                  "' (want ring or mesh)");
-    }
-    if (const char *occ = std::getenv("MIDDLESIM_DIR_OCCUPANCY")) {
-        const int v = std::atoi(occ);
-        if (v >= 0)
-            opt.dirOccupancy = static_cast<unsigned>(v);
-    }
-    if (opt.runs == 0)
-        opt.runs = 1;
-    return opt;
-}
-
 namespace
 {
 
@@ -122,17 +78,8 @@ struct SweepCacheEntry
 SweepCacheEntry &
 scalingSweepEntry(const FigureOptions &opt)
 {
-    using Key = std::tuple<unsigned, long, std::uint64_t, unsigned,
-                           unsigned, unsigned, unsigned>;
-    static std::map<Key, SweepCacheEntry> cache;
-    const Key key{opt.runs,
-                  std::lround(opt.timeScale * 1000),
-                  opt.seed,
-                  static_cast<unsigned>(opt.protocol),
-                  opt.numaNodes,
-                  static_cast<unsigned>(opt.topology),
-                  opt.dirOccupancy};
-    auto it = cache.find(key);
+    static std::map<FigureOptions, SweepCacheEntry> cache;
+    auto it = cache.find(opt);
     if (it != cache.end())
         return it->second;
 
@@ -153,7 +100,7 @@ scalingSweepEntry(const FigureOptions &opt)
         next += opt.runs;
         entry.sweep.push_back(std::move(point));
     }
-    return cache.emplace(key, std::move(entry)).first->second;
+    return cache.emplace(opt, std::move(entry)).first->second;
 }
 
 } // namespace

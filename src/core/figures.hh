@@ -13,6 +13,7 @@
 #ifndef CORE_FIGURES_HH
 #define CORE_FIGURES_HH
 
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -42,13 +43,8 @@ struct FigureOptions
     /** Home occupancy slots (0 = contention-free directory homes). */
     unsigned dirOccupancy = 0;
 
-    /**
-     * Honors MIDDLESIM_RUNS, MIDDLESIM_QUICK (=1: single run, 0.5x
-     * intervals), MIDDLESIM_TIMESCALE, MIDDLESIM_PROTOCOL
-     * (snoop|directory), MIDDLESIM_NUMA_NODES, MIDDLESIM_TOPOLOGY
-     * (ring|mesh) and MIDDLESIM_DIR_OCCUPANCY environment variables.
-     */
-    static FigureOptions fromEnv();
+    /** Orders the per-figure memos, which key on every field. */
+    auto operator<=>(const FigureOptions &) const = default;
 };
 
 /** One qualitative conclusion of the paper, checked on our data. */

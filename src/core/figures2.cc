@@ -6,7 +6,7 @@
 
 #include <cmath>
 #include <future>
-#include <memory>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -468,21 +468,14 @@ struct SweepSet
 SweepSet &
 sweepSet(const FigureOptions &opt)
 {
-    static std::unique_ptr<SweepSet> cached;
-    static std::uint64_t cached_seed = ~0ULL;
-    static long cached_scale = -1;
-    const long scale_key = std::lround(opt.timeScale * 1000);
-    if (cached && cached_seed == opt.seed &&
-        cached_scale == scale_key) {
-        return *cached;
-    }
-    cached = std::make_unique<SweepSet>();
-    cached_seed = opt.seed;
-    cached_scale = scale_key;
+    static std::map<FigureOptions, SweepSet> cache;
+    const auto [it, fresh] = cache.try_emplace(opt);
+    SweepSet &set = it->second;
+    if (!fresh)
+        return set;
     // The four uniprocessor sweeps are independent simulations; run
     // them concurrently.
     sim::ThreadPool &pool = sim::ThreadPool::global();
-    SweepSet &set = *cached;
     std::vector<std::future<void>> points;
     points.push_back(pool.submit([&set, opt] {
         set.ecperf = cachedSweepOutcome(WorkloadKind::Ecperf, 8, opt);
@@ -498,7 +491,7 @@ sweepSet(const FigureOptions &opt)
     }));
     for (auto &f : points)
         f.get();
-    return *cached;
+    return set;
 }
 
 } // namespace
@@ -674,28 +667,28 @@ struct CommSet
     CommPoint ec;
 };
 
-/** Both communication-tracking runs, computed concurrently once. */
+/** Both communication-tracking runs, computed concurrently once per
+ *  options. */
 CommSet &
 commSet(const FigureOptions &opt)
 {
-    static std::unique_ptr<CommSet> cached;
-    if (!cached) {
-        cached = std::make_unique<CommSet>();
-        sim::ThreadPool &pool = sim::ThreadPool::global();
-        auto jbb_f = pool.submit([opt] {
-            return cachedCommFootprint(WorkloadKind::SpecJbb, 15, 15,
-                                       opt);
-        });
-        // The paper binds the ECperf application server to 8 of the
-        // 16 processors and filters to those.
-        auto ec_f = pool.submit([opt] {
-            return cachedCommFootprint(WorkloadKind::Ecperf, 8, 8,
-                                       opt);
-        });
-        cached->jbb = jbb_f.get();
-        cached->ec = ec_f.get();
-    }
-    return *cached;
+    static std::map<FigureOptions, CommSet> cache;
+    const auto [it, fresh] = cache.try_emplace(opt);
+    CommSet &set = it->second;
+    if (!fresh)
+        return set;
+    sim::ThreadPool &pool = sim::ThreadPool::global();
+    auto jbb_f = pool.submit([opt] {
+        return cachedCommFootprint(WorkloadKind::SpecJbb, 15, 15, opt);
+    });
+    // The paper binds the ECperf application server to 8 of the 16
+    // processors and filters to those.
+    auto ec_f = pool.submit([opt] {
+        return cachedCommFootprint(WorkloadKind::Ecperf, 8, 8, opt);
+    });
+    set.jbb = jbb_f.get();
+    set.ec = ec_f.get();
+    return set;
 }
 
 CommPoint &

@@ -1,6 +1,6 @@
 #include "core/report.hh"
 
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -9,29 +9,11 @@
 #include "core/cache.hh"
 #include "core/metrics_io.hh"
 #include "core/trace_run.hh"
-#include "sim/args.hh"
 #include "sim/log.hh"
 #include "sim/threadpool.hh"
 
 namespace middlesim::core
 {
-
-void
-configureRunCache(const std::string &cache_dir, bool no_cache)
-{
-    if (no_cache) {
-        RunCache::global().setDiskDir("");
-        return;
-    }
-    if (!cache_dir.empty()) {
-        RunCache::global().setDiskDir(cache_dir);
-        return;
-    }
-    if (const char *env = std::getenv("MIDDLESIM_CACHE")) {
-        if (*env != '\0')
-            RunCache::global().setDiskDir(env);
-    }
-}
 
 void
 printFigure(const FigureResult &fig, std::ostream &os)
@@ -47,82 +29,93 @@ printFigure(const FigureResult &fig, std::ostream &os)
                          : "=> SOME SHAPE CHECKS FAILED\n");
 }
 
+sim::OptionTable
+driverOptions(DriverOptions &d)
+{
+    FigureOptions &f = d.fig;
+    return {
+        {"", "MIDDLESIM_RUNS", "N", "runs per measured point (default 3)",
+         sim::setUint(f.runs, 1)},
+        {"", "MIDDLESIM_QUICK", "", "1: one run per point, 0.5x intervals",
+         [&f](const std::string &v) {
+             bool quick = false;
+             const std::string want = sim::setSwitch(quick)(v);
+             if (quick) {
+                 f.runs = 1;
+                 f.timeScale = 0.5;
+             }
+             return want;
+         }},
+        {"", "MIDDLESIM_TIMESCALE", "F",
+         "scale every interval by F (default 1)",
+         sim::setPositive(f.timeScale)},
+        {"--protocol", "MIDDLESIM_PROTOCOL", "snoop|directory",
+         "coherence protocol (default snoop)",
+         sim::setChoice(f.protocol, sim::parseProtocol,
+                        "snoop or directory")},
+        {"--numa-nodes", "MIDDLESIM_NUMA_NODES", "N",
+         "NUMA nodes (directory only)", sim::setUint(f.numaNodes, 1)},
+        {"--topology", "MIDDLESIM_TOPOLOGY", "ring|mesh",
+         "node interconnect (directory only)",
+         sim::setChoice(f.topology, sim::parseTopology, "ring or mesh")},
+        {"--dir-occupancy", "MIDDLESIM_DIR_OCCUPANCY", "N",
+         "slots per home; 0 = contention-free",
+         sim::setUint(f.dirOccupancy)},
+        {"--jobs", "MIDDLESIM_JOBS", "N",
+         "worker threads (default: all hardware threads)",
+         sim::setUint(d.jobs, 1)},
+        {"--cache-dir", "MIDDLESIM_CACHE", "PATH",
+         "persist run results in PATH", sim::setText(d.cacheDir)},
+        {"--no-cache", "", "", "skip the disk cache",
+         sim::setSwitch(d.noCache)},
+        {"--check", "MIDDLESIM_CHECK", "",
+         "arm the invariant checkers (implies --no-cache)",
+         sim::setSwitch(d.check)},
+        {"--trace-out", "", "DIR", "record reference traces into DIR",
+         sim::setText(d.traceOut)},
+        {"--trace-in", "", "DIR", "replay the Fig 12/13 sweeps from DIR",
+         sim::setText(d.traceIn)},
+        {"", "MIDDLESIM_TRACE", "DIR",
+         "both trace directories, unless a trace flag is given",
+         sim::setText(d.traceBoth)},
+    };
+}
+
+void
+applyDriverOptions(const DriverOptions &d)
+{
+    if (d.jobs != 0)
+        sim::ThreadPool::setGlobalJobs(d.jobs);
+    check::setCheckingEnabled(d.check);
+    RunCache::global().setDiskDir(d.noCache || d.check ? ""
+                                                       : d.cacheDir);
+    if (d.traceOut.empty() && d.traceIn.empty())
+        configureTracing(d.traceBoth, d.traceBoth);
+    else
+        configureTracing(d.traceOut, d.traceIn);
+}
+
 int
 figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
            char **argv)
 {
+    DriverOptions d;
     std::string metrics_out;
-    std::string cache_dir;
-    std::string trace_out;
-    std::string trace_in;
-    std::string protocol_flag;
-    unsigned numa_nodes = 0;
-    bool no_cache = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--jobs=", 0) == 0) {
-            sim::ThreadPool::setGlobalJobs(static_cast<unsigned>(
-                sim::parseUintFlag("figureMain", arg, 1)));
-        } else if (arg.rfind("--metrics-out=", 0) == 0) {
-            metrics_out = arg.substr(14);
-            if (metrics_out.empty())
-                fatal("figureMain: bad flag '", arg,
-                           "' (want --metrics-out=PATH)");
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            cache_dir = arg.substr(12);
-            if (cache_dir.empty())
-                fatal("figureMain: bad flag '", arg,
-                           "' (want --cache-dir=PATH)");
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            trace_out = arg.substr(12);
-            if (trace_out.empty())
-                fatal("figureMain: bad flag '", arg,
-                           "' (want --trace-out=DIR)");
-        } else if (arg.rfind("--trace-in=", 0) == 0) {
-            trace_in = arg.substr(11);
-            if (trace_in.empty())
-                fatal("figureMain: bad flag '", arg,
-                           "' (want --trace-in=DIR)");
-        } else if (arg.rfind("--protocol=", 0) == 0) {
-            protocol_flag = arg.substr(11);
-            sim::CoherenceProtocol p;
-            if (!sim::parseProtocol(protocol_flag, p))
-                fatal("figureMain: bad flag '", arg,
-                      "' (want --protocol=snoop|directory)");
-        } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            numa_nodes = static_cast<unsigned>(
-                sim::parseUintFlag("figureMain", arg, 1));
-        } else if (arg == "--no-cache") {
-            no_cache = true;
-        } else if (arg == "--check") {
-            check::setCheckingEnabled(true);
-        } else {
-            fatal("figureMain: unknown flag '", arg,
-                       "' (supported: --jobs=N, --metrics-out=PATH, "
-                       "--cache-dir=PATH, --no-cache, --check, "
-                       "--trace-out=DIR, --trace-in=DIR, "
-                       "--protocol=snoop|directory, --numa-nodes=N)");
-        }
-    }
-    // A cached result was produced without the checkers watching;
-    // checking is only meaningful for runs that actually execute.
-    if (check::checkingEnabled())
-        no_cache = true;
-    configureRunCache(cache_dir, no_cache);
-    configureTracingFromFlags(trace_out, trace_in);
+    sim::OptionTable table = driverOptions(d);
+    table.push_back({"--metrics-out", "", "PATH",
+                     "write the figure's metrics document (JSON)",
+                     sim::setText(metrics_out)});
+    const std::string tool =
+        std::filesystem::path(argv[0]).filename().string();
+    sim::parseOptions(tool.c_str(), table, argc, argv);
+    applyDriverOptions(d);
 
-    FigureOptions opt = FigureOptions::fromEnv();
-    if (!protocol_flag.empty())
-        sim::parseProtocol(protocol_flag, opt.protocol);
-    if (numa_nodes != 0)
-        opt.numaNodes = numa_nodes;
-    const FigureResult fig = harness(opt);
+    const FigureResult fig = harness(d.fig);
     printFigure(fig, std::cout);
     if (!metrics_out.empty()) {
         std::ofstream os(metrics_out);
         if (!os)
-            fatal("figureMain: cannot open '", metrics_out,
-                       "' for writing");
+            fatal(tool, ": cannot open '", metrics_out, "' for writing");
         writeMetricsJson(os, fig.id, fig.metricsByPoint);
     }
     return fig.allPass() ? 0 : 1;

@@ -1,14 +1,17 @@
 /**
  * @file
- * Rendering of figure reproductions (tables + shape-check verdicts).
+ * Rendering of figure reproductions (tables + shape-check verdicts),
+ * and the options every figure driver and run_all share.
  */
 
 #ifndef CORE_REPORT_HH
 #define CORE_REPORT_HH
 
 #include <ostream>
+#include <string>
 
 #include "core/figures.hh"
+#include "sim/args.hh"
 
 namespace middlesim::core
 {
@@ -17,30 +20,48 @@ namespace middlesim::core
 void printFigure(const FigureResult &fig, std::ostream &os);
 
 /**
- * Apply the persistent-cache selection to the global RunCache:
- * `--no-cache` disables the disk layer, `--cache-dir=PATH` selects
- * it explicitly, and otherwise the MIDDLESIM_CACHE environment
- * variable (when set and non-empty) enables it. The in-process memo
- * is always active; outputs are byte-identical either way.
+ * The settings of a figure driver or run_all: what to simulate
+ * (`fig`) and how this process runs it.
  */
-void configureRunCache(const std::string &cache_dir, bool no_cache);
+struct DriverOptions
+{
+    FigureOptions fig;
+    /** Thread-pool workers (0 = hardware concurrency). */
+    unsigned jobs = 0;
+    /** Disk layer of the run cache ("" = in-process memo only). */
+    std::string cacheDir;
+    bool noCache = false;
+    /** Arm the invariant checkers; implies noCache. */
+    bool check = false;
+    std::string traceOut;
+    std::string traceIn;
+    /** MIDDLESIM_TRACE: both directions, unless a trace flag is given. */
+    std::string traceBoth;
+};
 
 /**
- * Standard main() body for the per-figure bench binaries: runs the
- * harness with options from the environment, prints the report, and
- * returns 0 when every shape check passes (1 otherwise).
- *
- * When argv is forwarded, `--jobs=N` selects the worker count of the
- * process-wide thread pool (equivalent to MIDDLESIM_JOBS=N; the flag
- * wins). `--jobs=1` forces fully serial execution. `--cache-dir=PATH`
- * / `--no-cache` control the persistent run cache (see
- * configureRunCache); `--metrics-out=PATH` writes the figure's
- * metrics document. `--protocol=snoop|directory` and `--numa-nodes=N`
- * override the coherence protocol / NUMA topology of every measured
- * point (equivalent to MIDDLESIM_PROTOCOL / MIDDLESIM_NUMA_NODES).
+ * The option rows figureMain and run_all share, writing into `d`.
+ * MIDDLESIM_QUICK=1 overrides MIDDLESIM_RUNS, and MIDDLESIM_TIMESCALE
+ * overrides QUICK's time scale; each flag beats its variable.
  */
-int figureMain(FigureResult (*harness)(const FigureOptions &),
-               int argc = 0, char **argv = nullptr);
+sim::OptionTable driverOptions(DriverOptions &d);
+
+/**
+ * Apply the process-wide part of `d`: the thread-pool size, checking
+ * (which implies no disk cache, since a cached result was produced
+ * without the checkers watching), the run cache's disk layer and the
+ * trace directories.
+ */
+void applyDriverOptions(const DriverOptions &d);
+
+/**
+ * Standard main() body for the per-figure bench binaries: parses the
+ * shared driver options plus `--metrics-out=PATH` (see `--help`),
+ * runs the harness, prints the report, and returns 0 when every shape
+ * check passes (1 otherwise).
+ */
+int figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
+               char **argv);
 
 } // namespace middlesim::core
 

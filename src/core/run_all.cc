@@ -12,12 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "check/checker.hh"
 #include "core/cache.hh"
 #include "core/figures_internal.hh"
 #include "core/metrics_io.hh"
 #include "core/report.hh"
-#include "core/trace_run.hh"
 #include "fabric/coordinator.hh"
 #include "fabric/worker.hh"
 #include "sim/args.hh"
@@ -236,110 +234,47 @@ buildRunAllQueue(const FigureOptions &opt)
 int
 runAllMain(int argc, char **argv)
 {
+    DriverOptions d;
     std::string metrics_dir;
     std::string stats_out;
-    std::string cache_dir;
-    std::string trace_out;
-    std::string trace_in;
     std::string fabric_worker_cmd;
     std::string fabric_metrics_out;
-    std::string protocol_flag;
-    std::string topology_flag;
-    unsigned numa_nodes = 0;
-    long dir_occupancy = -1;
-    bool no_cache = false;
     bool fabric_worker = false;
     unsigned fabric_workers = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--jobs=", 0) == 0) {
-            sim::ThreadPool::setGlobalJobs(static_cast<unsigned>(
-                sim::parseUintFlag("run_all", arg, 1)));
-        } else if (arg.rfind("--metrics-dir=", 0) == 0) {
-            metrics_dir = arg.substr(14);
-            if (metrics_dir.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --metrics-dir=DIR)");
-        } else if (arg.rfind("--stats-out=", 0) == 0) {
-            stats_out = arg.substr(12);
-            if (stats_out.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --stats-out=PATH)");
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            cache_dir = arg.substr(12);
-            if (cache_dir.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --cache-dir=PATH)");
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            trace_out = arg.substr(12);
-            if (trace_out.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --trace-out=DIR)");
-        } else if (arg.rfind("--trace-in=", 0) == 0) {
-            trace_in = arg.substr(11);
-            if (trace_in.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --trace-in=DIR)");
-        } else if (arg.rfind("--protocol=", 0) == 0) {
-            protocol_flag = arg.substr(11);
-            sim::CoherenceProtocol p;
-            if (!sim::parseProtocol(protocol_flag, p))
-                fatal("run_all: bad flag '", arg,
-                      "' (want --protocol=snoop|directory)");
-        } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            numa_nodes = static_cast<unsigned>(
-                sim::parseUintFlag("run_all", arg, 1));
-        } else if (arg.rfind("--topology=", 0) == 0) {
-            topology_flag = arg.substr(11);
-            sim::Topology t;
-            if (!sim::parseTopology(topology_flag, t))
-                fatal("run_all: bad flag '", arg,
-                      "' (want --topology=ring|mesh)");
-        } else if (arg.rfind("--dir-occupancy=", 0) == 0) {
-            dir_occupancy =
-                static_cast<long>(sim::parseUintFlag("run_all", arg));
-        } else if (arg == "--no-cache") {
-            no_cache = true;
-        } else if (arg == "--check") {
-            check::setCheckingEnabled(true);
-        } else if (arg.rfind("--fabric=", 0) == 0) {
-            fabric_workers = static_cast<unsigned>(
-                sim::parseUintFlag("run_all", arg, 1));
-        } else if (arg == "--fabric-worker") {
-            fabric_worker = true;
-        } else if (arg.rfind("--fabric-worker-cmd=", 0) == 0) {
-            fabric_worker_cmd = arg.substr(20);
-            if (fabric_worker_cmd.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --fabric-worker-cmd=CMD)");
-        } else if (arg.rfind("--fabric-metrics-out=", 0) == 0) {
-            fabric_metrics_out = arg.substr(21);
-            if (fabric_metrics_out.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --fabric-metrics-out=PATH)");
-        } else {
-            fatal("run_all: unknown flag '", arg,
-                  "' (supported: --jobs=N, --metrics-dir=DIR, "
-                  "--stats-out=PATH, --cache-dir=PATH, --no-cache, "
-                  "--check, --trace-out=DIR, --trace-in=DIR, "
-                  "--protocol=snoop|directory, --numa-nodes=N, "
-                  "--topology=ring|mesh, --dir-occupancy=N, "
-                  "--fabric=N, --fabric-worker, "
-                  "--fabric-worker-cmd=CMD, "
-                  "--fabric-metrics-out=PATH)");
-        }
-    }
+    sim::OptionTable table = driverOptions(d);
+    table.insert(
+        table.end(),
+        {{"--metrics-dir", "", "DIR",
+          "write each figure's metrics document to DIR/<fig>.json",
+          sim::setText(metrics_dir)},
+         {"--stats-out", "", "PATH",
+          "write dedupe and cache statistics (JSON) to PATH",
+          sim::setText(stats_out)},
+         {"--fabric", "", "N",
+          "prefetch through N worker processes instead of threads",
+          sim::setUint(fabric_workers, 1)},
+         {"--fabric-worker", "", "",
+          "serve the fabric's worker side on stdin/stdout (spawned "
+          "by the coordinator)",
+          sim::setSwitch(fabric_worker)},
+         {"--fabric-worker-cmd", "", "CMD",
+          "attach each worker by running /bin/sh -c CMD",
+          sim::setText(fabric_worker_cmd)},
+         {"--fabric-metrics-out", "", "PATH",
+          "write the metric snapshots merged from the workers to PATH",
+          sim::setText(fabric_metrics_out)}});
+    sim::parseOptions("run_all", table, argc, argv);
+
     if (fabric_workers > 0 && fabric_worker)
         fatal("run_all: --fabric=N and --fabric-worker are mutually "
               "exclusive (the coordinator spawns workers itself)");
-    if (fabric_workers > 0 &&
-        (no_cache || check::checkingEnabled())) {
+    if (fabric_workers > 0 && (d.noCache || d.check)) {
         fatal("run_all: --fabric needs the disk cache as its shared "
               "artifact plane; it cannot combine with --no-cache or "
               "--check");
     }
     if (fabric_workers > 0 &&
-        (!trace_out.empty() || !trace_in.empty())) {
+        (!d.traceOut.empty() || !d.traceIn.empty())) {
         fatal("run_all: --fabric does not combine with --trace-out/"
               "--trace-in (trace recording is per-process)");
     }
@@ -347,34 +282,15 @@ runAllMain(int argc, char **argv)
         fatal("run_all: --fabric-worker-cmd requires --fabric=N");
     if (fabric_workers == 0 && !fabric_metrics_out.empty())
         fatal("run_all: --fabric-metrics-out requires --fabric=N");
-    // A cached result was produced without the checkers watching;
-    // checking is only meaningful for runs that actually execute.
-    if (check::checkingEnabled())
-        no_cache = true;
-    configureRunCache(cache_dir, no_cache);
-    configureTracingFromFlags(trace_out, trace_in);
-
-    FigureOptions opt = FigureOptions::fromEnv();
-    // The protocol/topology knobs apply to every figure point (the
-    // worker must inherit them through its command line or env so the
-    // coordinator and workers build the same queue).
-    if (!protocol_flag.empty())
-        sim::parseProtocol(protocol_flag, opt.protocol);
-    if (numa_nodes != 0)
-        opt.numaNodes = numa_nodes;
-    if (!topology_flag.empty())
-        sim::parseTopology(topology_flag, opt.topology);
-    if (dir_occupancy >= 0)
-        opt.dirOccupancy = static_cast<unsigned>(dir_occupancy);
+    applyDriverOptions(d);
+    const FigureOptions &opt = d.fig;
 
     // Worker side of the fabric: same queue, leases in on stdin,
     // results out on stdout. Everything else about this process is
     // driven by the coordinator.
     if (fabric_worker) {
         RunAllQueue queue = buildRunAllQueue(opt);
-        fabric::FabricOptions fopt;
-        fopt.applyEnv();
-        return fabric::runWorker(queue.items, fopt.heartbeatMs);
+        return fabric::runWorker(queue.items);
     }
 
     // Global work queue: every leaf every figure needs, deduplicated
@@ -405,26 +321,18 @@ runAllMain(int argc, char **argv)
         }
         fabric::FabricOptions fopt;
         fopt.workers = fabric_workers;
-        fopt.applyEnv();
         if (!fabric_worker_cmd.empty()) {
             fopt.workerCommand = fabric_worker_cmd;
         } else {
-            fopt.workerArgv = {fabric::selfExePath(),
-                               "--fabric-worker",
-                               "--cache-dir=" + disk};
-            if (!protocol_flag.empty())
-                fopt.workerArgv.push_back("--protocol=" +
-                                          protocol_flag);
-            if (numa_nodes != 0)
-                fopt.workerArgv.push_back(
-                    "--numa-nodes=" + std::to_string(numa_nodes));
-            if (!topology_flag.empty())
-                fopt.workerArgv.push_back("--topology=" +
-                                          topology_flag);
-            if (dir_occupancy >= 0)
-                fopt.workerArgv.push_back(
-                    "--dir-occupancy=" +
-                    std::to_string(dir_occupancy));
+            // The worker must build the same queue: it inherits the
+            // environment, and the machine settings as resolved here.
+            fopt.workerArgv = {
+                fabric::selfExePath(), "--fabric-worker",
+                "--cache-dir=" + disk,
+                std::string("--protocol=") + sim::toString(opt.protocol),
+                "--numa-nodes=" + std::to_string(opt.numaNodes),
+                std::string("--topology=") + sim::toString(opt.topology),
+                "--dir-occupancy=" + std::to_string(opt.dirOccupancy)};
         }
         std::fprintf(stderr,
                      "run_all: fabric: %u worker(s), artifact plane "

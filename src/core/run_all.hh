@@ -42,22 +42,15 @@ RunAllQueue buildRunAllQueue(const FigureOptions &opt);
  * in order — emitting output byte-identical to running the individual
  * drivers back to back.
  *
- * Flags: `--jobs=N`, `--cache-dir=PATH`, `--no-cache` (as
- * figureMain); `--metrics-dir=DIR` writes one metrics document per
- * figure (DIR/<fig>.json, identical to the driver's --metrics-out);
- * `--stats-out=PATH` writes a JSON summary of the dedupe ratio and
- * cache hit counts; `--trace-out=DIR` / `--trace-in=DIR` record the
- * reference streams of execution-driven runs / replay the Figure
- * 12/13 sweeps from prior recordings (MIDDLESIM_TRACE=DIR sets both).
- *
- * Fabric flags: `--fabric=N` prefetches through N worker *processes*
- * instead of the thread pool (stdout stays byte-identical for any N,
- * worker loss included); `--fabric-worker-cmd=CMD` attaches each
- * worker by running `/bin/sh -c CMD` (e.g. ssh to another host)
- * instead of re-executing this binary; `--fabric-metrics-out=PATH`
- * writes the MetricSnapshot merge streamed back from the workers;
- * `--fabric-worker` runs the worker side of the line protocol on
- * stdin/stdout (spawned by the coordinator, not for interactive use).
+ * Options: the figure drivers' shared rows (driverOptions()) plus
+ * run_all's own output and fabric rows; `--help` lists them all.
+ * `--fabric=N` prefetches through N worker *processes* instead of the
+ * thread pool (stdout stays byte-identical for any N, worker loss
+ * included); `--fabric-worker-cmd=CMD` attaches each worker by running
+ * `/bin/sh -c CMD` (e.g. ssh to another host) instead of re-executing
+ * this binary; `--fabric-worker` runs the worker side of the line
+ * protocol on stdin/stdout (spawned by the coordinator, not for
+ * interactive use).
  *
  * @return 0 when every shape check of every figure passes.
  */

@@ -1,6 +1,5 @@
 #include "core/trace_run.hh"
 
-#include <cstdlib>
 #include <filesystem>
 
 #include "core/cache.hh"
@@ -49,20 +48,6 @@ configureTracing(const std::string &out_dir, const std::string &in_dir)
             gTraceOut.clear();
         }
     }
-}
-
-void
-configureTracingFromFlags(std::string out_dir, std::string in_dir)
-{
-    if (out_dir.empty() && in_dir.empty()) {
-        if (const char *env = std::getenv("MIDDLESIM_TRACE")) {
-            if (*env != '\0') {
-                out_dir = env;
-                in_dir = env;
-            }
-        }
-    }
-    configureTracing(out_dir, in_dir);
 }
 
 const std::string &

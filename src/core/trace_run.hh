@@ -39,13 +39,6 @@ namespace middlesim::core
 void configureTracing(const std::string &out_dir,
                       const std::string &in_dir);
 
-/**
- * Driver entry point: apply --trace-out / --trace-in values, falling
- * back to MIDDLESIM_TRACE (which sets both, i.e. record on miss and
- * replay on hit) when neither flag was given.
- */
-void configureTracingFromFlags(std::string out_dir, std::string in_dir);
-
 const std::string &traceOutDir();
 const std::string &traceInDir();
 

@@ -1,6 +1,5 @@
 #include "core/trace_tool.hh"
 
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -19,22 +18,94 @@ namespace middlesim::core
 namespace
 {
 
-int
-usage()
+/** The settings of every subcommand; each option table writes here. */
+struct ToolOptions
 {
+    /** record */
+    ExperimentSpec spec;
+    std::string out;
+    /** timeline */
+    std::uint64_t limit = 100;
+    /** replay */
+    std::uint64_t l2Kb = 0;
+    trace::ReplayOverrides overrides;
+};
+
+sim::OptionTable
+recordOptions(ToolOptions &o)
+{
+    ExperimentSpec &spec = o.spec;
+    return {
+        {"--out", "", "FILE", "write the recording to FILE (required)",
+         sim::setText(o.out)},
+        {"--workload", "", "specjbb|ecperf", "workload (default specjbb)",
+         [&spec](const std::string &v) {
+             if (v == "specjbb")
+                 spec.workload = WorkloadKind::SpecJbb;
+             else if (v == "ecperf")
+                 spec.workload = WorkloadKind::Ecperf;
+             else
+                 return std::string("specjbb or ecperf");
+             return std::string();
+         }},
+        {"--app-cpus", "", "N", "application CPUs (default 1)",
+         sim::setUint(spec.appCpus)},
+        {"--total-cpus", "", "N", "machine CPUs (default 1)",
+         sim::setUint(spec.totalCpus)},
+        {"--cpus-per-l2", "", "N", "CPUs sharing each L2 (default 1)",
+         sim::setUint(spec.cpusPerL2)},
+        {"--scale", "", "N",
+         "warehouses / injection rate (default 0: auto)",
+         sim::setUint(spec.scale)},
+        {"--seed", "", "N", "RNG seed (default 1)", sim::setU64(spec.seed)},
+        {"--warmup", "", "T", "warmup ticks (default 2000000)",
+         sim::setU64(spec.warmup)},
+        {"--measure", "", "T", "measured ticks (default 4000000)",
+         sim::setU64(spec.measure)},
+        {"--track-comm", "", "", "track per-line communication",
+         sim::setSwitch(spec.trackCommunication)},
+    };
+}
+
+sim::OptionTable
+timelineOptions(ToolOptions &o)
+{
+    return {{"--limit", "", "N", "annotations to print (default 100)",
+             sim::setU64(o.limit)}};
+}
+
+sim::OptionTable
+replayOptions(ToolOptions &o)
+{
+    return {
+        {"--l2-kb", "", "N", "replay with an N KB L2",
+         sim::setU64(o.l2Kb, UINT64_MAX >> 10)},
+        {"--cpus-per-l2", "", "N", "replay with N CPUs per L2",
+         sim::setUint(o.overrides.cpusPerL2)},
+    };
+}
+
+int
+usage(std::FILE *to, int status)
+{
+    ToolOptions o;
     std::fprintf(
-        stderr,
+        to,
         "usage: middlesim-trace <command> [args]\n"
         "  info FILE                  header + record counts\n"
         "  validate FILE              structural validation\n"
-        "  timeline FILE [--limit=N]  annotation timeline\n"
-        "  record --out=FILE [--workload=specjbb|ecperf --app-cpus=N\n"
-        "         --total-cpus=N --cpus-per-l2=N --scale=N --seed=N\n"
-        "         --warmup=T --measure=T --track-comm]\n"
-        "  replay FILE [--l2-kb=N --cpus-per-l2=N]\n"
+        "  timeline FILE [options]    annotation timeline\n"
+        "  record [options]           execution-driven run to --out\n"
+        "  replay FILE [options]      miss breakdown of a replay\n"
         "  sweep FILE                 Figure 12/13 cache sweep\n"
-        "  sharing FILE               Figure 16 shared-L2 what-if\n");
-    return 1;
+        "  sharing FILE               Figure 16 shared-L2 what-if\n"
+        "timeline options:\n%s"
+        "record options:\n%s"
+        "replay options:\n%s",
+        sim::optionsHelp(timelineOptions(o)).c_str(),
+        sim::optionsHelp(recordOptions(o)).c_str(),
+        sim::optionsHelp(replayOptions(o)).c_str());
+    return status;
 }
 
 /** Load a trace file or fail loudly. */
@@ -45,13 +116,6 @@ loadTrace(const std::string &path)
     if (!trace::readTraceFile(path, data))
         fatal("middlesim-trace: cannot read '", path, "'");
     return data;
-}
-
-/** Strict value of a numeric `--flag=N`, at most `hi`. */
-std::uint64_t
-numFlag(const std::string &arg, std::uint64_t hi = UINT_MAX)
-{
-    return sim::parseUintFlag("middlesim-trace", arg, 0, hi);
 }
 
 void
@@ -159,54 +223,9 @@ cmdTimeline(const std::string &path, std::uint64_t limit)
     return 0;
 }
 
-/** Parse the shared spec flags of `record`. */
-ExperimentSpec
-specFromFlags(const std::vector<std::string> &flags, std::string &out)
-{
-    ExperimentSpec spec;
-    spec.appCpus = 1;
-    spec.totalCpus = 1;
-    spec.warmup = 2'000'000;
-    spec.measure = 4'000'000;
-    for (const std::string &arg : flags) {
-        if (arg.rfind("--out=", 0) == 0) {
-            out = arg.substr(6);
-        } else if (arg.rfind("--workload=", 0) == 0) {
-            const std::string kind = arg.substr(11);
-            if (kind == "specjbb")
-                spec.workload = WorkloadKind::SpecJbb;
-            else if (kind == "ecperf")
-                spec.workload = WorkloadKind::Ecperf;
-            else
-                fatal("middlesim-trace: unknown workload '", kind, "'");
-        } else if (arg.rfind("--app-cpus=", 0) == 0) {
-            spec.appCpus = static_cast<unsigned>(numFlag(arg));
-        } else if (arg.rfind("--total-cpus=", 0) == 0) {
-            spec.totalCpus = static_cast<unsigned>(numFlag(arg));
-        } else if (arg.rfind("--cpus-per-l2=", 0) == 0) {
-            spec.cpusPerL2 = static_cast<unsigned>(numFlag(arg));
-        } else if (arg.rfind("--scale=", 0) == 0) {
-            spec.scale = static_cast<unsigned>(numFlag(arg));
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            spec.seed = numFlag(arg, UINT64_MAX);
-        } else if (arg.rfind("--warmup=", 0) == 0) {
-            spec.warmup = numFlag(arg, UINT64_MAX);
-        } else if (arg.rfind("--measure=", 0) == 0) {
-            spec.measure = numFlag(arg, UINT64_MAX);
-        } else if (arg == "--track-comm") {
-            spec.trackCommunication = true;
-        } else {
-            fatal("middlesim-trace: unknown record flag '", arg, "'");
-        }
-    }
-    return spec;
-}
-
 int
-cmdRecord(const std::vector<std::string> &flags)
+cmdRecord(const ExperimentSpec &spec, const std::string &out)
 {
-    std::string out;
-    const ExperimentSpec spec = specFromFlags(flags, out);
     if (out.empty())
         fatal("middlesim-trace: record requires --out=FILE");
     const TraceRecordOutcome rec = recordTraceRun(spec, out);
@@ -240,18 +259,8 @@ printMissBreakdown(const mem::CacheStats &s, std::uint64_t touched)
 }
 
 int
-cmdReplay(const std::string &path,
-          const std::vector<std::string> &flags)
+cmdReplay(const std::string &path, const trace::ReplayOverrides &overrides)
 {
-    trace::ReplayOverrides overrides;
-    for (const std::string &arg : flags) {
-        if (arg.rfind("--l2-kb=", 0) == 0)
-            overrides.l2SizeBytes = numFlag(arg, UINT64_MAX >> 10) << 10;
-        else if (arg.rfind("--cpus-per-l2=", 0) == 0)
-            overrides.cpusPerL2 = static_cast<unsigned>(numFlag(arg));
-        else
-            fatal("middlesim-trace: unknown replay flag '", arg, "'");
-    }
     HierarchyReplayOutcome out =
         replayTraceHierarchy(loadTrace(path), overrides);
     if (!out.valid)
@@ -330,41 +339,47 @@ int
 traceToolMain(int argc, char **argv)
 {
     if (argc < 2)
-        return usage();
+        return usage(stderr, 1);
     const std::string cmd = argv[1];
-    std::vector<std::string> rest;
-    for (int i = 2; i < argc; ++i)
-        rest.emplace_back(argv[i]);
-
-    if (cmd == "record")
-        return cmdRecord(rest);
-    if (rest.empty())
-        return usage();
-
-    const std::string path = rest.front();
-    rest.erase(rest.begin());
-    if (cmd == "info" && rest.empty())
-        return cmdInfo(path);
-    if (cmd == "validate" && rest.empty())
-        return cmdValidate(path);
-    if (cmd == "timeline") {
-        std::uint64_t limit = 100;
-        for (const std::string &arg : rest) {
-            if (arg.rfind("--limit=", 0) == 0)
-                limit = numFlag(arg, UINT64_MAX);
-            else
-                fatal("middlesim-trace: unknown timeline flag '", arg,
-                      "'");
-        }
-        return cmdTimeline(path, limit);
+    if (cmd == "--help")
+        return usage(stdout, 0);
+    ToolOptions o;
+    if (cmd == "record") {
+        o.spec.appCpus = o.spec.totalCpus = 1;
+        o.spec.warmup = 2'000'000;
+        o.spec.measure = 4'000'000;
+        sim::parseOptions("middlesim-trace record", recordOptions(o), argc,
+                          argv, 2);
+        return cmdRecord(o.spec, o.out);
     }
-    if (cmd == "replay")
-        return cmdReplay(path, rest);
-    if (cmd == "sweep" && rest.empty())
+    if (argc < 3)
+        return usage(stderr, 1);
+
+    // FILE comes first; "replay --help" still reaches the table.
+    const std::string path = argv[2];
+    const int first = path == "--help" ? 2 : 3;
+    if (cmd == "timeline") {
+        sim::parseOptions("middlesim-trace timeline", timelineOptions(o),
+                          argc, argv, first);
+        return cmdTimeline(path, o.limit);
+    }
+    if (cmd == "replay") {
+        sim::parseOptions("middlesim-trace replay", replayOptions(o), argc,
+                          argv, first);
+        o.overrides.l2SizeBytes = o.l2Kb << 10;
+        return cmdReplay(path, o.overrides);
+    }
+    if (argc > 3)
+        return usage(stderr, 1);
+    if (cmd == "info")
+        return cmdInfo(path);
+    if (cmd == "validate")
+        return cmdValidate(path);
+    if (cmd == "sweep")
         return cmdSweep(path);
-    if (cmd == "sharing" && rest.empty())
+    if (cmd == "sharing")
         return cmdSharing(path);
-    return usage();
+    return usage(stderr, 1);
 }
 
 } // namespace middlesim::core

@@ -13,17 +13,15 @@ namespace middlesim::core
 /**
  * main() body of the middlesim-trace driver.
  *
- * Subcommands:
+ * Subcommands (`middlesim-trace --help` also lists the options of
+ * timeline, record and replay, one table each):
  *   info FILE            header, record counts, annotation breakdown
  *   validate FILE        full structural validation (exit 0 iff valid)
  *   timeline FILE        annotation timeline (GC windows, mode
- *                        switches, migrations, ...) [--limit=N]
+ *                        switches, migrations, ...)
  *   record --out=FILE    execution-driven run recorded to FILE
- *                        [--workload=specjbb|ecperf --app-cpus=N
- *                         --total-cpus=N --cpus-per-l2=N --scale=N
- *                         --seed=N --warmup=T --measure=T --track-comm]
  *   replay FILE          replay into a rebuilt hierarchy and print the
- *                        miss breakdown [--l2-kb=N --cpus-per-l2=N]
+ *                        miss breakdown
  *   sweep FILE           replay into the paper's 64KB..16MB cache
  *                        sweep (Figures 12/13)
  *   sharing FILE         replay at every shared-L2 degree dividing the

@@ -6,6 +6,7 @@
 #include "check/shrink.hh"
 #include "explore/scheduler.hh"
 #include "sim/log.hh"
+#include "sim/metrics.hh"
 #include "sim/threadpool.hh"
 
 namespace middlesim::explore
@@ -183,28 +184,6 @@ mergeStats(ExploreStats &into, const ExploreStats &from)
     into.truncated = into.truncated || from.truncated;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(
-                              static_cast<unsigned char>(c)));
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 ExploreResult
@@ -295,7 +274,7 @@ reportJson(const ExploreResult &result, const ReportConfig &config)
     std::snprintf(buf, sizeof buf, "  \"dir_occupancy\": %u,\n",
                   config.dirOccupancy);
     out += buf;
-    out += "  \"inject\": \"" + jsonEscape(config.inject) + "\",\n";
+    out += "  \"inject\": \"" + sim::jsonEscape(config.inject) + "\",\n";
     std::snprintf(buf, sizeof buf,
                   "  \"depth_budget\": %u,\n  \"dpor\": %s,\n",
                   config.depthBudget, config.dpor ? "true" : "false");
@@ -326,9 +305,9 @@ reportJson(const ExploreResult &result, const ReportConfig &config)
     out += buf;
     if (result.foundViolation) {
         out += "  \"violation\": {\n";
-        out += "    \"invariant\": \"" + jsonEscape(result.invariant) +
-               "\",\n";
-        out += "    \"detail\": \"" + jsonEscape(result.detail) +
+        out += "    \"invariant\": \"" +
+               sim::jsonEscape(result.invariant) + "\",\n";
+        out += "    \"detail\": \"" + sim::jsonEscape(result.detail) +
                "\",\n";
         std::snprintf(
             buf, sizeof buf,
@@ -338,7 +317,7 @@ reportJson(const ExploreResult &result, const ReportConfig &config)
             result.shrinkProbes);
         out += buf;
         out += "    \"repro_path\": \"" +
-               jsonEscape(config.reproPath) + "\"\n  },\n";
+               sim::jsonEscape(config.reproPath) + "\"\n  },\n";
     } else {
         out += "  \"violation\": null,\n";
     }

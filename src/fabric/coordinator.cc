@@ -43,16 +43,6 @@ writeFull(int fd, const std::string &data)
     return true;
 }
 
-unsigned
-envMsOr(const char *name, unsigned def)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return def;
-    const long parsed = std::strtol(v, nullptr, 10);
-    return parsed >= 1 ? static_cast<unsigned>(parsed) : def;
-}
-
 /** One spawned (or attached) worker process. */
 struct WorkerProc
 {
@@ -136,7 +126,7 @@ class Coordinator
     Coordinator(const std::vector<FabricItem> &items,
                 const FabricOptions &opt, const ResultSink &sink)
         : items_(items), opt_(opt), sink_(sink),
-          table_(items.size(), opt.maxRequeues)
+          table_(items.size(), kMaxRequeues)
     {
         ids_.reserve(items.size());
         for (const FabricItem &item : items)
@@ -224,7 +214,7 @@ class Coordinator
         for (WorkerProc &w : workers_) {
             if (!w.alive || !w.helloOk || w.byeSent)
                 continue;
-            while (w.outstanding < opt_.maxOutstanding) {
+            while (w.outstanding < kMaxOutstanding) {
                 const auto lease = table_.acquire(w.id);
                 if (!lease)
                     return; // queue drained (for now)
@@ -388,7 +378,7 @@ class Coordinator
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     now - w.lastSeen)
                     .count();
-            if (silence > static_cast<long long>(opt_.timeoutMs)) {
+            if (silence > static_cast<long long>(kTimeoutMs)) {
                 markDead(w, "no heartbeat for " +
                                 std::to_string(silence) + " ms");
             }
@@ -478,14 +468,6 @@ class Coordinator
 };
 
 } // namespace
-
-void
-FabricOptions::applyEnv()
-{
-    heartbeatMs =
-        envMsOr("MIDDLESIM_FABRIC_HEARTBEAT_MS", heartbeatMs);
-    timeoutMs = envMsOr("MIDDLESIM_FABRIC_TIMEOUT_MS", timeoutMs);
-}
 
 FabricStats
 runCoordinator(const std::vector<FabricItem> &items,

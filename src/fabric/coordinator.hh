@@ -24,7 +24,7 @@ using ResultSink =
  * (opt.workerArgv, or `/bin/sh -c opt.workerCommand`), shard `items`
  * over them through the lease table, and merge RESULTs incrementally
  * through `sink`. Worker death (EOF, SIGKILL) or heartbeat silence
- * beyond opt.timeoutMs requeues that worker's leases under a bumped
+ * beyond kTimeoutMs requeues that worker's leases under a bumped
  * epoch; stale-epoch RESULTs are dropped. If every worker is lost (or
  * an item exhausts its requeue budget), the remaining items run
  * inline in this process, so the campaign always completes with every

@@ -46,22 +46,17 @@ struct FabricOptions
      * a remote worker.
      */
     std::string workerCommand;
-    /** Leases pipelined per worker (hides frame turnaround). */
-    unsigned maxOutstanding = 2;
-    /** Requeues before an item is left to the inline fallback. */
-    unsigned maxRequeues = 3;
-    /** Worker heartbeat period. */
-    unsigned heartbeatMs = 500;
-    /** Coordinator-side silence timeout before a worker is declared
-     *  dead and its leases requeued. */
-    unsigned timeoutMs = 20000;
-
-    /**
-     * Apply MIDDLESIM_FABRIC_HEARTBEAT_MS / MIDDLESIM_FABRIC_TIMEOUT_MS
-     * overrides (fault-injection tests shrink both).
-     */
-    void applyEnv();
 };
+
+/** Leases pipelined per worker (hides frame turnaround). */
+inline constexpr unsigned kMaxOutstanding = 2;
+/** Requeues before an item is left to the inline fallback. */
+inline constexpr unsigned kMaxRequeues = 3;
+/** Worker heartbeat period. */
+inline constexpr unsigned kHeartbeatMs = 500;
+/** Coordinator-side silence timeout before a worker is declared dead
+ *  and its leases requeued. */
+inline constexpr unsigned kTimeoutMs = 20000;
 
 struct FabricStats
 {

@@ -86,7 +86,7 @@ killAfterResults()
 } // namespace
 
 int
-runWorker(const std::vector<FabricItem> &items, unsigned heartbeat_ms)
+runWorker(const std::vector<FabricItem> &items)
 {
     ::signal(SIGPIPE, SIG_IGN);
 
@@ -188,7 +188,7 @@ runWorker(const std::vector<FabricItem> &items, unsigned heartbeat_ms)
         std::unique_lock<std::mutex> lock(hb_mutex);
         while (!hb_stop) {
             hb_cv.wait_for(lock,
-                           std::chrono::milliseconds(heartbeat_ms));
+                           std::chrono::milliseconds(kHeartbeatMs));
             if (hb_stop)
                 break;
             HeartbeatFrame hb;

@@ -16,7 +16,7 @@ namespace middlesim::fabric
  * process's stdin/stdout: exchange HELLOs (verifying protocol version
  * and queue hash against the locally derived `items`), then execute
  * LEASE frames and stream RESULTs until BYE or EOF. A background
- * thread emits HEARTBEATs every `heartbeat_ms` so the coordinator can
+ * thread emits HEARTBEATs every kHeartbeatMs so the coordinator can
  * distinguish a long-running point from a hung worker.
  *
  * stdout is re-pointed at /dev/null for the duration — the frame
@@ -26,8 +26,7 @@ namespace middlesim::fabric
  * @return 0 on orderly shutdown (BYE or EOF), 1 on protocol errors
  * (version/hash mismatch, malformed frames — diagnosed on stderr).
  */
-int runWorker(const std::vector<FabricItem> &items,
-              unsigned heartbeat_ms = 500);
+int runWorker(const std::vector<FabricItem> &items);
 
 } // namespace middlesim::fabric
 

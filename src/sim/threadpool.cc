@@ -1,15 +1,13 @@
 #include "sim/threadpool.hh"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include "sim/log.hh"
 
 namespace middlesim::sim
 {
 
 ThreadPool::ThreadPool(unsigned jobs)
-    : jobs_(jobs == 0 ? defaultJobs() : jobs)
+    : jobs_(jobs != 0 ? jobs
+                      : std::max(1u, std::thread::hardware_concurrency()))
 {
     if (jobs_ == 1)
         return; // inline execution, no workers
@@ -66,20 +64,6 @@ ThreadPool::parallelFor(std::size_t n,
         pending.push_back(submit([&body, i] { body(i); }));
     for (auto &f : pending)
         f.get();
-}
-
-unsigned
-ThreadPool::defaultJobs()
-{
-    if (const char *env = std::getenv("MIDDLESIM_JOBS")) {
-        const int jobs = std::atoi(env);
-        if (jobs >= 1)
-            return static_cast<unsigned>(jobs);
-        warn("MIDDLESIM_JOBS=", env, " invalid; using 1");
-        return 1;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
 }
 
 namespace

@@ -38,7 +38,10 @@ namespace middlesim::sim
 class ThreadPool
 {
   public:
-    /** @param jobs worker count; 0 selects defaultJobs(). */
+    /**
+     * @param jobs worker count; 0 selects the hardware concurrency
+     * (the drivers' --jobs / MIDDLESIM_JOBS go through setGlobalJobs).
+     */
     explicit ThreadPool(unsigned jobs = 0);
     ~ThreadPool();
 
@@ -79,12 +82,6 @@ class ThreadPool
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
-
-    /**
-     * Worker count for the process-wide pool: MIDDLESIM_JOBS if set
-     * (clamped to >= 1), else std::thread::hardware_concurrency().
-     */
-    static unsigned defaultJobs();
 
     /** Process-wide pool used by the experiment runner. */
     static ThreadPool &global();

@@ -25,8 +25,7 @@ bindir=${1:?usage: fabric_equivalence.sh <bench dir>}
 export MIDDLESIM_TIMESCALE=${MIDDLESIM_TIMESCALE:-0.05}
 export MIDDLESIM_RUNS=1
 unset MIDDLESIM_CACHE MIDDLESIM_QUICK MIDDLESIM_JOBS MIDDLESIM_CHECK
-unset MIDDLESIM_FABRIC_KILL_AFTER MIDDLESIM_FABRIC_HEARTBEAT_MS
-unset MIDDLESIM_FABRIC_TIMEOUT_MS
+unset MIDDLESIM_FABRIC_KILL_AFTER
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 crash() { echo "CRASH: $*" >&2; exit 2; }

@@ -11,11 +11,13 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "core/figures.hh"
 #include "core/figures_internal.hh"
 #include "core/paper.hh"
 #include "core/report.hh"
+#include "sim/args.hh"
 
 using namespace middlesim;
 using core::FigureOptions;
@@ -54,25 +56,39 @@ TEST(PaperData, Fig16Crossover)
     EXPECT_GT(jbb.yAt(8), jbb.yAt(1));
 }
 
+namespace
+{
+
+/** The figure options the shared driver rows read from the env. */
+FigureOptions
+optionsFromEnv()
+{
+    core::DriverOptions d;
+    sim::parseOptions("test_figures", core::driverOptions(d), 0, nullptr);
+    return d.fig;
+}
+
+} // namespace
+
 TEST(FigureOptions, FromEnvQuick)
 {
     setenv("MIDDLESIM_QUICK", "1", 1);
-    const auto opt = FigureOptions::fromEnv();
+    const auto opt = optionsFromEnv();
     EXPECT_EQ(opt.runs, 1u);
     EXPECT_LT(opt.timeScale, 1.0);
     unsetenv("MIDDLESIM_QUICK");
     setenv("MIDDLESIM_RUNS", "5", 1);
-    EXPECT_EQ(FigureOptions::fromEnv().runs, 5u);
+    EXPECT_EQ(optionsFromEnv().runs, 5u);
     unsetenv("MIDDLESIM_RUNS");
 }
 
 TEST(FigureOptions, TimescaleShrinksIntervalsProportionally)
 {
     setenv("MIDDLESIM_TIMESCALE", "0.25", 1);
-    const FigureOptions quarter = FigureOptions::fromEnv();
+    const FigureOptions quarter = optionsFromEnv();
     EXPECT_DOUBLE_EQ(quarter.timeScale, 0.25);
     unsetenv("MIDDLESIM_TIMESCALE");
-    const FigureOptions full = FigureOptions::fromEnv();
+    const FigureOptions full = optionsFromEnv();
     EXPECT_DOUBLE_EQ(full.timeScale, 1.0);
 
     // The scaled option must shrink every grid spec's warmup and
@@ -92,11 +108,15 @@ TEST(FigureOptions, TimescaleShrinksIntervalsProportionally)
         EXPECT_LT(specs_q[i].measure, specs_f[i].measure);
     }
 
-    // Zero and negative values are rejected, keeping the default.
+    // Zero and negative values are fatal errors naming the variable.
     setenv("MIDDLESIM_TIMESCALE", "0", 1);
-    EXPECT_DOUBLE_EQ(FigureOptions::fromEnv().timeScale, 1.0);
+    EXPECT_EXIT(optionsFromEnv(), testing::ExitedWithCode(1),
+                "test_figures: bad environment variable "
+                "MIDDLESIM_TIMESCALE='0'");
     setenv("MIDDLESIM_TIMESCALE", "-2", 1);
-    EXPECT_DOUBLE_EQ(FigureOptions::fromEnv().timeScale, 1.0);
+    EXPECT_EXIT(optionsFromEnv(), testing::ExitedWithCode(1),
+                "test_figures: bad environment variable "
+                "MIDDLESIM_TIMESCALE='-2'");
     unsetenv("MIDDLESIM_TIMESCALE");
 }
 
@@ -115,6 +135,40 @@ TEST(FigureOptions, Fig16SpecsCarryInterconnectSettings)
         EXPECT_EQ(spec.topology, opt.topology);
         EXPECT_EQ(spec.dirOccupancy, opt.dirOccupancy);
     }
+}
+
+namespace
+{
+
+/** A figure's printed report followed by its metrics document. */
+std::string
+render(const FigureResult &fig)
+{
+    std::ostringstream os;
+    core::printFigure(fig, os);
+    core::writeMetricsJson(os, fig.id, fig.metricsByPoint);
+    return os.str();
+}
+
+} // namespace
+
+TEST(FigureOptions, FigureMemosKeyOnEveryOption)
+{
+    // The Figure 12/13 and 14/15 memos are per process; a second call
+    // with other options must simulate those options, not return the
+    // first call's figure.
+    FigureOptions snoop;
+    snoop.runs = 1;
+    snoop.timeScale = 0.05;
+    FigureOptions directory = snoop;
+    directory.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    const std::string fig12_snoop = render(core::runFig12(snoop));
+    EXPECT_NE(render(core::runFig12(directory)), fig12_snoop);
+
+    FigureOptions longer = snoop;
+    longer.timeScale = 0.1;
+    const std::string fig14_short = render(core::runFig14(snoop));
+    EXPECT_NE(render(core::runFig14(longer)), fig14_short);
 }
 
 TEST(Report, RendersTablesAndVerdicts)
