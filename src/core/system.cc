@@ -7,6 +7,14 @@
 namespace middlesim::core
 {
 
+namespace
+{
+
+/** Idle poll period (cycles): how promptly a wakeup claims a CPU. */
+constexpr sim::Tick kIdlePoll = 500;
+
+} // namespace
+
 System::System(const SystemConfig &config, std::uint64_t seed)
     : cfg_(config), rng_(seed)
 {
@@ -116,17 +124,27 @@ System::runCpu(unsigned cpu, sim::Tick window_end)
     while (core.now() < window_end) {
         int tid = current_[cpu];
         if (tid < 0) {
-            tid = sched_->pickFor(cpu, core.now(), gcActive_);
+            const sim::Tick now = core.now();
+            tid = sched_->pickFor(cpu, now, gcActive_);
             if (tid < 0) {
-                // Idle in short quanta and re-poll: a wakeup (lock
-                // handoff, timer) must be able to claim this CPU
-                // promptly within the window.
+                // An idle CPU polls the scheduler every kIdlePoll
+                // cycles. No other CPU runs during this one's turn,
+                // so no poll before the scheduler's next chance can
+                // succeed: jump to the first poll boundary at or
+                // after it (or to the window end) with one summed
+                // idle charge.
+                const sim::Tick chance =
+                    sched_->nextChance(cpu, now, gcActive_);
+                sim::Tick until = window_end;
+                if (chance < window_end) {
+                    const sim::Tick polls =
+                        (chance - now + kIdlePoll - 1) / kIdlePoll;
+                    until = std::min(window_end, now + polls * kIdlePoll);
+                }
                 const bool gc_idle = gcActive_ &&
                     cpu < cfg_.machine.appCpus && cpu != cfg_.gcCpu;
-                const sim::Tick quantum = std::min<sim::Tick>(
-                    500, window_end - core.now());
-                sched_->accountIdle(cpu, quantum, gc_idle);
-                core.advanceTo(core.now() + quantum);
+                sched_->accountIdle(cpu, until - now, gc_idle);
+                core.advanceTo(until);
                 continue;
             }
             current_[cpu] = tid;

@@ -22,19 +22,7 @@ InOrderCore::advanceTo(sim::Tick t)
 }
 
 void
-InOrderCore::execInstructions(std::uint64_t n)
-{
-    cpi_.instructions += n;
-    const double cycles =
-        static_cast<double>(n) * params_.baseCpi + baseCarry_;
-    const auto whole = static_cast<sim::Tick>(cycles);
-    baseCarry_ = cycles - static_cast<double>(whole);
-    cpi_.base += whole;
-    now_ += whole;
-}
-
-void
-InOrderCore::fetchBlock(mem::Addr addr)
+InOrderCore::fetchThroughHierarchy(mem::Addr addr)
 {
     const mem::AccessResult res =
         mem_.access({addr, mem::AccessType::IFetch, cpuId_}, now_);

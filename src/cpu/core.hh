@@ -58,10 +58,29 @@ class InOrderCore
     void advanceTo(sim::Tick t);
 
     /** Charge execution cycles for `n` instructions (no memory). */
-    void execInstructions(std::uint64_t n);
+    void
+    execInstructions(std::uint64_t n)
+    {
+        cpi_.instructions += n;
+        const double cycles =
+            static_cast<double>(n) * params_.baseCpi + baseCarry_;
+        const auto whole = static_cast<sim::Tick>(cycles);
+        baseCarry_ = cycles - static_cast<double>(whole);
+        cpi_.base += whole;
+        now_ += whole;
+    }
 
-    /** Fetch the code block containing `addr`. */
-    void fetchBlock(mem::Addr addr);
+    /**
+     * Fetch the code block containing `addr`. An L1I hit's latency is
+     * covered by the base CPI; a plain hit is applied in place
+     * without a trip through Hierarchy::access().
+     */
+    void
+    fetchBlock(mem::Addr addr)
+    {
+        if (!mem_.fetchHitInPlace(cpuId_, addr))
+            fetchThroughHierarchy(addr);
+    }
 
     /** Blocking load. */
     void load(mem::Addr addr);
@@ -81,6 +100,9 @@ class InOrderCore
     void resetStats();
 
   private:
+    /** An I-fetch by way of Hierarchy::access(); charges any stall. */
+    void fetchThroughHierarchy(mem::Addr addr);
+
     /** Charge a data-access latency into the right Figure 7 bucket. */
     void chargeData(const mem::AccessResult &res);
 

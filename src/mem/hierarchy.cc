@@ -82,14 +82,11 @@ Hierarchy::accessImpl(const MemRef &ref, sim::Tick now)
 
     switch (ref.type) {
       case AccessType::IFetch: {
-        ++st.ifetches;
-        CacheArray &l1 = l1i_[ref.cpu];
-        if (CacheLine *line = l1.find(ref.addr)) {
-            l1.touch(*line);
-            ++st.l1iHits;
+        if (applyL1iHit(ref.cpu, ref.addr))
             return {lat_.l1Hit, ServedBy::L1, MissClass::None};
-        }
+        ++st.ifetches;
         AccessResult res = l2Access(ref, now, true, false);
+        CacheArray &l1 = l1i_[ref.cpu];
         CacheLine &frame = l1.victim(ref.addr);
         l1.install(frame, ref.addr, CoherenceState::Shared);
         return res;

@@ -106,6 +106,20 @@ class Hierarchy
         return res;
     }
 
+    /**
+     * Apply an I-fetch of `addr` by `cpu` in place when it hits the
+     * L1I and no hook (access observer, trace sink, sweep tap) is
+     * attached: the same effect as access() for that hit. Returns
+     * false, changing nothing, otherwise; the caller then goes
+     * through access().
+     */
+    bool
+    fetchHitInPlace(unsigned cpu, Addr addr)
+    {
+        return !observer_ && !traceSink_ && !sweepTap_ &&
+               applyL1iHit(cpu, addr);
+    }
+
     /** L2 group serving a CPU. */
     unsigned groupOf(unsigned cpu) const { return cpu / cfg_.cpusPerL2; }
 
@@ -247,6 +261,24 @@ class Hierarchy
   private:
     /** The access dispatch proper (observer hooks live in access()). */
     AccessResult accessImpl(const MemRef &ref, sim::Tick now);
+
+    /**
+     * The whole effect of an L1I hit (LRU touch, fetch and hit
+     * counts); false on a miss, which changes nothing.
+     */
+    bool
+    applyL1iHit(unsigned cpu, Addr addr)
+    {
+        CacheArray &l1 = l1i_[cpu];
+        CacheLine *line = l1.find(addr);
+        if (!line)
+            return false;
+        l1.touch(*line);
+        CacheStats &st = stats_[cpu];
+        ++st.ifetches;
+        ++st.l1iHits;
+        return true;
+    }
 
     AccessResult l2Access(const MemRef &ref, sim::Tick now,
                           bool is_instr, bool want_write);

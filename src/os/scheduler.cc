@@ -77,7 +77,7 @@ Scheduler::pickFor(unsigned cpu, sim::Tick now, bool gc_active)
     // the cache locality the paper's machine exhibits.
     if (cpu < appCpus_ && !gc_active && !runQueue_.empty()) {
         const std::size_t scan =
-            std::min<std::size_t>(runQueue_.size(), 64);
+            std::min(runQueue_.size(), kScanSlots);
         // Home threads first (cache affinity).
         for (std::size_t i = 0; i < scan; ++i) {
             const unsigned tid = runQueue_[i];
@@ -124,6 +124,22 @@ Scheduler::pickFor(unsigned cpu, sim::Tick now, bool gc_active)
         }
     }
     return -1;
+}
+
+sim::Tick
+Scheduler::nextChance(unsigned cpu, sim::Tick now, bool gc_active) const
+{
+    sim::Tick next = timers_.empty() ? kNever : timers_.top().first;
+    if (cpu < appCpus_ && !gc_active) {
+        const std::size_t scan = std::min(runQueue_.size(), kScanSlots);
+        for (std::size_t i = 0; i < scan; ++i) {
+            next = std::min(next, threads_[runQueue_[i]].queuedSince +
+                                      rechoose_);
+        }
+    }
+    sim_assert(next > now, "next scheduling chance ", next,
+               " not after the failed pick at ", now);
+    return next;
 }
 
 void

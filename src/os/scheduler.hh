@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -65,6 +66,24 @@ class Scheduler
      * thread transitions to Running.
      */
     int pickFor(unsigned cpu, sim::Tick now, bool gc_active);
+
+    /**
+     * The earliest time after `now` at which pickFor(cpu, t,
+     * gc_active) could succeed, given that it just failed at `now`
+     * and nothing else touches the scheduler in between; kNever when
+     * no such time exists. A failing pick changes state only by
+     * waking due timers, so the candidates are the earliest pending
+     * timer and, on a processor-set CPU outside a collection, the
+     * moment a thread in the scanned queue slots ages past the
+     * rechoose interval (home and never-run threads there would
+     * already have been picked). A stale timer (its thread already
+     * woken) counts too, so the answer may be early, never late.
+     */
+    sim::Tick nextChance(unsigned cpu, sim::Tick now,
+                         bool gc_active) const;
+
+    static constexpr sim::Tick kNever =
+        std::numeric_limits<sim::Tick>::max();
 
     /** Return a running thread to the run queue (timeslice expiry). */
     void yield(unsigned tid, sim::Tick now = 0);
@@ -118,6 +137,9 @@ class Scheduler
     void resetAccounting();
 
   private:
+    /** Run-queue slots pickFor scans for an app-set CPU. */
+    static constexpr std::size_t kScanSlots = 64;
+
     void wakeDue(sim::Tick now);
 
     unsigned totalCpus_;

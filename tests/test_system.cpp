@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/experiment.hh"
+#include "core/metrics_io.hh"
 #include "core/system.hh"
+#include "mem/access_observer.hh"
 
 using namespace middlesim;
 using core::BuiltWorkload;
@@ -28,6 +34,129 @@ tinySpec(WorkloadKind kind, unsigned cpus, unsigned scale = 0)
     spec.warmup = 2'000'000;
     spec.measure = 6'000'000;
     spec.seed = 11;
+    return spec;
+}
+
+/** Pass-through observer: counts references and changes nothing. */
+class CountingObserver : public mem::AccessObserver
+{
+  public:
+    void preAccess(const mem::MemRef &, sim::Tick) override { ++refs; }
+    void postAccess(const mem::MemRef &, const mem::AccessResult &,
+                    sim::Tick) override
+    {
+    }
+
+    std::uint64_t refs = 0;
+};
+
+// The field lists below must name every field: a new one breaks the
+// build here until the lockstep comparison covers it.
+static_assert(sizeof(mem::CacheStats) == 17 * sizeof(std::uint64_t));
+static_assert(sizeof(cpu::CpiBreakdown) == 9 * sizeof(std::uint64_t));
+static_assert(sizeof(os::ModeBreakdown) == 5 * sizeof(sim::Tick));
+
+std::vector<std::uint64_t>
+fields(const mem::CacheStats &s)
+{
+    return {s.ifetches, s.loads, s.stores, s.atomics, s.l1iHits,
+            s.l1dHits, s.l2Accesses, s.l2Hits, s.missCold,
+            s.missCoherence, s.missCapacity, s.c2cTransfers, s.upgrades,
+            s.writebacks, s.blockStores, s.instrMisses, s.dataMisses};
+}
+
+std::vector<std::uint64_t>
+fields(const cpu::CpiBreakdown &c)
+{
+    return {c.instructions, c.base, c.iStall, c.dsStoreBuf, c.dsRaw,
+            c.dsL2Hit, c.dsC2C, c.dsMemory, c.dsOther};
+}
+
+std::vector<std::uint64_t>
+fields(const os::ModeBreakdown &m)
+{
+    return {m.user, m.system, m.io, m.idle, m.gcIdle};
+}
+
+/** One System of a lockstep pair, optionally observed. */
+struct LockstepSide
+{
+    LockstepSide(const ExperimentSpec &spec, CountingObserver *obs)
+        : system(core::buildSystem(spec, workload))
+    {
+        system->memory().setAccessObserver(obs);
+    }
+
+    BuiltWorkload workload;
+    std::unique_ptr<System> system;
+};
+
+/** Require two Systems to agree on every per-CPU statistic. */
+void
+expectSameCpus(System &plain, System &observed)
+{
+    EXPECT_EQ(plain.now(), observed.now());
+    for (unsigned c = 0; c < plain.config().machine.totalCpus; ++c) {
+        SCOPED_TRACE("cpu " + std::to_string(c));
+        EXPECT_EQ(plain.core(c).now(), observed.core(c).now());
+        EXPECT_EQ(fields(plain.memory().cpuStats(c)),
+                  fields(observed.memory().cpuStats(c)));
+        EXPECT_EQ(fields(plain.core(c).breakdown()),
+                  fields(observed.core(c).breakdown()));
+        EXPECT_EQ(fields(plain.scheduler().modes(c)),
+                  fields(observed.scheduler().modes(c)));
+    }
+}
+
+/**
+ * Run `spec` plain and with a pass-through access observer, in the
+ * same steps, and require identical results. The observer forces
+ * every reference through Hierarchy::access(); the plain run applies
+ * L1I hits in place. The observer must also see every reference the
+ * plain run counted.
+ */
+void
+expectLockstep(const ExperimentSpec &spec)
+{
+    CountingObserver obs;
+    LockstepSide plain(spec, nullptr);
+    LockstepSide observed(spec, &obs);
+
+    plain.system->run(spec.warmup);
+    observed.system->run(spec.warmup);
+    expectSameCpus(*plain.system, *observed.system);
+
+    plain.system->beginMeasurement();
+    observed.system->beginMeasurement();
+    obs.refs = 0;
+    for (unsigned step = 0; step < 3; ++step) {
+        plain.system->run(spec.measure / 3);
+        observed.system->run(spec.measure / 3);
+        SCOPED_TRACE("measure step " + std::to_string(step));
+        expectSameCpus(*plain.system, *observed.system);
+    }
+    EXPECT_EQ(plain.system->txTotal(), observed.system->txTotal());
+
+    const mem::CacheStats all = plain.system->memory().aggregateAll();
+    EXPECT_EQ(obs.refs,
+              all.ifetches + all.loads + all.stores + all.atomics);
+    EXPECT_GT(all.l1iHits, 0u);
+
+    std::ostringstream plain_json, observed_json;
+    core::collectMetrics(*plain.system, spec, plain.workload)
+        .writeJson(plain_json);
+    core::collectMetrics(*observed.system, spec, observed.workload)
+        .writeJson(observed_json);
+    EXPECT_EQ(plain_json.str(), observed_json.str());
+}
+
+ExperimentSpec
+lockstepSpec()
+{
+    ExperimentSpec spec;
+    spec.warmup = 1'000'000;
+    spec.measure = 3'000'000;
+    spec.seed = 5;
     return spec;
 }
 
@@ -246,4 +375,37 @@ TEST(Experiment, SharedCacheConfigRuns)
     const auto r = core::runExperiment(spec);
     EXPECT_GT(r.txTotal, 50u);
     EXPECT_EQ(r.cache.c2cTransfers, 0u); // single shared L2
+}
+
+TEST(Lockstep, PlainRunMatchesPerReferenceRunOnE6000)
+{
+    expectLockstep(lockstepSpec());
+}
+
+TEST(Lockstep, PlainRunMatchesPerReferenceRunOnContendedMesh)
+{
+    ExperimentSpec spec = lockstepSpec();
+    spec.appCpus = 16;
+    spec.totalCpus = 16;
+    spec.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    spec.numaNodes = 4;
+    spec.topology = sim::Topology::Mesh;
+    spec.dirOccupancy = 4;
+    expectLockstep(spec);
+}
+
+TEST(Lockstep, PlainRunMatchesPerReferenceRunOnSharedL2s)
+{
+    ExperimentSpec spec = lockstepSpec();
+    spec.cpusPerL2 = 2;
+    expectLockstep(spec);
+}
+
+TEST(Lockstep, PlainRunMatchesPerReferenceRunOnEcperf)
+{
+    ExperimentSpec spec = lockstepSpec();
+    spec.workload = WorkloadKind::Ecperf;
+    spec.appCpus = 4;
+    spec.totalCpus = 8;
+    expectLockstep(spec);
 }
