@@ -149,47 +149,6 @@ echo "--- wall clock: figures-serial-sum ${serial_sum}s," \
      "cold run_all ${cold}s, warm run_all ${warm}s"
 echo "wrote $cache_json"
 
-# Experiment fabric: the same campaign sharded over N worker
-# processes, each leg from a cold artifact plane so the timing
-# measures the fabric, not a warm disk cache. On a 1-CPU container
-# every worker count times the same serialized machine, so
-# scaling_measured records whether the speedup column means anything.
-echo "################ experiment fabric (BENCH_fabric.json)"
-fabric_workers="1 2"
-case " $fabric_workers " in
-    *" $(nproc) "*) ;;
-    *) fabric_workers="$fabric_workers $(nproc)" ;;
-esac
-scaling_measured=true
-[ "$(nproc)" -eq 1 ] && scaling_measured=false
-
-fabric_json="BENCH_fabric.json"
-{
-    echo "{"
-    printf '  "schema": "middlesim-bench-fabric-v1",\n'
-    printf '  "single_process_cold_s": %s,\n' "$cold"
-} > "$fabric_json"
-fabric_summary=""
-for w in $fabric_workers; do
-    fdir=$(mktemp -d /tmp/middlesim_fabric_bench.XXXXXX)
-    time_run ./build/bench/run_all --fabric="$w" \
-        --cache-dir="$fdir" --stats-out=/dev/null
-    rm -rf "$fdir"
-    printf '  "fabric_workers_%s_s": %s,\n' "$w" "$elapsed_s" \
-        >> "$fabric_json"
-    fabric_summary="$fabric_summary ${w}w ${elapsed_s}s,"
-done
-{
-    printf '  "workers_measured": [%s],\n' \
-        "$(echo "$fabric_workers" | tr ' ' ',')"
-    printf '  "hardware_concurrency": %s,\n' "$(nproc)"
-    printf '  "scaling_measured": %s\n' "$scaling_measured"
-    echo "}"
-} >> "$fabric_json"
-echo "--- wall clock: single-process cold ${cold}s vs" \
-     "fabric${fabric_summary%,} (scaling_measured=$scaling_measured)"
-echo "wrote $fabric_json"
-
 # Trace capture & replay: fig12 execution-driven plain vs recording
 # (overhead of the attached TraceWriter), then fig12/fig13 rederived
 # purely from the recorded streams (--trace-in replays the sweep

@@ -441,7 +441,7 @@ MemChecker::postAccess(const mem::MemRef &ref,
         // Starvation accounting: the access path fails a transaction
         // forward after kDirRetryBound NACKed attempts and bumps the
         // livelock-break counter; every new break is a livelock the
-        // bounded-backoff argument (DESIGN.md §3.15) says cannot
+        // bounded-backoff argument (DESIGN.md §3.14) says cannot
         // happen on an honest contended home.
         const std::uint64_t breaks = dir_->livelockBreaks();
         if (breaks > lastLivelockBreaks_) {

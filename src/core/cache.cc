@@ -1,6 +1,5 @@
 #include "core/cache.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -563,12 +562,10 @@ RunCache::storeDisk(const std::string &kind, const std::string &key,
     w.str(payload);
     w.u64(sim::fnv1a64(payload));
 
-    // Unique temp name + rename keeps concurrent writers (threads or
-    // processes) from ever exposing a partial file.
-    static std::atomic<std::uint64_t> seq{0};
+    // A per-process, per-write temp name + rename keeps concurrent
+    // writers (threads or processes) from ever exposing a partial file.
     const std::string final_path = dir + "/" + cacheFileName(kind, key);
-    const std::string tmp_path =
-        final_path + ".tmp" + std::to_string(seq.fetch_add(1));
+    const std::string tmp_path = sim::tempPathFor(final_path);
     {
         std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
         if (!os) {

@@ -82,7 +82,6 @@ class RunCache
      * empty disables it. The in-process memo is always active.
      */
     void setDiskDir(std::string dir);
-    std::string diskDir() const;
 
     /** Memory-then-disk lookup. @return true and fill `payload`. */
     bool fetch(const std::string &kind, const std::string &key,
@@ -106,8 +105,8 @@ class RunCache
          * (truncated write observed mid-read by another process,
          * checksum mismatch, foreign schema). The caller re-simulates
          * and store() atomically rewrites the entry, so a corrupt
-         * artifact heals on the next touch — the fabric relies on
-         * this to share one artifact plane between processes.
+         * artifact heals on the next touch — processes that share
+         * one --cache-dir rely on this.
          */
         std::uint64_t corruptMisses = 0;
     };
@@ -123,6 +122,7 @@ class RunCache
         Corrupt,
     };
 
+    std::string diskDir() const;
     DiskLoad loadDisk(const std::string &kind, const std::string &key,
                       std::string &payload) const;
     void storeDisk(const std::string &kind, const std::string &key,

@@ -60,7 +60,7 @@ struct ExperimentSpec
     unsigned numaNodes = 1;
     /** Node interconnect (directory protocol): ring or 2-D mesh. */
     sim::Topology topology = sim::Topology::Ring;
-    /** Home in-flight slots (0 = contention-free, DESIGN.md §3.15). */
+    /** Home in-flight slots (0 = contention-free, DESIGN.md §3.14). */
     unsigned dirOccupancy = 0;
 
     /** Warehouses (SPECjbb) or Orders Injection Rate (ECperf);

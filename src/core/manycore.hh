@@ -21,7 +21,7 @@
  * it as an honesty flag.
  *
  * A contended companion grid re-runs 64/128/256 CPUs with the home
- * occupancy/NACK model armed (DESIGN.md §3.15) under both the ring
+ * occupancy/NACK model armed (DESIGN.md §3.14) under both the ring
  * and the dimension-ordered-XY mesh interconnect, re-deriving the
  * paper's Figure 14/15-style communication-latency distributions as
  * mem.dir.lat.* CDFs per point. Its shape checks pin the queueing

@@ -2,7 +2,7 @@
  * @file
  * The Hierarchy's directory-MESI access path.
  *
- * Transaction shapes (see DESIGN.md §3.14):
+ * Transaction shapes (see DESIGN.md §3.13):
  *
  *   GetS, no owner:    requester -> home -> memory data -> requester.
  *                      Grants Exclusive when the sharer vector is
@@ -27,7 +27,7 @@
  * critical path. With MachineConfig::dirOccupancy armed the request
  * additionally wins a home slot through the NACK/retry loop
  * (dirHomeAcquire) and queues on every interconnect link it crosses
- * (DESIGN.md §3.15).
+ * (DESIGN.md §3.14).
  *
  * Fault hooks (checker validation, never production): DropInvalidate
  * loses the invalidation in flight (stale copy survives, home clears
@@ -57,7 +57,7 @@ Hierarchy::dirHomeAcquire(Addr block, unsigned group, unsigned home,
     // exponentially growing backoff. Slot reservations and transient
     // windows are fixed ticks, so absent a nack-storm fault the
     // cumulative backoff always overtakes them within kDirRetryBound
-    // attempts (livelock freedom, DESIGN.md §3.15).
+    // attempts (livelock freedom, DESIGN.md §3.14).
     const sim::Tick round_trip = 2 * req_hops * lat_.hop;
     const sim::Tick transient_until = meta.transientUntil();
     sim::Tick extra = 0;

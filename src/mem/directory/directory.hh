@@ -25,7 +25,7 @@
  * protocol is active, so snooping-bus metric output is byte-identical
  * to before this subsystem existed.
  *
- * Contention plane (DESIGN.md §3.15, opt-in via
+ * Contention plane (DESIGN.md §3.14, opt-in via
  * MachineConfig::dirOccupancy): each home owns a bounded set of
  * in-flight transaction slots plus an epoch-utilization queue
  * mirroring the bus model's. A request finding every slot busy — or
@@ -59,7 +59,7 @@ namespace middlesim::mem
  * fault-free home always frees a slot (and a block always leaves its
  * transient window) inside the cumulative backoff horizon of this
  * many attempts — see the livelock-freedom argument in DESIGN.md
- * §3.15 — so exceeding it means starvation: the access fails forward
+ * §3.14 — so exceeding it means starvation: the access fails forward
  * and the checker raises `dir.livelock`.
  */
 inline constexpr unsigned kDirRetryBound = 16;

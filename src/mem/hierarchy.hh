@@ -304,7 +304,7 @@ class Hierarchy
 
     /**
      * Contended-mode home acquisition: the NACK/retry loop with
-     * bounded exponential backoff (DESIGN.md §3.15). Returns the
+     * bounded exponential backoff (DESIGN.md §3.14). Returns the
      * extra latency accumulated — NACK round trips, backoff waits and
      * the home's utilization-queue delay — and marks the block's
      * transient window on success. 0 when the plane is disabled.

@@ -97,36 +97,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-void
-MetricSnapshot::merge(const MetricSnapshot &other)
-{
-    for (const auto &[name, v] : other.counters)
-        counters[name] += v;
-    for (const auto &[name, v] : other.gauges)
-        gauges[name] += v;
-    for (const auto &[name, h] : other.histograms) {
-        HistogramData &mine = histograms[name];
-        mine.count += h.count;
-        mine.sum += h.sum;
-        if (mine.buckets.size() < h.buckets.size())
-            mine.buckets.resize(h.buckets.size(), 0);
-        for (std::size_t b = 0; b < h.buckets.size(); ++b)
-            mine.buckets[b] += h.buckets[b];
-    }
-    for (const auto &[name, s] : other.series) {
-        SeriesData &mine = series[name];
-        if (mine.period == 0)
-            mine.period = s.period;
-        if (mine.values.size() < s.values.size())
-            mine.values.resize(s.values.size(), 0.0);
-        for (std::size_t i = 0; i < s.values.size(); ++i)
-            mine.values[i] += s.values[i];
-    }
-    events.insert(events.end(), other.events.begin(),
-                  other.events.end());
-    eventsDropped += other.eventsDropped;
-}
-
 namespace
 {
 

@@ -12,12 +12,10 @@
  * histograms, series, the journal) is written on cold paths only.
  *
  * A snapshot() freezes the registry into a MetricSnapshot — a sorted,
- * plain-data view that can be merged across runs (counters and
- * histograms sum; gauges sum, so keep them to totals or per-run
- * values) and serialized to the stable metrics JSON schema (see
+ * plain-data view serialized to the stable metrics JSON schema (see
  * EXPERIMENTS.md). Because each parallel grid point owns its private
  * registry and snapshots are taken before results are handed back,
- * merged or serialized output is byte-identical for any --jobs count.
+ * serialized output is byte-identical for any --jobs count.
  */
 
 #ifndef SIM_METRICS_HH
@@ -177,7 +175,7 @@ class EventJournal
 };
 
 /**
- * Frozen, plain-data view of a registry: sorted by name, mergeable,
+ * Frozen, plain-data view of a registry: sorted by name,
  * serializable. This is what travels from a grid-point simulation
  * back to the runner thread.
  */
@@ -202,14 +200,6 @@ struct MetricSnapshot
     std::map<std::string, SeriesData> series;
     std::vector<EventJournal::Event> events;
     std::uint64_t eventsDropped = 0;
-
-    /**
-     * Accumulate `other`: counters, gauges, histogram buckets and
-     * series bins sum (series of unequal length extend to the longer
-     * one); events concatenate. Merging is commutative up to event
-     * order, and exact for all numeric fields.
-     */
-    void merge(const MetricSnapshot &other);
 
     /**
      * Append this snapshot as a JSON object (stable field order,

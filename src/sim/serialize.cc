@@ -1,6 +1,8 @@
 #include "sim/serialize.hh"
 
-#include <utility>
+#include <unistd.h>
+
+#include <atomic>
 
 namespace middlesim::sim
 {
@@ -33,68 +35,12 @@ hashHex(std::uint64_t h)
     return s;
 }
 
-void
-appendFrame(std::string &buf, std::string_view payload)
+std::string
+tempPathFor(const std::string &final_path)
 {
-    const auto n = static_cast<std::uint32_t>(payload.size());
-    for (unsigned i = 0; i < 4; ++i)
-        buf.push_back(static_cast<char>((n >> (8 * i)) & 0xff));
-    buf.append(payload.data(), payload.size());
-}
-
-void
-FrameSplitter::feed(const char *data, std::size_t n)
-{
-    if (!failed_)
-        buf_.append(data, n);
-}
-
-bool
-FrameSplitter::next(std::string &frame)
-{
-    if (failed_ || buf_.size() < 4)
-        return false;
-    std::uint32_t len = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-        len |= static_cast<std::uint32_t>(
-                   static_cast<std::uint8_t>(buf_[i]))
-               << (8 * i);
-    }
-    if (len > maxFrameBytes) {
-        fail("frame length " + std::to_string(len) + " at byte " +
-             std::to_string(consumed_) + " exceeds the " +
-             std::to_string(maxFrameBytes) + "-byte cap");
-        return false;
-    }
-    if (buf_.size() < 4u + len)
-        return false;
-    frame.assign(buf_, 4, len);
-    buf_.erase(0, 4u + len);
-    consumed_ += 4u + len;
-    return true;
-}
-
-bool
-FrameSplitter::finish()
-{
-    if (failed_)
-        return false;
-    if (!buf_.empty()) {
-        fail("stream ends mid-frame at byte " +
-             std::to_string(consumed_) + " (" +
-             std::to_string(buf_.size()) + " trailing bytes, no "
-             "complete length-prefixed frame)");
-        return false;
-    }
-    return true;
-}
-
-void
-FrameSplitter::fail(std::string msg)
-{
-    failed_ = true;
-    error_ = std::move(msg);
-    buf_.clear();
+    static std::atomic<std::uint64_t> seq{0};
+    return final_path + ".tmp" + std::to_string(::getpid()) + "." +
+           std::to_string(seq.fetch_add(1));
 }
 
 } // namespace middlesim::sim

@@ -1,6 +1,7 @@
 /**
  * @file
- * Exact binary serialization helpers and content hashing.
+ * Exact binary serialization helpers, content hashing, and the
+ * temp-file naming shared by the writers of cache entries and traces.
  *
  * ByteWriter/ByteReader implement a tiny little-endian byte stream
  * used by the run-result cache and the reference-trace format:
@@ -280,60 +281,14 @@ class ByteReader
     bool ok_ = true;
 };
 
-// ---------------------------------------------------------------------
-// Length-prefixed framing (the experiment-fabric wire format)
-// ---------------------------------------------------------------------
-
 /**
- * Largest frame a peer may send (64 MiB). A length prefix beyond this
- * is treated as stream corruption, never as an allocation request.
+ * A temp-file name for writing `final_path` before renaming it into
+ * place: "<final_path>.tmp<pid>.<seq>", with `seq` a process-wide
+ * counter. Unique across the threads of one process and across the
+ * processes sharing one directory, so two writers of the same entry
+ * never write or rename each other's partial file.
  */
-inline constexpr std::uint32_t maxFrameBytes = 64u << 20;
-
-/** Append one frame: 4-byte little-endian length, then the payload. */
-void appendFrame(std::string &buf, std::string_view payload);
-
-/**
- * Incremental splitter for a stream of length-prefixed frames, fed
- * from nonblocking reads of a pipe or socket. Corruption (a length
- * prefix over maxFrameBytes) and truncation (EOF mid-frame, reported
- * by the caller via finish()) produce errors naming the absolute byte
- * offset of the fault; after a failure the splitter yields nothing.
- */
-class FrameSplitter
-{
-  public:
-    /** Buffer `n` more stream bytes. */
-    void feed(const char *data, std::size_t n);
-
-    /**
-     * Extract the next complete frame payload into `frame`.
-     * @return false when no complete frame is buffered (or failed()).
-     */
-    bool next(std::string &frame);
-
-    /**
-     * Declare end-of-stream: any partially buffered frame becomes a
-     * truncation error. @return true when the stream ended cleanly on
-     * a frame boundary.
-     */
-    bool finish();
-
-    bool failed() const { return failed_; }
-    const std::string &error() const { return error_; }
-
-    /** Total stream bytes consumed into complete frames so far. */
-    std::uint64_t consumed() const { return consumed_; }
-
-  private:
-    void fail(std::string msg);
-
-    std::string buf_;
-    /** Absolute stream offset of buf_[0]. */
-    std::uint64_t consumed_ = 0;
-    bool failed_ = false;
-    std::string error_;
-};
+std::string tempPathFor(const std::string &final_path);
 
 } // namespace middlesim::sim
 

@@ -172,7 +172,7 @@ TraceWriter::TraceWriter(TraceHeader header, const std::string &path)
 {
     fileMode_ = true;
     path_ = path;
-    tmpPath_ = path + ".tmp";
+    tmpPath_ = sim::tempPathFor(path);
     file_.open(tmpPath_, std::ios::binary | std::ios::trunc);
     if (!file_)
         warn("trace: cannot open '", tmpPath_, "' for writing");

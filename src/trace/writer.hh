@@ -34,8 +34,9 @@ bool decodeHeader(sim::ByteReader &r, TraceHeader &out,
  * Two modes:
  *  - in-memory (default): the whole trace accumulates in a buffer and
  *    take() returns the finished bytes;
- *  - file-backed: records stream through a bounded buffer into
- *    `path`.tmp, and close() atomically renames the finished file
+ *  - file-backed: records stream through a bounded buffer into a
+ *    temp file beside `path` (sim::tempPathFor, unique per process
+ *    and writer), and close() atomically renames the finished file
  *    into place — memory use stays flat for arbitrarily long runs.
  *
  * The record-region checksum is maintained incrementally, so neither
@@ -47,7 +48,7 @@ class TraceWriter final : public mem::TraceSink
     /** In-memory recording. */
     explicit TraceWriter(TraceHeader header);
 
-    /** File-backed recording into `path` (written as path + ".tmp"). */
+    /** File-backed recording into `path` (via a temp file beside it). */
     TraceWriter(TraceHeader header, const std::string &path);
 
     /** A file-backed writer left unclosed discards its temp file. */

@@ -297,5 +297,5 @@ TEST_F(Args, FigureDriversAndRunAllShareTheMachineRows)
     EXPECT_EXIT(core::runAllMain(all.argc(), all.argv()),
                 testing::ExitedWithCode(1),
                 std::string("run_all: unknown flag '--bogus' ") + machine +
-                    ".*--fabric-metrics-out=PATH");
+                    ".*--stats-out=PATH");
 }

@@ -424,7 +424,8 @@ TEST_F(CacheTest, CorruptCacheFilesDegradeToMisses)
 
     // After the re-simulation the repaired file serves hits again
     // (miss-and-rewrite: the store healed the corrupt entry, exactly
-    // what a second fabric process observing a torn write relies on).
+    // what processes sharing one --cache-dir rely on when one of them
+    // observes another's torn write).
     core::RunCache::global().clearMemory();
     core::RunCache::global().resetStats();
     expectIdentical(fresh, core::cachedRunExperiment(spec));

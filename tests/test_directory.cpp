@@ -19,7 +19,7 @@
  *    dictates, experiment cache keys separate protocol/topology, and
  *    traces round-trip the new header fields.
  *
- * Contention plane (DESIGN.md §3.15):
+ * Contention plane (DESIGN.md §3.14):
  *  - property: random request/NACK/retry/ack sequences against the
  *    home occupancy model stay within the named retry bound, charge
  *    bounded queue delays, and eventually drain — over 1000 seeded

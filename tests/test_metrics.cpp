@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the unified observability layer: metric registry
- * handle semantics, journal bounding, snapshot merge arithmetic, and
- * the deterministic JSON serialization.
+ * handle semantics, journal bounding, snapshots, and the
+ * deterministic JSON serialization.
  */
 
 #include <gtest/gtest.h>
@@ -170,61 +170,6 @@ TEST(MetricRegistry, SnapshotFreezesAllKinds)
     EXPECT_EQ(zero.histograms.at("a.dist").count, 0u);
     EXPECT_TRUE(zero.series.at("a.wave").values.empty());
     EXPECT_TRUE(zero.events.empty());
-}
-
-TEST(MetricSnapshot, MergeSumsAndConcatenates)
-{
-    MetricRegistry a;
-    a.counter("n").inc(3);
-    a.gauge("g").set(1.5);
-    a.histogram("h").add(2);
-    a.series("s", 100).push(1.0);
-    a.journal().record(1, "e", "a");
-
-    MetricRegistry b;
-    b.counter("n").inc(4);
-    b.counter("only_b").inc(9);
-    b.gauge("g").set(2.5);
-    b.histogram("h").add(70); // longer bucket vector than a's
-    b.series("s", 100).push(2.0);
-    b.series("s", 100).push(3.0);
-    b.journal().record(2, "e", "b");
-
-    MetricSnapshot m = a.snapshot();
-    m.merge(b.snapshot());
-
-    EXPECT_EQ(m.counters.at("n"), 7u);
-    EXPECT_EQ(m.counters.at("only_b"), 9u);
-    EXPECT_DOUBLE_EQ(m.gauges.at("g"), 4.0);
-    EXPECT_EQ(m.histograms.at("h").count, 2u);
-    EXPECT_EQ(m.histograms.at("h").sum, 72u);
-    ASSERT_EQ(m.histograms.at("h").buckets.size(), 7u);
-    EXPECT_EQ(m.histograms.at("h").buckets[1], 1u);
-    EXPECT_EQ(m.histograms.at("h").buckets[6], 1u);
-    ASSERT_EQ(m.series.at("s").values.size(), 2u);
-    EXPECT_DOUBLE_EQ(m.series.at("s").values[0], 3.0);
-    EXPECT_DOUBLE_EQ(m.series.at("s").values[1], 3.0);
-    ASSERT_EQ(m.events.size(), 2u);
-}
-
-TEST(MetricSnapshot, MergeIsOrderIndependentForNumerics)
-{
-    MetricRegistry a;
-    a.counter("n").inc(3);
-    a.histogram("h").add(5);
-    MetricRegistry b;
-    b.counter("n").inc(11);
-    b.histogram("h").add(900);
-
-    MetricSnapshot ab = a.snapshot();
-    ab.merge(b.snapshot());
-    MetricSnapshot ba = b.snapshot();
-    ba.merge(a.snapshot());
-
-    EXPECT_EQ(ab.counters, ba.counters);
-    EXPECT_EQ(ab.histograms.at("h").count, ba.histograms.at("h").count);
-    EXPECT_EQ(ab.histograms.at("h").buckets,
-              ba.histograms.at("h").buckets);
 }
 
 TEST(MetricsJson, EscapesControlAndQuoteCharacters)

@@ -18,7 +18,6 @@
 #include "core/experiment.hh"
 #include "core/metrics_io.hh"
 #include "mem/hierarchy.hh"
-#include "sim/metrics.hh"
 #include "sim/threadpool.hh"
 
 using namespace middlesim;
@@ -230,28 +229,6 @@ TEST(ParallelRunner, MetricsJsonIsByteIdenticalAcrossJobCounts)
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel); // jobs=1 vs jobs=4
     EXPECT_EQ(parallel, again);  // same-seed rerun
-}
-
-TEST(ParallelRunner, MergedSnapshotIsJobCountInvariant)
-{
-    const core::ExperimentSpec spec = smallSpec();
-
-    auto mergedJson = [&spec] {
-        const auto results = core::runRepeated(spec, 3);
-        sim::MetricSnapshot merged;
-        for (const auto &res : results)
-            merged.merge(*res.metrics);
-        std::ostringstream os;
-        merged.writeJson(os);
-        return os.str();
-    };
-
-    sim::ThreadPool::setGlobalJobs(1);
-    const std::string serial = mergedJson();
-    sim::ThreadPool::setGlobalJobs(4);
-    const std::string parallel = mergedJson();
-    sim::ThreadPool::setGlobalJobs(1);
-    EXPECT_EQ(serial, parallel);
 }
 
 TEST(HierarchyGuard, RejectsMoreL2GroupsThanSnoopCeiling)

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -48,6 +49,17 @@ makeTempDir()
     const char *dir = mkdtemp(tmpl);
     EXPECT_NE(dir, nullptr);
     return dir ? dir : "/tmp";
+}
+
+/** File names in `dir`, sorted (temp files included). */
+std::vector<std::string>
+dirEntries(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 /** Field-by-field equality of two per-CPU cache statistics records. */
@@ -302,8 +314,8 @@ TEST(TraceFormat, FileBackedRecordingMatchesInMemory)
     std::string from_file;
     ASSERT_TRUE(trace::readTraceFile(path, from_file));
     EXPECT_EQ(from_file, in_memory); // byte-identical artifacts
-    EXPECT_FALSE(
-        std::filesystem::exists(path + ".tmp")); // tmp renamed away
+    EXPECT_EQ(dirEntries(dir),
+              std::vector<std::string>{"file.mst"}); // tmp renamed away
 
     std::filesystem::remove_all(dir);
 }
@@ -319,8 +331,7 @@ TEST(TraceFormat, AbandonedFileWriterLeavesNoArtifact)
         w.ref(ref, 1);
         // destroyed without close(): crash-equivalent abandonment
     }
-    EXPECT_FALSE(std::filesystem::exists(path));
-    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    EXPECT_TRUE(dirEntries(dir).empty()); // neither file nor tmp
     std::filesystem::remove_all(dir);
 }
 
