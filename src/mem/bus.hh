@@ -85,16 +85,6 @@ class Bus
             : 0.0;
     }
 
-    /** Utilization over [0, horizon]. */
-    double
-    utilization(sim::Tick horizon) const
-    {
-        return horizon
-            ? static_cast<double>(busyCycles_) /
-              static_cast<double>(horizon)
-            : 0.0;
-    }
-
     void
     reset()
     {

@@ -1,13 +1,13 @@
 /**
  * @file
- * MOSI coherence states and transition helpers.
+ * Coherence states (the MOSI and MESI subsets) and their helpers.
  *
  * The E6000's Gigaplane bus implements an ownership-based snooping
  * protocol; a processor holding a line in Modified or Owned state
  * supplies it to a requester with a "snoop copyback" — the
  * cache-to-cache transfer the paper measures via cpustat. We model a
  * MOSI protocol at the L2 level (L1s are write-through and subordinate
- * to their L2).
+ * to their L2); the many-core directory protocol uses MESI.
  */
 
 #ifndef MEM_COHERENCE_HH
@@ -34,24 +34,6 @@ enum class CoherenceState : std::uint8_t
     Modified = 3,
     Exclusive = 4,
 };
-
-/** Bus request kinds issued on an L2 miss or upgrade. */
-enum class BusRequest : std::uint8_t
-{
-    /** Read for sharing (load or ifetch miss). */
-    GetS,
-    /** Read for ownership (store/atomic miss). */
-    GetM,
-    /** Ownership upgrade: requester already holds Shared data. */
-    Upgrade,
-};
-
-/** True if the state grants read permission. */
-constexpr bool
-canRead(CoherenceState s)
-{
-    return s != CoherenceState::Invalid;
-}
 
 /**
  * True if the state grants write permission without any coherence
@@ -99,16 +81,6 @@ constexpr CoherenceState
 peerAfterGetS(CoherenceState s)
 {
     return s == CoherenceState::Modified ? CoherenceState::Owned : s;
-}
-
-/**
- * State of a snooping peer after observing a remote GetM or Upgrade:
- * everyone else invalidates.
- */
-constexpr CoherenceState
-peerAfterGetM(CoherenceState)
-{
-    return CoherenceState::Invalid;
 }
 
 /** Human-readable state name. */

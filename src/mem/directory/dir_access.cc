@@ -1,6 +1,10 @@
 /**
  * @file
- * The Hierarchy's directory-MESI access path.
+ * The directory-MESI steps of the Hierarchy's L2 path: the claim
+ * (dirClaim), the fetch (dirFetch), the sharer invalidation, the home
+ * acquisition and the replacement notice. Hits, miss classification,
+ * eviction and install are shared with the snooping bus in
+ * hierarchy.cc.
  *
  * Transaction shapes (see DESIGN.md §3.13):
  *
@@ -16,8 +20,8 @@
  *                      dirty data to the requester. Requester ends
  *                      Modified, the vector collapses to it alone.
  *   Store hit on E:    silent E->M upgrade — no message at all.
- *   Replacement:       PutS/PutE/PutM notice (dirHandlePut in
- *                      hierarchy.cc) keeps the vector exact.
+ *   Replacement:       PutS/PutE/PutM notice (dirHandlePut) keeps
+ *                      the vector exact.
  *
  * Latency: every home transaction pays directoryLookup plus hop-count
  * topology distance (ring or dimension-ordered XY mesh) each way; a
@@ -91,8 +95,7 @@ Hierarchy::dirHomeAcquire(Addr block, unsigned group, unsigned home,
 
 bool
 Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
-                                bool want_data, LineMeta meta,
-                                unsigned &inval_count)
+                                bool want_data, LineMeta meta)
 {
     bool supplied = false;
     const unsigned home = dir_->homeOf(block);
@@ -100,7 +103,6 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
     const GroupBitsCopy targets(sharers);
     targets.bits().forEachSetExcept(group, [&](unsigned g) {
         ++dir_->invalidationsSent();
-        ++inval_count;
         dir_->chargeHops(home, dir_->nodeOfGroup(g), 2);
         CacheLine *peer = l2_[g].find(block);
         sim_assert(peer || fault_,
@@ -132,117 +134,65 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
     return supplied;
 }
 
-AccessResult
-Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
-                             bool is_instr, bool want_write)
+sim::Tick
+Hierarchy::dirClaim(Addr block, unsigned group, bool upgrade,
+                    LineMeta meta, sim::Tick now)
 {
-    CacheStats &st = stats_[ref.cpu];
-    const unsigned group = groupOf(ref.cpu);
-    CacheArray &l2 = l2_[group];
-    const Addr block = l2.blockAddr(ref.addr);
-
-    ++st.l2Accesses;
-    if (trackComm_)
-        recordTouched(meta_[block]);
-
-    CacheLine *line = l2.find(ref.addr);
-    if (line && (!want_write || canWrite(line->state))) {
-        l2.touch(*line);
-        ++st.l2Hits;
-        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-    }
-    if (line && line->state == CoherenceState::Exclusive) {
-        // Silent E->M upgrade: the directory already records this
-        // group as owner; no message leaves the node.
-        line->state = CoherenceState::Modified;
-        l2.touch(*line);
-        ++st.l2Hits;
-        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-    }
-
     const unsigned my_node = dir_->nodeOfGroup(group);
     const unsigned home = dir_->homeOf(block);
     const unsigned req_hops = dir_->hops(my_node, home);
-    const LineMeta meta = meta_[block];
-
-    if (line) {
-        // Shared: ownership upgrade through the home.
-        ++dir_->upgrades();
-        dir_->chargeHops(my_node, home, 2);
-        const sim::Tick contention =
-            dirHomeAcquire(block, group, home, req_hops, meta, now) +
-            dir_->linkTraverse(my_node, home, lat_.hop) +
-            dir_->linkTraverse(home, my_node, lat_.hop);
-        unsigned invals = 0;
-        dirInvalidateSharers(block, group, false, meta, invals);
-        meta.sharers().set(group);
-        meta.setOwner(static_cast<std::int32_t>(group));
-        line->state = CoherenceState::Modified;
-        l2.touch(*line);
-        ++st.upgrades;
-        const sim::Tick latency = lat_.upgrade + lat_.directoryLookup +
-                                  2 * req_hops * lat_.hop + contention;
-        return {latency, ServedBy::UpgradeOnly, MissClass::None};
-    }
-
-    // L2 miss: GetS/GetM to the block's home.
-    const MissClass mclass = classifyMiss(meta, group);
-    bool peer_supplied = false;
-    sim::Tick data_leg = lat_.memory;
+    ++(upgrade ? dir_->upgrades() : dir_->getM());
     dir_->chargeHops(my_node, home, 2);
-    if (req_hops == 0)
-        ++dir_->localMisses();
-    else
-        ++dir_->remoteMisses();
+    const sim::Tick contention =
+        dirHomeAcquire(block, group, home, req_hops, meta, now) +
+        dir_->linkTraverse(my_node, home, lat_.hop) +
+        dir_->linkTraverse(home, my_node, lat_.hop);
+    dirInvalidateSharers(block, group, false, meta);
+    meta.sharers().set(group);
+    meta.setOwner(static_cast<std::int32_t>(group));
+    return lat_.directoryLookup + 2 * req_hops * lat_.hop + contention;
+}
+
+Hierarchy::Fetch
+Hierarchy::dirFetch(Addr block, unsigned group, bool want_write,
+                    LineMeta meta, sim::Tick now)
+{
+    const auto self = static_cast<std::int32_t>(group);
+    const unsigned my_node = dir_->nodeOfGroup(group);
+    const unsigned home = dir_->homeOf(block);
+    const unsigned req_hops = dir_->hops(my_node, home);
+    dir_->chargeHops(my_node, home, 2);
+    ++(req_hops == 0 ? dir_->localMisses() : dir_->remoteMisses());
     // Contended mode: win a home slot (NACK/retry/backoff), then
-    // queue the request leg onto the interconnect links. The response
-    // leg is charged per branch below — it runs home -> requester, or
-    // along the forward path when an owner supplies the data.
+    // queue the request leg onto the interconnect links.
     sim::Tick contention =
         dirHomeAcquire(block, group, home, req_hops, meta, now) +
         dir_->linkTraverse(my_node, home, lat_.hop);
 
+    bool peer_supplied = false;
+    // The recorded owner whose copy supplies the data; -1 when the
+    // home answers from memory, or when injected faults left a rogue
+    // M copy that no owner record names (its data takes no hops).
+    std::int32_t forwarder = -1;
     if (want_write) {
         ++dir_->getM();
-        unsigned invals = 0;
         const std::int32_t prev_owner = meta.owner();
-        peer_supplied =
-            dirInvalidateSharers(block, group, true, meta, invals);
-        if (peer_supplied) {
-            // Data came owner->requester; add the forward legs.
-            // (prev_owner can only be -1 here under injected faults
-            // that left a rogue M copy; charge no hops then.)
-            unsigned fwd_hops = 0;
-            if (prev_owner >= 0) {
-                const unsigned owner_node = dir_->nodeOfGroup(
-                    static_cast<unsigned>(prev_owner));
-                fwd_hops = dir_->hops(home, owner_node) +
-                           dir_->hops(owner_node, my_node);
-                dir_->chargeHops(home, owner_node, 1);
-                dir_->chargeHops(owner_node, my_node, 1);
-                contention +=
-                    dir_->linkTraverse(home, owner_node, lat_.hop) +
-                    dir_->linkTraverse(owner_node, my_node, lat_.hop);
-            } else {
-                contention +=
-                    dir_->linkTraverse(home, my_node, lat_.hop);
-            }
-            data_leg = lat_.cacheToCache + fwd_hops * lat_.hop;
-        } else {
-            contention += dir_->linkTraverse(home, my_node, lat_.hop);
-        }
+        peer_supplied = dirInvalidateSharers(block, group, true, meta);
+        if (peer_supplied)
+            forwarder = prev_owner;
         meta.sharers().set(group);
-        meta.setOwner(static_cast<std::int32_t>(group));
+        meta.setOwner(self);
     } else {
         ++dir_->getS();
         const std::int32_t owner = meta.owner();
-        if (owner >= 0 && owner != static_cast<std::int32_t>(group)) {
+        if (owner >= 0 && owner != self) {
             const unsigned og = static_cast<unsigned>(owner);
-            CacheLine *peer = l2_[og].find(ref.addr);
+            CacheLine *peer = l2_[og].find(block);
             sim_assert(peer || fault_,
                        "directory owner out of sync (forward)");
             if (peer && suppliesDataOnForward(peer->state)) {
                 peer_supplied = true;
+                forwarder = owner;
                 ++dir_->forwards();
                 ++*copybacksSupplied_;
                 if (peer->state == CoherenceState::Modified) {
@@ -254,130 +204,53 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
                                 block, og)) {
                     peer->state = CoherenceState::Shared;
                 }
-                const unsigned owner_node = dir_->nodeOfGroup(og);
-                const unsigned fwd_hops =
-                    dir_->hops(home, owner_node) +
-                    dir_->hops(owner_node, my_node);
-                dir_->chargeHops(home, owner_node, 1);
-                dir_->chargeHops(owner_node, my_node, 1);
-                contention +=
-                    dir_->linkTraverse(home, owner_node, lat_.hop) +
-                    dir_->linkTraverse(owner_node, my_node, lat_.hop);
-                data_leg = lat_.cacheToCache + fwd_hops * lat_.hop;
             }
             // The home records the downgrade either way.
             meta.setOwner(-1);
         }
-        if (!peer_supplied)
-            contention += dir_->linkTraverse(home, my_node, lat_.hop);
         const bool solo = meta.sharers().none();
         meta.sharers().set(group);
         if (solo)
-            meta.setOwner(static_cast<std::int32_t>(group));
+            meta.setOwner(self);
     }
 
+    // The response leg: home -> requester, or home -> forwarder ->
+    // requester as a cache-to-cache transfer.
+    sim::Tick data_leg = peer_supplied ? lat_.cacheToCache : lat_.memory;
+    if (forwarder >= 0) {
+        const unsigned fwd_node =
+            dir_->nodeOfGroup(static_cast<unsigned>(forwarder));
+        dir_->chargeHops(home, fwd_node, 1);
+        dir_->chargeHops(fwd_node, my_node, 1);
+        data_leg += (dir_->hops(home, fwd_node) +
+                     dir_->hops(fwd_node, my_node)) *
+                    lat_.hop;
+        contention += dir_->linkTraverse(home, fwd_node, lat_.hop) +
+                      dir_->linkTraverse(fwd_node, my_node, lat_.hop);
+    } else {
+        contention += dir_->linkTraverse(home, my_node, lat_.hop);
+    }
     const sim::Tick latency = lat_.directoryLookup +
                               2 * req_hops * lat_.hop + data_leg +
                               contention;
     dir_->recordMissLatency(latency);
-    ServedBy served;
-    if (peer_supplied) {
-        served = ServedBy::Peer;
-        ++st.c2cTransfers;
-        if (trackComm_)
-            c2cPerLine_.add(block);
-        if (timeline_)
-            timeline_->add(now);
-    } else {
-        served = ServedBy::Memory;
-    }
-
-    switch (mclass) {
-      case MissClass::Cold: ++st.missCold; break;
-      case MissClass::Coherence: ++st.missCoherence; break;
-      case MissClass::CapacityConflict: ++st.missCapacity; break;
-      case MissClass::None: panic("miss without class"); break;
-    }
-    recordMissTail(ref, mclass, is_instr);
-
-    CacheLine &victim = l2.victim(ref.addr);
-    if (victim.valid())
-        evictLine(group, victim, ref.cpu, now);
-    CoherenceState install_state;
-    if (want_write) {
-        install_state = CoherenceState::Modified;
-    } else {
-        install_state =
-            meta.owner() == static_cast<std::int32_t>(group)
-                ? CoherenceState::Exclusive
-                : CoherenceState::Shared;
-    }
-    l2.install(victim, ref.addr, install_state);
-    meta.presence().set(group);
-
-    return {latency, served, mclass};
+    const CoherenceState state =
+        want_write            ? CoherenceState::Modified
+        : meta.owner() == self ? CoherenceState::Exclusive
+                               : CoherenceState::Shared;
+    return {latency, peer_supplied, state};
 }
 
-AccessResult
-Hierarchy::l2BlockStoreDirectory(const MemRef &ref, sim::Tick now)
+void
+Hierarchy::dirHandlePut(unsigned group, const CacheLine &victim,
+                        LineMeta meta)
 {
-    CacheStats &st = stats_[ref.cpu];
-    const unsigned group = groupOf(ref.cpu);
-    CacheArray &l2 = l2_[group];
-    const Addr block = l2.blockAddr(ref.addr);
-
-    ++st.l2Accesses;
-    if (trackComm_)
-        recordTouched(meta_[block]);
-
-    CacheLine *line = l2.find(ref.addr);
-    if (line && canWrite(line->state)) {
-        // Streaming store: do not promote the line.
-        ++st.l2Hits;
-        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-    }
-    if (line && line->state == CoherenceState::Exclusive) {
-        // Silent upgrade, as for a store hit.
-        line->state = CoherenceState::Modified;
-        ++st.l2Hits;
-        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-    }
-
-    // Shared, or not present: claim ownership through the home. The
-    // whole line is overwritten, so no data moves; a peer's dirty
-    // copy is dropped, not copied back.
-    const unsigned my_node = dir_->nodeOfGroup(group);
-    const unsigned home = dir_->homeOf(block);
-    const unsigned req_hops = dir_->hops(my_node, home);
-    const LineMeta meta = meta_[block];
-    if (line)
-        ++dir_->upgrades();
-    else
-        ++dir_->getM();
-    dir_->chargeHops(my_node, home, 2);
-    const sim::Tick contention =
-        dirHomeAcquire(block, group, home, req_hops, meta, now) +
-        dir_->linkTraverse(my_node, home, lat_.hop) +
-        dir_->linkTraverse(home, my_node, lat_.hop);
-    unsigned invals = 0;
-    dirInvalidateSharers(block, group, false, meta, invals);
-    if (line) {
-        line->state = CoherenceState::Modified;
-        l2.touch(*line);
-    } else {
-        meta.everCached().set(group);
-        meta.invalidated().clear(group);
-        CacheLine &victim = l2.victim(ref.addr);
-        if (victim.valid())
-            evictLine(group, victim, ref.cpu, now);
-        l2.installStreaming(victim, ref.addr, CoherenceState::Modified);
-        meta.presence().set(group);
-    }
-    meta.sharers().set(group);
-    meta.setOwner(static_cast<std::int32_t>(group));
-    const sim::Tick latency = lat_.l2Hit + lat_.directoryLookup +
-                              2 * req_hops * lat_.hop + contention;
-    return {latency, ServedBy::L2, MissClass::None};
+    ++dir_->putNotices();
+    if (victim.state == CoherenceState::Modified)
+        ++dir_->writebacksToHome();
+    if (meta.owner() == static_cast<std::int32_t>(group))
+        meta.setOwner(-1);
+    meta.sharers().clear(group);
 }
 
 } // namespace middlesim::mem

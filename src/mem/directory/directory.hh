@@ -83,9 +83,9 @@ inline constexpr sim::Tick kDirNackHorizon = 512;
 /**
  * The directory protocol's bookkeeping plane: the topology,
  * message/NUMA accounting and (opt-in) home/link contention state.
- * Transition logic lives in the Hierarchy's directory access path
- * (mem/directory/dir_access.cc), which keeps the per-block directory
- * state in the hierarchy's block records.
+ * Transition logic lives in the directory's claim and fetch steps of
+ * the Hierarchy's L2 path (mem/directory/dir_access.cc), which keep
+ * the per-block directory state in the hierarchy's block records.
  */
 class DirectoryController
 {

@@ -85,7 +85,7 @@ Hierarchy::accessImpl(const MemRef &ref, sim::Tick now)
         if (applyL1iHit(ref.cpu, ref.addr))
             return {lat_.l1Hit, ServedBy::L1, MissClass::None};
         ++st.ifetches;
-        AccessResult res = l2Access(ref, now, true, false);
+        AccessResult res = l2Access(ref, now);
         CacheArray &l1 = l1i_[ref.cpu];
         CacheLine &frame = l1.victim(ref.addr);
         l1.install(frame, ref.addr, CoherenceState::Shared);
@@ -99,7 +99,7 @@ Hierarchy::accessImpl(const MemRef &ref, sim::Tick now)
             ++st.l1dHits;
             return {lat_.l1Hit, ServedBy::L1, MissClass::None};
         }
-        AccessResult res = l2Access(ref, now, false, false);
+        AccessResult res = l2Access(ref, now);
         CacheLine &frame = l1.victim(ref.addr);
         l1.install(frame, ref.addr, CoherenceState::Shared);
         return res;
@@ -113,12 +113,12 @@ Hierarchy::accessImpl(const MemRef &ref, sim::Tick now)
             l1.touch(*line);
             ++st.l1dHits;
         }
-        return l2Access(ref, now, false, true);
+        return l2Access(ref, now);
       }
       case AccessType::Atomic: {
         ++st.atomics;
         // Atomics bypass the L1 and perform the RMW at the L2.
-        return l2Access(ref, now, false, true);
+        return l2Access(ref, now);
       }
       case AccessType::BlockStore: {
         ++st.stores;
@@ -126,19 +126,17 @@ Hierarchy::accessImpl(const MemRef &ref, sim::Tick now)
         CacheArray &l1 = l1d_[ref.cpu];
         if (CacheLine *line = l1.find(ref.addr))
             l1.touch(*line);
-        return l2BlockStore(ref, now);
+        return l2Access(ref, now);
       }
     }
     panic("unreachable access type");
 }
 
 AccessResult
-Hierarchy::l2Access(const MemRef &ref, sim::Tick now, bool is_instr,
-                    bool want_write)
+Hierarchy::l2Access(const MemRef &ref, sim::Tick now)
 {
-    if (dir_)
-        return l2AccessDirectory(ref, now, is_instr, want_write);
-
+    const bool want_write = isWrite(ref.type);
+    const bool block_store = ref.type == AccessType::BlockStore;
     CacheStats &st = stats_[ref.cpu];
     const unsigned group = groupOf(ref.cpu);
     CacheArray &l2 = l2_[group];
@@ -148,38 +146,109 @@ Hierarchy::l2Access(const MemRef &ref, sim::Tick now, bool is_instr,
     if (trackComm_)
         recordTouched(meta_[block]);
 
-    if (CacheLine *line = l2.find(ref.addr)) {
-        if (!want_write || canWrite(line->state)) {
+    CacheLine *line = l2.find(ref.addr);
+    if (line && (!want_write || canWrite(line->state) ||
+                 line->state == CoherenceState::Exclusive)) {
+        // A write to Exclusive is the directory's silent upgrade: no
+        // message leaves the node (MOSI never grants Exclusive). A
+        // block store streams into the line without promoting it.
+        if (want_write)
+            line->state = CoherenceState::Modified;
+        if (!block_store)
             l2.touch(*line);
-            ++st.l2Hits;
-            return {lat_.l2Hit, ServedBy::L2, MissClass::None};
+        ++st.l2Hits;
+        return {lat_.l2Hit, ServedBy::L2, MissClass::None};
+    }
+
+    const LineMeta meta = meta_[block];
+    if (line || block_store) {
+        // Claim: write permission without data. A block store
+        // overwrites the whole line, so a peer's dirty copy is
+        // dropped, not copied back.
+        const sim::Tick cost =
+            dir_ ? dirClaim(block, group, line != nullptr, meta, now)
+                 : snoopClaim(block, group, meta, now);
+        if (line) {
+            line->state = CoherenceState::Modified;
+            l2.touch(*line);
+        } else {
+            meta.everCached().set(group);
+            meta.invalidated().clear(group);
+            CacheLine &victim = l2.victim(ref.addr);
+            if (victim.valid())
+                evictLine(group, victim, ref.cpu, now);
+            l2.installStreaming(victim, ref.addr,
+                                CoherenceState::Modified);
+            meta.presence().set(group);
         }
-        // Ownership upgrade: we hold S or O data; invalidate peers.
-        const LineMeta meta = meta_[block];
-        const GroupBitsCopy peers(meta.presence());
-        peers.bits().forEachSetExcept(group, [&](unsigned g) {
-            CacheLine *peer = l2_[g].find(ref.addr);
-            sim_assert(peer, "presence mask out of sync (upgrade)");
-            if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
-                invalidateForRemoteWrite(g, *peer, meta);
-        });
-        const sim::Tick queue = bus_.acquire(now, lat_.busAddrOccupancy);
-        line->state = CoherenceState::Modified;
-        l2.touch(*line);
+        if (block_store)
+            return {lat_.l2Hit + cost, ServedBy::L2, MissClass::None};
         ++st.upgrades;
-        return {lat_.upgrade + queue, ServedBy::UpgradeOnly,
+        return {lat_.upgrade + cost, ServedBy::UpgradeOnly,
                 MissClass::None};
     }
 
-    // L2 miss: snoop peers for an owner; handle peer state changes.
+    // Fetch: a GetS or GetM miss.
+    const MissClass mclass = classifyMiss(meta, group);
+    const Fetch fetch = dir_ ? dirFetch(block, group, want_write, meta, now)
+                             : snoopFetch(block, group, want_write, meta,
+                                          now);
+    if (fetch.peerSupplied) {
+        ++st.c2cTransfers;
+        if (trackComm_)
+            c2cPerLine_.add(block);
+        if (timeline_)
+            timeline_->add(now);
+    }
+    // classifyMiss() yields exactly one of the three classes.
+    const bool cold = mclass == MissClass::Cold;
+    const bool coherence = mclass == MissClass::Coherence;
+    ++(cold ? st.missCold : coherence ? st.missCoherence : st.missCapacity);
+    for (Region &region : regions_) {
+        if (ref.addr >= region.base &&
+            ref.addr < region.base + region.bytes) {
+            ++(cold        ? region.missCold
+               : coherence ? region.missCoherence
+                           : region.missCapacity);
+            break;
+        }
+    }
+    ++(ref.type == AccessType::IFetch ? st.instrMisses : st.dataMisses);
+
+    CacheLine &victim = l2.victim(ref.addr);
+    if (victim.valid())
+        evictLine(group, victim, ref.cpu, now);
+    l2.install(victim, ref.addr, fetch.state);
+    meta.presence().set(group);
+    return {fetch.latency,
+            fetch.peerSupplied ? ServedBy::Peer : ServedBy::Memory,
+            mclass};
+}
+
+sim::Tick
+Hierarchy::snoopClaim(Addr block, unsigned group, LineMeta meta,
+                      sim::Tick now)
+{
+    const GroupBitsCopy peers(meta.presence());
+    peers.bits().forEachSetExcept(group, [&](unsigned g) {
+        CacheLine *peer = l2_[g].find(block);
+        sim_assert(peer, "presence mask out of sync (claim)");
+        if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
+            invalidateForRemoteWrite(g, *peer, meta);
+    });
+    return bus_.acquire(now, lat_.busAddrOccupancy);
+}
+
+Hierarchy::Fetch
+Hierarchy::snoopFetch(Addr block, unsigned group, bool want_write,
+                      LineMeta meta, sim::Tick now)
+{
     // The presence mask narrows the snoop to caches actually holding
     // the block instead of probing every L2 on the bus.
-    const LineMeta meta = meta_[block];
-    const MissClass mclass = classifyMiss(meta, group);
     bool peer_supplied = false;
     const GroupBitsCopy peers(meta.presence());
     peers.bits().forEachSetExcept(group, [&](unsigned g) {
-        CacheLine *peer = l2_[g].find(ref.addr);
+        CacheLine *peer = l2_[g].find(block);
         sim_assert(peer, "presence mask out of sync (snoop)");
         if (isOwner(peer->state)) {
             peer_supplied = true;
@@ -193,127 +262,10 @@ Hierarchy::l2Access(const MemRef &ref, sim::Tick now, bool is_instr,
             peer->state = peerAfterGetS(peer->state);
         }
     });
-
-    const sim::Tick occupancy = lat_.busOccupancy;
-    const sim::Tick queue = bus_.acquire(now, occupancy);
-    sim::Tick latency;
-    ServedBy served;
-    if (peer_supplied) {
-        latency = lat_.cacheToCache + queue;
-        served = ServedBy::Peer;
-        ++st.c2cTransfers;
-        if (trackComm_)
-            c2cPerLine_.add(block);
-        if (timeline_)
-            timeline_->add(now);
-    } else {
-        latency = lat_.memory + queue;
-        served = ServedBy::Memory;
-    }
-
-    switch (mclass) {
-      case MissClass::Cold: ++st.missCold; break;
-      case MissClass::Coherence: ++st.missCoherence; break;
-      case MissClass::CapacityConflict: ++st.missCapacity; break;
-      case MissClass::None: panic("miss without class"); break;
-    }
-    recordMissTail(ref, mclass, is_instr);
-
-    CacheLine &victim = l2.victim(ref.addr);
-    if (victim.valid())
-        evictLine(group, victim, ref.cpu, now);
-    l2.install(victim, ref.addr,
-               want_write ? CoherenceState::Modified
-                          : CoherenceState::Shared);
-    meta.presence().set(group);
-
-    return {latency, served, mclass};
-}
-
-void
-Hierarchy::recordMissTail(const MemRef &ref, MissClass mclass,
-                          bool is_instr)
-{
-    CacheStats &st = stats_[ref.cpu];
-    for (Region &region : regions_) {
-        if (ref.addr >= region.base &&
-            ref.addr < region.base + region.bytes) {
-            switch (mclass) {
-              case MissClass::Cold: ++region.missCold; break;
-              case MissClass::Coherence:
-                ++region.missCoherence;
-                break;
-              case MissClass::CapacityConflict:
-                ++region.missCapacity;
-                break;
-              case MissClass::None: break;
-            }
-            break;
-        }
-    }
-    if (is_instr)
-        ++st.instrMisses;
-    else
-        ++st.dataMisses;
-}
-
-AccessResult
-Hierarchy::l2BlockStore(const MemRef &ref, sim::Tick now)
-{
-    if (dir_)
-        return l2BlockStoreDirectory(ref, now);
-
-    CacheStats &st = stats_[ref.cpu];
-    const unsigned group = groupOf(ref.cpu);
-    CacheArray &l2 = l2_[group];
-    const Addr block = l2.blockAddr(ref.addr);
-
-    ++st.l2Accesses;
-    if (trackComm_)
-        recordTouched(meta_[block]);
-
-    if (CacheLine *line = l2.find(ref.addr)) {
-        if (canWrite(line->state)) {
-            // Streaming store: do not promote the line.
-            ++st.l2Hits;
-            return {lat_.l2Hit, ServedBy::L2, MissClass::None};
-        }
-        // Shared or owned: invalidate peers, upgrade in place. The
-        // whole line is overwritten, so no data moves.
-        const LineMeta meta = meta_[block];
-        const GroupBitsCopy peers(meta.presence());
-        peers.bits().forEachSetExcept(group, [&](unsigned g) {
-            CacheLine *peer = l2_[g].find(ref.addr);
-            sim_assert(peer, "presence mask out of sync (blockstore)");
-            if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
-                invalidateForRemoteWrite(g, *peer, meta);
-        });
-        const sim::Tick queue = bus_.acquire(now, lat_.busAddrOccupancy);
-        line->state = CoherenceState::Modified;
-        l2.touch(*line);
-        return {lat_.l2Hit + queue, ServedBy::L2, MissClass::None};
-    }
-
-    // Not present: claim the line without fetching. A peer's dirty
-    // copy is dropped (it is wholly overwritten), not copied back.
-    const LineMeta meta = meta_[block];
-    const GroupBitsCopy peers(meta.presence());
-    peers.bits().forEachSetExcept(group, [&](unsigned g) {
-        CacheLine *peer = l2_[g].find(ref.addr);
-        sim_assert(peer, "presence mask out of sync (blockstore claim)");
-        if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
-            invalidateForRemoteWrite(g, *peer, meta);
-    });
-    const sim::Tick queue = bus_.acquire(now, lat_.busAddrOccupancy);
-    meta.everCached().set(group);
-    meta.invalidated().clear(group);
-
-    CacheLine &victim = l2.victim(ref.addr);
-    if (victim.valid())
-        evictLine(group, victim, ref.cpu, now);
-    l2.installStreaming(victim, ref.addr, CoherenceState::Modified);
-    meta.presence().set(group);
-    return {lat_.l2Hit + queue, ServedBy::L2, MissClass::None};
+    const sim::Tick queue = bus_.acquire(now, lat_.busOccupancy);
+    return {(peer_supplied ? lat_.cacheToCache : lat_.memory) + queue,
+            peer_supplied,
+            want_write ? CoherenceState::Modified : CoherenceState::Shared};
 }
 
 MissClass
@@ -360,18 +312,6 @@ Hierarchy::evictLine(unsigned group, CacheLine &victim, unsigned req_cpu,
     meta.presence().clear(group);
     backInvalidateL1s(group, victim.tag);
     victim.state = CoherenceState::Invalid;
-}
-
-void
-Hierarchy::dirHandlePut(unsigned group, const CacheLine &victim,
-                        LineMeta meta)
-{
-    ++dir_->putNotices();
-    if (victim.state == CoherenceState::Modified)
-        ++dir_->writebacksToHome();
-    if (meta.owner() == static_cast<std::int32_t>(group))
-        meta.setOwner(-1);
-    meta.sharers().clear(group);
 }
 
 void

@@ -3,15 +3,20 @@
  * The coherent multiprocessor memory hierarchy.
  *
  * Structure (matching the E6000 platform of the paper, generalized to
- * the CMP shared-cache configurations of Figure 16):
+ * the CMP shared-cache configurations of Figure 16 and to many-core
+ * NUMA machines):
  *
  *   CPU i --> private split L1I / L1D (write-through, no-write-allocate)
- *         --> L2 shared by `cpusPerL2` CPUs (MOSI coherent)
- *         --> snooping bus --> memory
+ *         --> L2 shared by `cpusPerL2` CPUs
+ *         --> snooping bus (MOSI) or home directory (MESI) --> memory
  *
- * A miss snoops all peer L2s; if a peer holds the block in Modified or
- * Owned state it supplies the data (a snoop copyback, i.e. the paper's
- * cache-to-cache transfer) at 1.4x memory latency.
+ * Under the snooping bus a miss snoops the peer L2s holding the block;
+ * an owner in Modified or Owned state supplies the data (a snoop
+ * copyback, i.e. the paper's cache-to-cache transfer) at 1.4x memory
+ * latency. Under the directory a miss asks the block's home, which
+ * forwards to an Exclusive or Modified owner (DESIGN.md §3.13). Both
+ * share one L2 path that asks the protocol for two steps only: a
+ * claim (write permission without data) and a fetch (a miss).
  *
  * Misses are classified per requesting cache as cold / coherence /
  * capacity-conflict using per-block removal-cause metadata. Optional
@@ -63,7 +68,6 @@ class TimelineSampler
     }
 
     const std::vector<std::uint64_t> &bins() const { return bins_; }
-    sim::Tick binWidth() const { return binWidth_; }
 
   private:
     sim::Tick binWidth_;
@@ -280,14 +284,45 @@ class Hierarchy
         return true;
     }
 
-    AccessResult l2Access(const MemRef &ref, sim::Tick now,
-                          bool is_instr, bool want_write);
+    /**
+     * The L2 level of every access the L1 does not finish: a hit, a
+     * claim (write permission without data: an upgrade of an S or O
+     * copy, or a block store to an absent line) or a fetch (a miss's
+     * GetS/GetM). Only the claim and the fetch depend on the protocol.
+     */
+    AccessResult l2Access(const MemRef &ref, sim::Tick now);
 
-    // Directory-protocol access path (mem/directory/dir_access.cc).
-    AccessResult l2AccessDirectory(const MemRef &ref, sim::Tick now,
-                                   bool is_instr, bool want_write);
-    AccessResult l2BlockStoreDirectory(const MemRef &ref,
-                                       sim::Tick now);
+    /** What a protocol's fetch step hands back to the L2 path. */
+    struct Fetch
+    {
+        sim::Tick latency;
+        bool peerSupplied;
+        CoherenceState state; // the requester's install state
+    };
+
+    /**
+     * Snooping claim: invalidate the peers, then take an address-only
+     * bus slot. Returns its queueing delay.
+     */
+    sim::Tick snoopClaim(Addr block, unsigned group, LineMeta meta,
+                         sim::Tick now);
+
+    /** Snooping fetch: snoop the peers holding the block, then the bus. */
+    Fetch snoopFetch(Addr block, unsigned group, bool want_write,
+                     LineMeta meta, sim::Tick now);
+
+    // Directory-protocol steps (mem/directory/dir_access.cc).
+
+    /**
+     * Directory claim: an Upgrade (`upgrade`) or a data-less GetM.
+     * Returns the home round trip: lookup, hops and contention.
+     */
+    sim::Tick dirClaim(Addr block, unsigned group, bool upgrade,
+                       LineMeta meta, sim::Tick now);
+
+    /** Directory fetch: a GetS/GetM to the block's home. */
+    Fetch dirFetch(Addr block, unsigned group, bool want_write,
+                   LineMeta meta, sim::Tick now);
 
     /**
      * Directory GetM/Upgrade service: invalidate every sharer and
@@ -295,8 +330,7 @@ class Hierarchy
      * forwarded owner supplied data (want_data GetM only).
      */
     bool dirInvalidateSharers(Addr block, unsigned group,
-                              bool want_data, LineMeta meta,
-                              unsigned &inval_count);
+                              bool want_data, LineMeta meta);
 
     /** Replacement notice to the home (PutS/PutE/PutM). */
     void dirHandlePut(unsigned group, const CacheLine &victim,
@@ -313,10 +347,6 @@ class Hierarchy
                              unsigned req_hops, LineMeta meta,
                              sim::Tick now);
 
-    /** Common L2-miss accounting tail (class, regions, instr/data). */
-    void recordMissTail(const MemRef &ref, MissClass mclass,
-                        bool is_instr);
-
     /** True if an armed FaultPlan of `kind` fires for (block, group). */
     bool
     faultFires(FaultPlan::Kind kind, Addr block, unsigned group) const
@@ -330,9 +360,6 @@ class Hierarchy
 
     /** Record a distinct touched line (communication tracking). */
     void recordTouched(LineMeta meta);
-
-    /** Block-initializing store: install M without a data fetch. */
-    AccessResult l2BlockStore(const MemRef &ref, sim::Tick now);
 
     /** Remove a victim line from group g (writeback + back-inval). */
     void evictLine(unsigned group, CacheLine &victim, unsigned req_cpu,

@@ -209,7 +209,10 @@ TEST(Bus, ContentionDisabled)
 // metric registry fold into one FNV-1a digest per geometry. The
 // constants were recorded before the per-block metadata moved into
 // one inline record, so any change to the simulated behaviour of
-// either protocol shows up here.
+// either protocol shows up here. Further rows rerun two geometries
+// with a FaultPlan armed (period 3, every group), pinning the fault
+// branches of the claim, fetch and invalidation steps; they were
+// recorded before both protocols shared one L2 access path.
 // ---------------------------------------------------------------------
 
 namespace
@@ -226,6 +229,7 @@ struct DigestGeometry
     unsigned occupancy;
     bool trackComm;
     bool invalidateMidStream;
+    mem::FaultPlan::Kind fault;
     std::uint64_t digest;
 };
 
@@ -253,6 +257,11 @@ hierarchyDigest(const DigestGeometry &g)
 
     sim::MetricRegistry reg;
     Hierarchy h(m, mem::LatencyModel{}, true, &reg);
+    mem::FaultPlan plan;
+    plan.kind = g.fault;
+    plan.period = 3;
+    if (g.fault != mem::FaultPlan::Kind::None)
+        h.setFaultPlan(&plan);
     if (g.trackComm) {
         h.setCommunicationTracking(true);
         h.defineRegion("hot", 0, 48 * 64);
@@ -320,18 +329,47 @@ TEST(HierarchyDigest, PerAccessResultsArePinned)
 {
     using sim::CoherenceProtocol;
     using sim::Topology;
+    using Fault = mem::FaultPlan::Kind;
     const DigestGeometry geometries[] = {
         {"snoop-16cpu-4perL2", 16, 4, CoherenceProtocol::SnoopBus, 1,
-         Topology::Ring, 0, true, false, 0xa734c05b96a97ba7ULL},
+         Topology::Ring, 0, true, false, Fault::None,
+         0xa734c05b96a97ba7ULL},
         {"dir-64-ring", 64, 1, CoherenceProtocol::DirectoryMesi, 8,
-         Topology::Ring, 0, false, false, 0x2ea4e73cd2a3241eULL},
+         Topology::Ring, 0, false, false, Fault::None,
+         0x2ea4e73cd2a3241eULL},
         {"dir-96-mesh3x2-occ2", 96, 1, CoherenceProtocol::DirectoryMesi,
-         6, Topology::Mesh, 2, true, false, 0x559c0d8eac426b8cULL},
+         6, Topology::Mesh, 2, true, false, Fault::None,
+         0x559c0d8eac426b8cULL},
         {"dir-128-mesh-occ4", 128, 1, CoherenceProtocol::DirectoryMesi,
-         8, Topology::Mesh, 4, false, false, 0x516aa22e45f56c9aULL},
+         8, Topology::Mesh, 4, false, false, Fault::None,
+         0x516aa22e45f56c9aULL},
         {"dir-512-ring-invalidate", 512, 1,
          CoherenceProtocol::DirectoryMesi, 16, Topology::Ring, 0, true,
-         true, 0x16735d5c41d4e206ULL},
+         true, Fault::None, 0x16735d5c41d4e206ULL},
+        {"snoop-16cpu-4perL2+drop-invalidate", 16, 4,
+         CoherenceProtocol::SnoopBus, 1, Topology::Ring, 0, true, false,
+         Fault::DropInvalidate, 0xd0dd1d5ca0606ab6ULL},
+        {"snoop-16cpu-4perL2+keep-owner", 16, 4,
+         CoherenceProtocol::SnoopBus, 1, Topology::Ring, 0, true, false,
+         Fault::KeepOwnerOnSnoop, 0xd9cce188323c77c1ULL},
+        {"snoop-16cpu-4perL2+skip-l1", 16, 4,
+         CoherenceProtocol::SnoopBus, 1, Topology::Ring, 0, true, false,
+         Fault::SkipL1BackInvalidate, 0x7ae6a04c05e81f19ULL},
+        {"dir-96-mesh3x2-occ2+drop-invalidate", 96, 1,
+         CoherenceProtocol::DirectoryMesi, 6, Topology::Mesh, 2, true,
+         false, Fault::DropInvalidate, 0x740d1b259b64b0e8ULL},
+        {"dir-96-mesh3x2-occ2+keep-owner", 96, 1,
+         CoherenceProtocol::DirectoryMesi, 6, Topology::Mesh, 2, true,
+         false, Fault::KeepOwnerOnSnoop, 0x83fc24b5ff7cf67aULL},
+        {"dir-96-mesh3x2-occ2+skip-l1", 96, 1,
+         CoherenceProtocol::DirectoryMesi, 6, Topology::Mesh, 2, true,
+         false, Fault::SkipL1BackInvalidate, 0x6af2211429c048e7ULL},
+        {"dir-96-mesh3x2-occ2+drop-ack", 96, 1,
+         CoherenceProtocol::DirectoryMesi, 6, Topology::Mesh, 2, true,
+         false, Fault::DropInvalAck, 0x2f97520a6f2ef41cULL},
+        {"dir-96-mesh3x2-occ2+nack-storm", 96, 1,
+         CoherenceProtocol::DirectoryMesi, 6, Topology::Mesh, 2, true,
+         false, Fault::NackStorm, 0x93be7d508fa742a9ULL},
     };
     for (const DigestGeometry &g : geometries) {
         SCOPED_TRACE(g.name);

@@ -261,8 +261,9 @@ TEST(System, GcIdleAccountedOnAppCpus)
     BuiltWorkload w;
     auto sys = core::buildSystem(spec, w);
     sys->run(30'000'000);
-    if (sys->vm().stats().minorCollections > 0)
+    if (sys->vm().stats().minorCollections > 0) {
         EXPECT_GT(sys->appModes().gcIdle, 0u);
+    }
 }
 
 TEST(System, UniprocessorConfiguration)
