@@ -1,10 +1,13 @@
 #include "core/trace_run.hh"
 
+#include <algorithm>
 #include <filesystem>
+#include <thread>
 
 #include "core/cache.hh"
 #include "core/metrics_io.hh"
 #include "sim/log.hh"
+#include "sim/threadpool.hh"
 #include "trace/reader.hh"
 
 namespace middlesim::core
@@ -30,6 +33,25 @@ collectHierarchyState(const mem::Hierarchy &h, unsigned total_cpus,
     out.c2cLines = h.c2cPerLine().sortedItems();
     out.touchedLines = h.touchedLines();
     out.regions = h.regions();
+}
+
+/**
+ * Replay the rest of `reader`, whose header is valid, into `hierarchy`
+ * and fill `out` from the result.
+ */
+void
+replayInto(trace::TraceReader &reader, mem::Hierarchy &hierarchy,
+           HierarchyReplayOutcome &out)
+{
+    out.header = reader.header();
+    out.counts = trace::replayTrace(reader, &hierarchy, nullptr);
+    if (!reader.complete()) {
+        out.error = reader.error();
+        return;
+    }
+    collectHierarchyState(hierarchy, hierarchy.config().totalCpus,
+                          out.header.appCpus, out);
+    out.valid = true;
 }
 
 } // namespace
@@ -182,17 +204,8 @@ replayTraceHierarchy(std::string trace_data,
         out.error = reader.error();
         return out;
     }
-    out.header = reader.header();
-    auto hierarchy = trace::hierarchyFor(out.header, overrides);
-    out.counts = trace::replayTrace(reader, hierarchy.get(), nullptr);
-    if (!reader.complete()) {
-        out.error = reader.error();
-        return out;
-    }
-    const sim::MachineConfig &m = hierarchy->config();
-    collectHierarchyState(*hierarchy, m.totalCpus, out.header.appCpus,
-                          out);
-    out.valid = true;
+    auto hierarchy = trace::hierarchyFor(reader.header(), overrides);
+    replayInto(reader, *hierarchy, out);
     return out;
 }
 
@@ -220,43 +233,48 @@ replayTraceSweep(std::string trace_data)
 }
 
 std::vector<HierarchyReplayOutcome>
-replayTraceSharing(std::string trace_data,
+replayTraceSharing(std::shared_ptr<const std::string> trace_data,
                    const std::vector<unsigned> &degrees)
 {
     std::vector<HierarchyReplayOutcome> outs(degrees.size());
-    trace::TraceReader reader(std::move(trace_data));
-    if (!reader.ok()) {
+    const trace::TraceReader probe(trace_data);
+    if (!probe.ok()) {
         for (HierarchyReplayOutcome &out : outs)
-            out.error = reader.error();
+            out.error = probe.error();
         return outs;
     }
 
+    // hierarchyFor() can fatal(), which exits the process: build every
+    // hierarchy here, never on a worker. Each table then grows on a
+    // worker of its own, so it maps its arrays (mem::TableWords).
     std::vector<std::unique_ptr<mem::Hierarchy>> hierarchies;
-    std::vector<mem::Hierarchy *> raw;
     hierarchies.reserve(degrees.size());
-    raw.reserve(degrees.size());
-    for (std::size_t i = 0; i < degrees.size(); ++i) {
-        outs[i].header = reader.header();
+    for (unsigned degree : degrees) {
         hierarchies.push_back(trace::hierarchyFor(
-            reader.header(), trace::ReplayOverrides{0, degrees[i]}));
-        raw.push_back(hierarchies.back().get());
+            probe.header(), trace::ReplayOverrides{0, degree}));
+        hierarchies.back()->mapBlockTableArrays();
     }
 
-    const trace::ReplayCounts counts =
-        trace::replayTraceFanout(reader, raw, nullptr);
-    if (!reader.complete()) {
-        for (HierarchyReplayOutcome &out : outs)
-            out.error = reader.error();
-        return outs;
-    }
-    for (std::size_t i = 0; i < degrees.size(); ++i) {
-        outs[i].counts = counts;
-        const sim::MachineConfig &m = hierarchies[i]->config();
-        collectHierarchyState(*hierarchies[i], m.totalCpus,
-                              outs[i].header.appCpus, outs[i]);
-        outs[i].valid = true;
-    }
+    // A local pool: tasks of the global pool must not submit nested
+    // work, and a pool made here postdates any fork of the caller.
+    const unsigned hardware =
+        std::max(1u, std::thread::hardware_concurrency());
+    sim::ThreadPool pool(static_cast<unsigned>(
+        std::clamp<std::size_t>(degrees.size(), 1, hardware)));
+    pool.parallelFor(degrees.size(), [&](std::size_t i) {
+        trace::TraceReader reader(trace_data);
+        replayInto(reader, *hierarchies[i], outs[i]);
+    });
     return outs;
+}
+
+std::vector<HierarchyReplayOutcome>
+replayTraceSharing(std::string trace_data,
+                   const std::vector<unsigned> &degrees)
+{
+    return replayTraceSharing(
+        std::make_shared<const std::string>(std::move(trace_data)),
+        degrees);
 }
 
 } // namespace middlesim::core

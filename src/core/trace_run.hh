@@ -134,12 +134,19 @@ struct SweepReplayOutcome
 SweepReplayOutcome replayTraceSweep(std::string trace_data);
 
 /**
- * Figure 16 sharing study from one SMP recording: build one hierarchy
- * per sharing degree (cpusPerL2 override) and feed all of them from a
- * single decode of the trace (trace::replayTraceFanout). Outcome i is
- * bit-identical to replayTraceHierarchy(trace, {0, degrees[i]}).
- * On a malformed trace, every outcome carries the same error.
+ * Figure 16 sharing study from one SMP recording: one hierarchy per
+ * sharing degree (cpusPerL2 override), each replayed as its own task
+ * on a local pool of min(degrees, hardware threads) workers, with its
+ * own TraceReader over the shared bytes. The hierarchies never
+ * interact, so outcome i is bit-identical to
+ * replayTraceHierarchy(trace, {0, degrees[i]}), in degree order. On a
+ * malformed trace, every outcome carries the same error.
  */
+std::vector<HierarchyReplayOutcome>
+replayTraceSharing(std::shared_ptr<const std::string> trace_data,
+                   const std::vector<unsigned> &degrees);
+
+/** The same, taking the trace bytes over. */
 std::vector<HierarchyReplayOutcome>
 replayTraceSharing(std::string trace_data,
                    const std::vector<unsigned> &degrees);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -312,9 +313,9 @@ printSharingRow(unsigned share, const HierarchyReplayOutcome &out,
 int
 cmdSharing(const std::string &path)
 {
-    // One decode of the recording feeds every sharing degree.
-    std::string data = loadTrace(path);
-    trace::TraceReader probe{std::string(data)};
+    // The header and every degree's replay read one copy of the bytes.
+    const auto data = std::make_shared<const std::string>(loadTrace(path));
+    const trace::TraceReader probe(data);
     if (!probe.ok())
         fatal("middlesim-trace: '", path, "': ", probe.error());
     const unsigned total = probe.header().totalCpus;
@@ -327,7 +328,7 @@ cmdSharing(const std::string &path)
     std::printf("%8s %12s %12s %12s %12s\n", "cpusPerL2", "misses",
                 "coherence", "capacity", "c2c");
     const std::vector<HierarchyReplayOutcome> outs =
-        replayTraceSharing(std::move(data), degrees);
+        replayTraceSharing(data, degrees);
     for (std::size_t i = 0; i < degrees.size(); ++i)
         printSharingRow(degrees[i], outs[i], path);
     return 0;

@@ -26,15 +26,19 @@
  * Keys are block-aligned addresses. Records are never individually
  * erased (blocks keep their cold/coherence history for the lifetime
  * of the run); the whole table is cleared only on invalidateAll().
+ *
+ * The slot array is a TableWords: from the heap, or mapped from the
+ * kernel once mapNewArrays() has been called.
  */
 
 #ifndef MEM_BLOCK_META_HH
 #define MEM_BLOCK_META_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
-#include <vector>
+#include <utility>
 
 #include "mem/memref.hh"
 #include "mem/sharer_set.hh"
@@ -46,6 +50,67 @@ namespace middlesim::mem
 
 /** Widest sharer vector a record carries: 1024 groups. */
 inline constexpr unsigned kMaxGroupWords = 16;
+
+/**
+ * A table's zeroed slot array, from the heap or mapped from the kernel
+ * and unmapped when freed. A doubling hands a mapped old array back
+ * stretch by stretch as its rehash passes (releaseFront()).
+ *
+ * The heap suits a thread that builds table after table: glibc keeps
+ * a freed array and the next table reuses its pages. Mapping every
+ * array of 1 MB or more made run_all and fig_manycore 16-17% slower
+ * at --jobs=4 on a 4-vCPU VM, because each doubling faulted in fresh
+ * pages. Mapping suits tables that grow at the same time, each on a
+ * short-lived thread of its own, as in the parallel sharing replay
+ * (core::replayTraceSharing): from the heap, their doubled-away arrays
+ * stayed resident in the threads' malloc arenas and raised the peak
+ * RSS of perfbench's ecperf-trace by 13%.
+ */
+class TableWords
+{
+  public:
+    TableWords() = default;
+    /** `words` zeroed words, mapped when `mapped`, else from the heap. */
+    TableWords(std::size_t words, bool mapped);
+    ~TableWords();
+
+    TableWords(TableWords &&other) noexcept { swap(other); }
+
+    TableWords &
+    operator=(TableWords &&other) noexcept
+    {
+        swap(other);
+        return *this;
+    }
+
+    void
+    swap(TableWords &other) noexcept
+    {
+        std::swap(p_, other.p_);
+        std::swap(n_, other.n_);
+        std::swap(mapped_, other.mapped_);
+        std::swap(released_, other.released_);
+    }
+
+    std::size_t size() const { return n_; }
+    std::uint64_t *data() { return p_; }
+    std::uint64_t &operator[](std::size_t i) { return p_[i]; }
+    const std::uint64_t &operator[](std::size_t i) const { return p_[i]; }
+
+    /**
+     * Hand the whole pages among the first `words` words back to the
+     * kernel; the caller reads none of them again. Only a mapped
+     * array shrinks: heap memory stays until the array is freed.
+     */
+    void releaseFront(std::size_t words);
+
+  private:
+    std::uint64_t *p_ = nullptr;
+    std::size_t n_ = 0;
+    bool mapped_ = false;
+    /** Bytes at the front already handed back. */
+    std::size_t released_ = 0;
+};
 
 /**
  * A stack copy of one of a record's vectors, for walking the vector
@@ -168,7 +233,7 @@ class BlockMetaTable
         std::size_t cap = 16;
         while (cap < initial_slots)
             cap <<= 1;
-        words_.assign(cap * slotWords_, 0);
+        words_ = TableWords(cap * slotWords_, false);
         mask_ = cap - 1;
     }
 
@@ -209,6 +274,12 @@ class BlockMetaTable
         return slotWords_ * sizeof(std::uint64_t);
     }
 
+    /**
+     * Map every later slot array from the kernel (see TableWords), for
+     * a table that grows on a short-lived thread of its own.
+     */
+    void mapNewArrays() { mapArrays_ = true; }
+
     /** Drop every record (the capacity stays). */
     void
     clear()
@@ -239,6 +310,9 @@ class BlockMetaTable
     }
 
   private:
+    /** Words rehashed between two releases of the old array. */
+    static constexpr std::size_t kRehashStretchWords = 32768;
+
     /** Claim the empty `slot` for `block`, growing first if full. */
     std::uint64_t *
     insert(Addr block, std::uint64_t *slot)
@@ -277,14 +351,24 @@ class BlockMetaTable
     void
     grow()
     {
-        std::vector<std::uint64_t> old(2 * words_.size(), 0);
+        TableWords old(2 * words_.size(), mapArrays_);
         old.swap(words_);
         mask_ = 2 * mask_ + 1;
-        for (std::size_t i = 0; i < old.size(); i += slotWords_) {
-            if (old[i] == 0)
-                continue;
-            std::uint64_t *slot = probe(~old[i]);
-            std::memcpy(slot, &old[i], slotWords_ * sizeof(std::uint64_t));
+        // The old array goes back stretch by stretch as the rehash
+        // passes, so tables doubling at once on several threads never
+        // hold both of their arrays whole.
+        const std::size_t stretch =
+            kRehashStretchWords / slotWords_ * slotWords_;
+        for (std::size_t begin = 0; begin < old.size(); begin += stretch) {
+            const std::size_t end = std::min(old.size(), begin + stretch);
+            for (std::size_t i = begin; i < end; i += slotWords_) {
+                if (old[i] == 0)
+                    continue;
+                std::uint64_t *slot = probe(~old[i]);
+                std::memcpy(slot, &old[i],
+                            slotWords_ * sizeof(std::uint64_t));
+            }
+            old.releaseFront(end);
         }
     }
 
@@ -292,9 +376,11 @@ class BlockMetaTable
     unsigned w_;
     /** Words per slot: key, flags/owner, vectors, directory fields. */
     unsigned slotWords_;
-    std::vector<std::uint64_t> words_;
+    TableWords words_;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
+    /** Whether grow() maps its new array. */
+    bool mapArrays_ = false;
 };
 
 } // namespace middlesim::mem

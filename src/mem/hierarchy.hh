@@ -183,6 +183,13 @@ class Hierarchy
      */
     void setFaultPlan(const FaultPlan *plan) { fault_ = plan; }
 
+    /**
+     * Map the block table's later arrays from the kernel
+     * (BlockMetaTable::mapNewArrays), for a hierarchy that runs on a
+     * short-lived thread of its own. Never changes simulation results.
+     */
+    void mapBlockTableArrays() { meta_.mapNewArrays(); }
+
     /** Coherence state of a block in the L2 serving `cpu`. */
     CoherenceState peekState(unsigned cpu, Addr addr) const;
 

@@ -62,6 +62,10 @@ ThreadPool::parallelFor(std::size_t n,
     pending.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         pending.push_back(submit([&body, i] { body(i); }));
+    // Every iteration ends before an exception reaches the caller:
+    // queued ones still call `body`, which the caller then destroys.
+    for (auto &f : pending)
+        f.wait();
     for (auto &f : pending)
         f.get();
 }

@@ -13,9 +13,12 @@
  * degenerate single-job pool which executes tasks inline on the
  * submitting thread with no worker threads at all.
  *
- * The process-wide pool used by the experiment runner honors the
- * MIDDLESIM_JOBS environment variable (default: hardware
- * concurrency); figureMain() additionally accepts a --jobs=N flag.
+ * The process-wide pool used by the experiment runner has one worker
+ * per hardware thread unless a command-line tool resizes it with
+ * setGlobalJobs() from its --jobs=N / MIDDLESIM_JOBS option
+ * (src/sim/args.hh); the pool itself reads no environment. Code that
+ * must not share the global pool, such as the sharing-study replay,
+ * makes a local one.
  */
 
 #ifndef SIM_THREADPOOL_HH
@@ -78,7 +81,8 @@ class ThreadPool
      * Iterations must be independent; they are submitted in index
      * order, one task per iteration (tasks are coarse runs here, so
      * per-iteration queueing cost is noise). Exceptions from the body
-     * propagate to the caller.
+     * propagate to the caller, the lowest index's first, once every
+     * submitted iteration has finished.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);

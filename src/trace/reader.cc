@@ -1,5 +1,6 @@
 #include "trace/reader.hh"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -9,7 +10,12 @@ namespace middlesim::trace
 {
 
 TraceReader::TraceReader(std::string data)
-    : data_(std::move(data)), r_(data_), hash_(sim::fnv1a64Init)
+    : TraceReader(std::make_shared<const std::string>(std::move(data)))
+{
+}
+
+TraceReader::TraceReader(std::shared_ptr<const std::string> data)
+    : data_(std::move(data)), r_(*data_), hash_(sim::fnv1a64Init)
 {
     annCounts_.assign(mem::numTraceAnnotations, 0);
     std::string err;
@@ -28,7 +34,7 @@ TraceReader::fail(const std::string &why)
         return;
     ok_ = false;
     std::ostringstream os;
-    os << why << " (at byte " << r_.pos() << " of " << data_.size()
+    os << why << " (at byte " << r_.pos() << " of " << data_->size()
        << ")";
     error_ = os.str();
 }
@@ -39,7 +45,7 @@ TraceReader::readFooter()
     // Everything before the footer tag is checksummed.
     hash_ = sim::fnv1a64Step(
         hash_,
-        std::string_view(data_).substr(hashedUpTo_,
+        std::string_view(*data_).substr(hashedUpTo_,
                                        r_.pos() - 1 - hashedUpTo_));
     const std::uint64_t want_refs = r_.u64();
     const std::uint64_t want_anns = r_.u64();
@@ -163,10 +169,17 @@ readTraceFile(const std::string &path, std::string &out)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         return false;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    out = buf.str();
-    return is.good() || is.eof();
+    // One read into a string sized from the file; whatever that size
+    // does not cover, such as the bytes of a pipe, is appended.
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    out.assign(ec ? 0 : size, '\0');
+    if (!is.read(out.data(), static_cast<std::streamsize>(out.size())))
+        return false;
+    std::ostringstream rest;
+    rest << is.rdbuf();
+    out += rest.str();
+    return true;
 }
 
 bool

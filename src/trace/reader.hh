@@ -16,6 +16,7 @@
 #define TRACE_READER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,11 +42,22 @@ struct TraceRecord
     std::uint64_t arg = 0;
 };
 
-/** Streaming decoder; owns the trace bytes. */
+/**
+ * Streaming decoder over trace bytes it owns or shares with other
+ * readers. The bytes are never written, so readers on different
+ * threads may share them; each reader validates the header, every
+ * record and the checksum by itself.
+ */
 class TraceReader
 {
   public:
-    /** Parse the header of `data` eagerly; check ok() afterwards. */
+    /**
+     * Parse the header of `data` (not null) eagerly; check ok()
+     * afterwards.
+     */
+    explicit TraceReader(std::shared_ptr<const std::string> data);
+
+    /** The same, taking the bytes over (a move, not a copy). */
     explicit TraceReader(std::string data);
 
     /** False once any structural violation has been detected. */
@@ -87,7 +99,7 @@ class TraceReader
     void fail(const std::string &why);
     bool readFooter();
 
-    std::string data_;
+    std::shared_ptr<const std::string> data_;
     sim::ByteReader r_;
     TraceHeader header_;
 
@@ -111,7 +123,10 @@ class TraceReader
     std::string error_;
 };
 
-/** Read a whole file into `out`. @return false on IO error. */
+/**
+ * Read a whole file into `out`: a regular file with one read into a
+ * string sized from it. @return false on IO error.
+ */
 bool readTraceFile(const std::string &path, std::string &out);
 
 /** True if `path` exists and is readable. */

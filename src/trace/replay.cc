@@ -23,9 +23,8 @@ hierarchyFor(const TraceHeader &header, const ReplayOverrides &overrides)
 }
 
 ReplayCounts
-replayTraceFanout(TraceReader &reader,
-                  const std::vector<mem::Hierarchy *> &hierarchies,
-                  mem::SweepSimulator *sweep)
+replayTrace(TraceReader &reader, mem::Hierarchy *hierarchy,
+            mem::SweepSimulator *sweep)
 {
     ReplayCounts counts;
     TraceRecord rec;
@@ -33,7 +32,7 @@ replayTraceFanout(TraceReader &reader,
         counts.lastTick = rec.tick;
         if (rec.isRef) {
             ++counts.refs;
-            for (mem::Hierarchy *hierarchy : hierarchies)
+            if (hierarchy)
                 hierarchy->access(rec.ref, rec.tick);
             if (sweep)
                 sweep->access(rec.ref);
@@ -50,21 +49,21 @@ replayTraceFanout(TraceReader &reader,
             // adjacent to beginMeasurement()'s hierarchy stat reset
             // (no references in between), so one annotation serves
             // both frontends.
-            for (mem::Hierarchy *hierarchy : hierarchies)
+            if (hierarchy)
                 hierarchy->resetStats();
             if (sweep)
                 sweep->resetCounters();
             break;
           case mem::TraceAnnotation::RegionStatsReset:
-            for (mem::Hierarchy *hierarchy : hierarchies)
+            if (hierarchy)
                 hierarchy->resetRegionStats();
             break;
           case mem::TraceAnnotation::CommTrackReset:
-            for (mem::Hierarchy *hierarchy : hierarchies)
+            if (hierarchy)
                 hierarchy->resetCommunicationTracking();
             break;
           case mem::TraceAnnotation::InvalidateAll:
-            for (mem::Hierarchy *hierarchy : hierarchies)
+            if (hierarchy)
                 hierarchy->invalidateAll();
             break;
           case mem::TraceAnnotation::Instructions:
@@ -80,16 +79,6 @@ replayTraceFanout(TraceReader &reader,
         }
     }
     return counts;
-}
-
-ReplayCounts
-replayTrace(TraceReader &reader, mem::Hierarchy *hierarchy,
-            mem::SweepSimulator *sweep)
-{
-    std::vector<mem::Hierarchy *> hierarchies;
-    if (hierarchy)
-        hierarchies.push_back(hierarchy);
-    return replayTraceFanout(reader, hierarchies, sweep);
 }
 
 } // namespace middlesim::trace

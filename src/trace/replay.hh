@@ -19,9 +19,8 @@
 #ifndef TRACE_REPLAY_HH
 #define TRACE_REPLAY_HH
 
-#include <array>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "mem/hierarchy.hh"
 #include "mem/sweep.hh"
@@ -68,24 +67,12 @@ hierarchyFor(const TraceHeader &header,
  * Replay every remaining record of `reader` into the given frontends
  * (either may be nullptr). Check reader.complete() afterwards: a
  * trace that fails validation mid-stream yields partial state that
- * must be discarded.
+ * must be discarded. Replays of one trace into different hierarchies
+ * never interact, so each may run on its own thread with its own
+ * reader over shared bytes (core::replayTraceSharing does).
  */
 ReplayCounts replayTrace(TraceReader &reader, mem::Hierarchy *hierarchy,
                          mem::SweepSimulator *sweep);
-
-/**
- * Single-pass fan-out replay: decode the stream once and feed every
- * record to each hierarchy (and the sweep, when non-null). Each
- * hierarchy evolves exactly as it would under its own replayTrace()
- * pass — the frontends never interact — so per-hierarchy state is
- * bit-identical to N separate replays at one decode cost. This is
- * what makes the Figure 16 sharing-degree study single-pass: one SMP
- * recording, one decode, every sharing degree at once.
- */
-ReplayCounts
-replayTraceFanout(TraceReader &reader,
-                  const std::vector<mem::Hierarchy *> &hierarchies,
-                  mem::SweepSimulator *sweep = nullptr);
 
 } // namespace middlesim::trace
 

@@ -152,6 +152,89 @@ TEST(BlockMeta, GrowsPastInitialCapacityWithoutLosingEntries)
     }
 }
 
+namespace
+{
+
+/**
+ * Grow a 128-group directory table (88 B slots) from 16 slots past
+ * 1 MB, then clear it and grow it again from one large array into the
+ * next; every record must match its mirror throughout. With `mapped`,
+ * every array after the first is mapped, and each doubling past
+ * 256 KB hands its old array back in several stretches.
+ */
+void
+growPastOneMegabyte(bool mapped)
+{
+    constexpr std::size_t kMegabyte = std::size_t{1} << 20;
+    BlockMetaTable table(128, true, 16);
+    if (mapped)
+        table.mapNewArrays();
+    ASSERT_EQ(table.slotBytes(), 88u);
+    ASSERT_LT(table.capacity() * table.slotBytes(), kMegabyte);
+
+    struct Record
+    {
+        std::int32_t owner;
+        sim::Tick transientUntil;
+        unsigned sharer;
+        unsigned present;
+    };
+    std::unordered_map<mem::Addr, Record> mirror;
+    sim::Rng rng(23);
+    const auto fill = [&](std::size_t blocks) {
+        while (mirror.size() < blocks) {
+            const mem::Addr block = rng.uniform(1ULL << 30) * 64;
+            if (mirror.count(block))
+                continue;
+            const Record r{static_cast<std::int32_t>(rng.uniform(128)),
+                           rng.uniform(1'000'000),
+                           static_cast<unsigned>(rng.uniform(128)),
+                           static_cast<unsigned>(rng.uniform(128))};
+            const LineMeta meta = table[block];
+            meta.setOwner(r.owner);
+            meta.setTransientUntil(r.transientUntil);
+            meta.sharers().set(r.sharer);
+            meta.presence().set(r.present);
+            mirror[block] = r;
+        }
+    };
+    const auto expectMirrored = [&] {
+        EXPECT_EQ(table.size(), mirror.size());
+        for (const auto &[block, r] : mirror) {
+            const ConstLineMeta meta = std::as_const(table).find(block);
+            ASSERT_TRUE(meta) << block;
+            EXPECT_EQ(meta.owner(), r.owner) << block;
+            EXPECT_EQ(meta.transientUntil(), r.transientUntil) << block;
+            EXPECT_EQ(meta.sharers().count(), 1u) << block;
+            EXPECT_TRUE(meta.sharers().test(r.sharer)) << block;
+            EXPECT_EQ(meta.presence().count(), 1u) << block;
+            EXPECT_TRUE(meta.presence().test(r.present)) << block;
+            EXPECT_TRUE(meta.everCached().none()) << block;
+        }
+    };
+
+    fill(8000);
+    const std::size_t large = table.capacity();
+    EXPECT_GE(large * table.slotBytes(), kMegabyte);
+    expectMirrored();
+
+    table.clear();
+    mirror.clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.capacity(), large);
+    fill(16000);
+    EXPECT_GT(table.capacity(), large);
+    expectMirrored();
+}
+
+} // namespace
+
+TEST(BlockMeta, HeapAndMappedArraysGrowWithoutLosingRecords)
+{
+    growPastOneMegabyte(false);
+    growPastOneMegabyte(true);
+}
+
 TEST(BlockMeta, WideGeometryRecordsKeepTheirWidth)
 {
     // A table built for a 512-group directory machine hands out

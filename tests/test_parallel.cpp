@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -128,6 +129,24 @@ TEST(ThreadPool, ParallelForPropagatesExceptions)
                                           throw std::runtime_error("x");
                                   }),
                  std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForFinishesEveryIterationBeforeThrowing)
+{
+    // Iterations still queued when one throws call the body too; none
+    // may run after the exception has reached the caller.
+    std::atomic<int> finished{0};
+    sim::ThreadPool pool(2);
+    EXPECT_THROW(pool.parallelFor(8,
+                                  [&](std::size_t i) {
+                                      if (i == 0)
+                                          throw std::runtime_error("x");
+                                      std::this_thread::sleep_for(
+                                          std::chrono::milliseconds(5));
+                                      finished.fetch_add(1);
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(finished.load(), 7);
 }
 
 TEST(ParallelRunner, RepeatedSpecPerturbsOnlyTheSeed)

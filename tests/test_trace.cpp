@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -437,6 +438,71 @@ TEST(TraceCorruption, ReplayOfInvalidTraceReportsError)
     EXPECT_FALSE(sweep.error.empty());
 }
 
+TEST(TraceCorruption, SharingReplayGivesEveryDegreeTheSameError)
+{
+    // Damage past the header reaches every degree's own reader on its
+    // own task; each must report what a single-degree replay reports.
+    const std::string full = sampleTrace();
+    const std::string truncated = full.substr(0, full.size() - 40);
+    std::string flipped = full;
+    flipped[full.size() - 40] ^= 0x40;
+    for (const std::string &bad : {truncated, flipped}) {
+        ASSERT_TRUE(trace::TraceReader{std::string(bad)}.ok());
+        const std::string want = core::replayTraceHierarchy(bad).error;
+        ASSERT_FALSE(want.empty());
+        const std::vector<core::HierarchyReplayOutcome> outs =
+            core::replayTraceSharing(bad, {1, 2, 4});
+        ASSERT_EQ(outs.size(), 3u);
+        for (const core::HierarchyReplayOutcome &out : outs) {
+            EXPECT_FALSE(out.valid);
+            EXPECT_EQ(out.error, want);
+        }
+    }
+}
+
+TEST(TraceFormat, ReadersSharingOneBufferMatchAnOwningReader)
+{
+    // Two readers over one buffer, advanced in turn, each decode the
+    // whole stream exactly as a reader owning its own copy does.
+    const std::string bytes = sampleTrace();
+    const auto shared = std::make_shared<const std::string>(bytes);
+    trace::TraceReader owner{std::string(bytes)};
+    trace::TraceReader a(shared);
+    trace::TraceReader b(shared);
+    ASSERT_TRUE(owner.ok() && a.ok() && b.ok());
+
+    const auto expectSame = [](const trace::TraceRecord &x,
+                               const trace::TraceRecord &y) {
+        EXPECT_EQ(x.isRef, y.isRef);
+        EXPECT_EQ(x.ref.addr, y.ref.addr);
+        EXPECT_EQ(x.ref.type, y.ref.type);
+        EXPECT_EQ(x.ref.cpu, y.ref.cpu);
+        EXPECT_EQ(x.tick, y.tick);
+        EXPECT_EQ(x.kind, y.kind);
+        EXPECT_EQ(x.arg, y.arg);
+    };
+    trace::TraceRecord want, got_a, got_b;
+    std::uint64_t records = 0;
+    for (;;) {
+        const bool more = owner.next(want);
+        ASSERT_EQ(a.next(got_a), more) << "record " << records;
+        ASSERT_EQ(b.next(got_b), more) << "record " << records;
+        if (!more)
+            break;
+        expectSame(got_a, want);
+        expectSame(got_b, want);
+        ++records;
+    }
+    EXPECT_EQ(records, 202u);
+    for (const trace::TraceReader *r : {&a, &b}) {
+        EXPECT_TRUE(r->complete()) << r->error();
+        EXPECT_EQ(r->refCount(), owner.refCount());
+        EXPECT_EQ(r->annotationCount(), owner.annotationCount());
+    }
+    EXPECT_TRUE(owner.complete());
+    EXPECT_EQ(*shared, bytes);
+}
+
 // ---------------------------------------------------------------------
 // Replay equivalence (the subsystem's correctness anchor).
 // ---------------------------------------------------------------------
@@ -604,9 +670,10 @@ TEST(TraceReplay, SweepReplayMatchesNaiveOracle)
 
 TEST(TraceReplay, SharingFanoutBitIdenticalToPerDegree)
 {
-    // The Figure 16 study from one SMP recording: a single-decode
-    // fan-out across sharing degrees must leave every hierarchy in
-    // exactly the state a dedicated per-degree replay produces.
+    // The Figure 16 study from one SMP recording: the sharing degrees,
+    // replayed in parallel over one shared buffer, must each leave
+    // their hierarchy in exactly the state a dedicated per-degree
+    // replay produces.
     core::TraceRecordOutcome rec =
         core::recordTraceRun(sharedL2EcperfSpec());
     ASSERT_FALSE(rec.traceData.empty());
