@@ -37,10 +37,6 @@ class Checker
             jvm::Jvm &jvm, unsigned gc_cpu,
             const CheckOptions &opts = CheckOptions());
 
-    /** Memory-only session (trace replay, stress streams). */
-    explicit Checker(mem::Hierarchy &hierarchy,
-                     const CheckOptions &opts = CheckOptions());
-
     ~Checker();
 
     Checker(const Checker &) = delete;
@@ -52,12 +48,10 @@ class Checker
     CheckReport &report() { return report_; }
     const CheckReport &report() const { return report_; }
 
-    MemChecker &memChecker() { return *mem_; }
-
   private:
-    mem::Hierarchy *hierarchy_;
-    os::Scheduler *sched_ = nullptr;
-    jvm::Jvm *jvm_ = nullptr;
+    mem::Hierarchy &hierarchy_;
+    os::Scheduler &sched_;
+    jvm::Jvm &jvm_;
 
     CheckReport report_;
     std::unique_ptr<MemChecker> mem_;

@@ -50,7 +50,10 @@ struct CheckOptions
     std::uint64_t auditPeriod = 0;
 };
 
-/** One-line rendering of a violation, as fail-fast would print it. */
+/**
+ * One-line rendering of a violation. Fail-fast prints it after
+ * "invariant violated: ".
+ */
 inline std::string
 formatViolation(const Violation &v)
 {
@@ -73,8 +76,8 @@ class CheckReport
     {
         ++total_;
         if (opts_.failFast) {
-            fatal("invariant violated: ", invariant, " — ", detail,
-                  " (tick ", tick, ", ref #", refIndex, ")");
+            fatal("invariant violated: ",
+                  formatViolation({invariant, detail, tick, refIndex}));
         }
         if (violations_.size() < opts_.maxViolations)
             violations_.push_back({invariant, detail, tick, refIndex});
@@ -95,26 +98,6 @@ class CheckReport
     std::vector<Violation> violations_;
     std::uint64_t total_ = 0;
 };
-
-/**
- * Multi-line summary of a collection-mode report: one header line
- * with the counters, then one indented formatViolation() line per
- * retained violation (noting how many the cap dropped).
- */
-inline std::string
-formatReport(const CheckReport &report)
-{
-    std::string out = report.clean() ? "clean" : "violated";
-    out += ": " + std::to_string(report.refsChecked) +
-           " refs checked, " +
-           std::to_string(report.totalViolations()) + " violations";
-    if (report.totalViolations() > report.violations().size())
-        out += " (" + std::to_string(report.violations().size()) +
-               " retained)";
-    for (const Violation &v : report.violations())
-        out += "\n  " + formatViolation(v);
-    return out;
-}
 
 } // namespace middlesim::check
 

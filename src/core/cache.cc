@@ -595,20 +595,9 @@ RunCache::storeDisk(const std::string &kind, const std::string &key,
 RunResult
 cachedRunExperiment(const ExperimentSpec &spec)
 {
-    const std::string key = encodeSpecKey(spec);
-    RunCache &cache = RunCache::global();
-
-    std::string payload;
-    if (cache.fetch("run", key, payload)) {
-        RunResult cached;
-        if (decodeRunResult(payload, cached))
-            return cached;
-        warn("cache: undecodable 'run' payload; re-simulating");
-    }
-
-    RunResult fresh = runExperiment(spec);
-    cache.store("run", key, encodeRunResult(fresh));
-    return fresh;
+    return throughCache<RunResult>("run", spec, decodeRunResult,
+                                   encodeRunResult,
+                                   [&] { return runExperiment(spec); });
 }
 
 } // namespace middlesim::core

@@ -31,6 +31,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "sim/log.hh"
 #include "sim/serialize.hh"
 
 namespace middlesim::core
@@ -135,10 +136,33 @@ class RunCache
 };
 
 /**
- * runExperiment() through the content-addressed cache: compute the
- * spec key, fetch (memo, then disk), simulate on a miss and store.
- * Results are byte-identical to an uncached runExperiment() call.
+ * `run()` through the content-addressed cache, the one path of every
+ * cached kind: compute the key of `spec`, fetch (memo, then disk)
+ * and decode under `kind`, or simulate on a miss and store. A
+ * payload that does not decode is warned about and re-simulated.
+ * Results are byte-identical to calling `run()` directly.
  */
+template <typename T, typename Decode, typename Encode, typename Run>
+T
+throughCache(const char *kind, const ExperimentSpec &spec,
+             Decode decode, Encode encode, Run run)
+{
+    const std::string key = encodeSpecKey(spec);
+    RunCache &cache = RunCache::global();
+    std::string payload;
+    if (cache.fetch(kind, key, payload)) {
+        T cached;
+        if (decode(payload, cached))
+            return cached;
+        warn("cache: undecodable '", kind,
+             "' payload; re-simulating");
+    }
+    T fresh = run();
+    cache.store(kind, key, encode(fresh));
+    return fresh;
+}
+
+/** runExperiment() through the cache (kind "run"). */
 RunResult cachedRunExperiment(const ExperimentSpec &spec);
 
 } // namespace middlesim::core

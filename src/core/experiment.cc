@@ -211,16 +211,6 @@ runGrid(const std::vector<ExperimentSpec> &specs)
     return results;
 }
 
-std::vector<RunResult>
-runRepeated(const ExperimentSpec &spec, unsigned runs)
-{
-    std::vector<ExperimentSpec> specs;
-    specs.reserve(runs);
-    for (unsigned r = 0; r < runs; ++r)
-        specs.push_back(repeatedSpec(spec, r));
-    return runGrid(specs);
-}
-
 stats::RunningStat
 summarize(const std::vector<RunResult> &results,
           const std::function<double(const RunResult &)> &metric)

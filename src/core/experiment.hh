@@ -6,10 +6,10 @@
  * An ExperimentSpec names a workload, a machine shape and a
  * measurement interval; runExperiment() builds the system, warms it
  * up, measures a steady-state interval and returns a RunResult of
- * scalar observables. runRepeated() applies the methodology of
- * Alameldeen & Wood [2]: the same experiment is run several times
- * with perturbed seeds and every reported value carries a standard
- * deviation.
+ * scalar observables. repeatedSpec() and runGrid() apply the
+ * methodology of Alameldeen & Wood [2]: the same experiment is run
+ * several times with perturbed seeds and every reported value
+ * carries a standard deviation.
  *
  * Scaling note (documented in EXPERIMENTS.md): the JVM defaults here
  * shrink the new generation from the paper's 400 MB to 48 MB so that
@@ -144,9 +144,9 @@ RunResult runExperiment(const ExperimentSpec &spec);
 
 /**
  * The spec of repetition r (0-based) of an experiment: identical to
- * `spec` except for a deterministically perturbed seed. runRepeated()
- * and every figure harness derive their seeds through this single
- * function, so serial and parallel execution agree bit-for-bit.
+ * `spec` except for a deterministically perturbed seed. Every figure
+ * harness derives its seeds through this single function, so serial
+ * and parallel execution agree bit-for-bit.
  */
 ExperimentSpec repeatedSpec(const ExperimentSpec &spec, unsigned r);
 
@@ -173,10 +173,6 @@ struct GridDedupeStats
 
 GridDedupeStats gridDedupeStats();
 void resetGridDedupeStats();
-
-/** Run `runs` seeds of the same spec (variability methodology). */
-std::vector<RunResult> runRepeated(const ExperimentSpec &spec,
-                                   unsigned runs);
 
 /** Summarize a metric over repeated runs. */
 stats::RunningStat

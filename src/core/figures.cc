@@ -111,7 +111,7 @@ scalingGridSpecs(const FigureOptions &opt)
     // Flatten every (cpu count, workload, repetition) into one grid
     // so independent points fan out across the thread pool together;
     // seeds come from repeatedSpec(), so the regrouped results are
-    // identical to per-point runRepeated() calls.
+    // identical to running each point's repetitions on its own.
     std::vector<ExperimentSpec> specs;
     for (double cpus_d : paper::cpuSweep()) {
         const auto cpus = static_cast<unsigned>(cpus_d);
@@ -678,18 +678,9 @@ fig10Leaf(const FigureOptions &opt)
 Fig10Data
 cachedFig10Data(const FigureOptions &opt)
 {
-    const std::string key = encodeSpecKey(fig10Spec(opt));
-    RunCache &cache = RunCache::global();
-    std::string payload;
-    if (cache.fetch("fig10", key, payload)) {
-        Fig10Data d;
-        if (decodeFig10(payload, d))
-            return d;
-        warn("cache: undecodable 'fig10' payload; re-simulating");
-    }
-    Fig10Data fresh = fig10Leaf(opt);
-    cache.store("fig10", key, encodeFig10(fresh));
-    return fresh;
+    return throughCache<Fig10Data>("fig10", fig10Spec(opt), decodeFig10,
+                                   encodeFig10,
+                                   [&] { return fig10Leaf(opt); });
 }
 
 FigureResult

@@ -309,27 +309,6 @@ decodeCommPoint(const std::string &payload, CommPoint &out)
     return true;
 }
 
-/** fetch-decode-or-simulate-and-store, shared by the leaf kinds. */
-template <typename T, typename Decode, typename Encode, typename Run>
-T
-throughCache(const char *kind, const ExperimentSpec &spec,
-             Decode decode, Encode encode, Run run)
-{
-    const std::string key = encodeSpecKey(spec);
-    RunCache &cache = RunCache::global();
-    std::string payload;
-    if (cache.fetch(kind, key, payload)) {
-        T cached;
-        if (decode(payload, cached))
-            return cached;
-        warn("cache: undecodable '", kind,
-             "' payload; re-simulating");
-    }
-    T fresh = run();
-    cache.store(kind, key, encode(fresh));
-    return fresh;
-}
-
 } // namespace
 
 LivePoint
@@ -474,27 +453,36 @@ sweepSet(const FigureOptions &opt)
     if (!fresh)
         return set;
     // The four uniprocessor sweeps are independent simulations; run
-    // them concurrently.
+    // them concurrently, each into its slot of fig12SweepRuns() order.
+    const std::vector<SweepRun> &runs = fig12SweepRuns();
+    SweepOutcome *const slots[] = {&set.ecperf, &set.jbb1, &set.jbb10,
+                                   &set.jbb25};
+    sim_assert(runs.size() == std::size(slots));
     sim::ThreadPool &pool = sim::ThreadPool::global();
     std::vector<std::future<void>> points;
-    points.push_back(pool.submit([&set, opt] {
-        set.ecperf = cachedSweepOutcome(WorkloadKind::Ecperf, 8, opt);
-    }));
-    points.push_back(pool.submit([&set, opt] {
-        set.jbb1 = cachedSweepOutcome(WorkloadKind::SpecJbb, 1, opt);
-    }));
-    points.push_back(pool.submit([&set, opt] {
-        set.jbb10 = cachedSweepOutcome(WorkloadKind::SpecJbb, 10, opt);
-    }));
-    points.push_back(pool.submit([&set, opt] {
-        set.jbb25 = cachedSweepOutcome(WorkloadKind::SpecJbb, 25, opt);
-    }));
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        points.push_back(pool.submit([slot = slots[i], run = runs[i], opt] {
+            *slot = cachedSweepOutcome(run.kind, run.scale, opt);
+        }));
+    }
     for (auto &f : points)
         f.get();
     return set;
 }
 
 } // namespace
+
+const std::vector<SweepRun> &
+fig12SweepRuns()
+{
+    static const std::vector<SweepRun> runs = {
+        {WorkloadKind::Ecperf, 8},
+        {WorkloadKind::SpecJbb, 1},
+        {WorkloadKind::SpecJbb, 10},
+        {WorkloadKind::SpecJbb, 25},
+    };
+    return runs;
+}
 
 FigureResult
 runFig12(const FigureOptions &opt)
@@ -677,17 +665,18 @@ commSet(const FigureOptions &opt)
     CommSet &set = it->second;
     if (!fresh)
         return set;
+    const std::vector<CommRun> &runs = fig14CommRuns();
+    CommPoint *const slots[] = {&set.jbb, &set.ec};
+    sim_assert(runs.size() == std::size(slots));
     sim::ThreadPool &pool = sim::ThreadPool::global();
-    auto jbb_f = pool.submit([opt] {
-        return cachedCommFootprint(WorkloadKind::SpecJbb, 15, 15, opt);
-    });
-    // The paper binds the ECperf application server to 8 of the 16
-    // processors and filters to those.
-    auto ec_f = pool.submit([opt] {
-        return cachedCommFootprint(WorkloadKind::Ecperf, 8, 8, opt);
-    });
-    set.jbb = jbb_f.get();
-    set.ec = ec_f.get();
+    std::vector<std::future<void>> points;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        points.push_back(pool.submit([slot = slots[i], run = runs[i], opt] {
+            *slot = cachedCommFootprint(run.kind, run.cpus, run.scale, opt);
+        }));
+    }
+    for (auto &f : points)
+        f.get();
     return set;
 }
 
@@ -704,6 +693,16 @@ ecComm(const FigureOptions &opt)
 }
 
 } // namespace
+
+const std::vector<CommRun> &
+fig14CommRuns()
+{
+    static const std::vector<CommRun> runs = {
+        {WorkloadKind::SpecJbb, 15, 15},
+        {WorkloadKind::Ecperf, 8, 8},
+    };
+    return runs;
+}
 
 CommPoint
 cachedCommFootprint(WorkloadKind kind, unsigned cpus, unsigned scale,

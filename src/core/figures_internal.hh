@@ -95,6 +95,19 @@ struct SweepOutcome
 SweepOutcome cachedSweepOutcome(WorkloadKind kind, unsigned scale,
                                 const FigureOptions &opt);
 
+/** One Figure 12/13 sweep: a workload at one scale. */
+struct SweepRun
+{
+    WorkloadKind kind;
+    unsigned scale;
+};
+
+/**
+ * The Figure 12/13 sweeps, in this order: ECperf at injection rate
+ * 8, then SPECjbb at 1, 10 and 25 warehouses.
+ */
+const std::vector<SweepRun> &fig12SweepRuns();
+
 /** One Figure 14/15 communication run (cache kind "comm"). */
 struct CommPoint
 {
@@ -106,6 +119,21 @@ struct CommPoint
 
 CommPoint cachedCommFootprint(WorkloadKind kind, unsigned cpus,
                               unsigned scale, const FigureOptions &opt);
+
+/** One Figure 14/15 communication run. */
+struct CommRun
+{
+    WorkloadKind kind;
+    unsigned cpus;
+    unsigned scale;
+};
+
+/**
+ * The Figure 14/15 runs, in this order: SPECjbb on 15 CPUs with 15
+ * warehouses, then ECperf at rate 8 on the 8 of 16 processors the
+ * paper binds the application server to.
+ */
+const std::vector<CommRun> &fig14CommRuns();
 
 /** The flattened grid of the Figure 4-9 scaling sweep. */
 std::vector<ExperimentSpec> scalingGridSpecs(const FigureOptions &opt);

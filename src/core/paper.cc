@@ -90,22 +90,6 @@ fig6SpecJbbCpi()
 }
 
 stats::Series
-fig6EcperfDataStallFrac()
-{
-    return make("paper-ecperf-dstall",
-                {{1, 0.15}, {4, 0.20}, {8, 0.27}, {12, 0.32},
-                 {15, 0.35}});
-}
-
-stats::Series
-fig6SpecJbbDataStallFrac()
-{
-    return make("paper-specjbb-dstall",
-                {{1, 0.12}, {4, 0.15}, {8, 0.19}, {12, 0.23},
-                 {15, 0.25}});
-}
-
-stats::Series
 fig7EcperfC2cShare()
 {
     return make("paper-ecperf-c2cshare",
@@ -237,13 +221,6 @@ fig16SpecJbb25()
 {
     return make("paper-specjbb-25",
                 {{1, 1.6}, {2, 2.8}, {4, 6.0}, {8, 16.0}});
-}
-
-const Claims &
-claims()
-{
-    static const Claims c;
-    return c;
 }
 
 } // namespace middlesim::core::paper

@@ -34,9 +34,6 @@ stats::Series fig5SpecJbbIdle();
 /** Figure 6: total CPI vs processors. */
 stats::Series fig6EcperfCpi();
 stats::Series fig6SpecJbbCpi();
-/** Figure 6: data-stall share of the CPI (fraction). */
-stats::Series fig6EcperfDataStallFrac();
-stats::Series fig6SpecJbbDataStallFrac();
 
 /** Figure 7: c2c share of data stall time (fraction) vs processors. */
 stats::Series fig7EcperfC2cShare();
@@ -65,30 +62,6 @@ stats::Series fig14SpecJbb();
 /** Figure 16: data misses/1000 instr vs CPUs per shared 1 MB L2. */
 stats::Series fig16Ecperf();
 stats::Series fig16SpecJbb25();
-
-/** Headline scalar claims from the text. */
-struct Claims
-{
-    double ecperfCpiMin = 2.0;
-    double ecperfCpiMax = 2.8;
-    double jbbCpiMin = 1.8;
-    double jbbCpiMax = 2.4;
-    double ecperfPeakSpeedup = 10.0;
-    double ecperfPeakCpus = 12.0;
-    double jbbPlateauSpeedup = 7.0;
-    double jbbPlateauCpus = 10.0;
-    double c2cRatioAt2 = 0.25;
-    double c2cRatioAt14 = 0.60;
-    double idleAt10Plus = 0.25;
-    double ecperfSystemAt1 = 0.05;
-    double ecperfSystemAt15 = 0.30;
-    double jbbTopLineC2cShare = 0.20;
-    double ecperfTopLineC2cShare = 0.14;
-    double jbbTop01PctC2cShare = 0.70;
-    double ecperfTop01PctC2cShare = 0.56;
-};
-
-const Claims &claims();
 
 } // namespace middlesim::core::paper
 

@@ -50,6 +50,12 @@ struct WorkItem
     std::function<void()> run;
 };
 
+std::string
+kindTag(WorkloadKind kind)
+{
+    return kind == WorkloadKind::Ecperf ? "ec" : "jbb";
+}
+
 void
 addGridItems(std::vector<WorkItem> &items,
              const std::vector<ExperimentSpec> &specs)
@@ -85,21 +91,23 @@ figureWork(const std::string &fig, const FigureOptions &opt)
             }});
         }
     } else if (fig == "fig12" || fig == "fig13") {
-        items.push_back({"sweep:ec:8", [opt] {
-            cachedSweepOutcome(WorkloadKind::Ecperf, 8, opt);
-        }});
-        for (unsigned s : {1u, 10u, 25u}) {
-            items.push_back({"sweep:jbb:" + std::to_string(s), [s, opt] {
-                cachedSweepOutcome(WorkloadKind::SpecJbb, s, opt);
-            }});
+        for (const SweepRun &r : fig12SweepRuns()) {
+            items.push_back({"sweep:" + kindTag(r.kind) + ":" +
+                                 std::to_string(r.scale),
+                             [r, opt] {
+                                 cachedSweepOutcome(r.kind, r.scale, opt);
+                             }});
         }
     } else if (fig == "fig14" || fig == "fig15") {
-        items.push_back({"comm:jbb:15:15", [opt] {
-            cachedCommFootprint(WorkloadKind::SpecJbb, 15, 15, opt);
-        }});
-        items.push_back({"comm:ec:8:8", [opt] {
-            cachedCommFootprint(WorkloadKind::Ecperf, 8, 8, opt);
-        }});
+        for (const CommRun &r : fig14CommRuns()) {
+            items.push_back({"comm:" + kindTag(r.kind) + ":" +
+                                 std::to_string(r.cpus) + ":" +
+                                 std::to_string(r.scale),
+                             [r, opt] {
+                                 cachedCommFootprint(r.kind, r.cpus,
+                                                     r.scale, opt);
+                             }});
+        }
     } else if (fig == "fig16") {
         addGridItems(items, fig16GridSpecs(opt));
     }

@@ -91,7 +91,6 @@ class System
     /** Zero all statistics; the measured interval starts here. */
     void beginMeasurement();
 
-    sim::Tick measureStart() const { return measureStart_; }
     sim::Tick measuredTicks() const { return now_ - measureStart_; }
     double measuredSeconds() const;
 
@@ -124,7 +123,6 @@ class System
      * Recording is observation-only and never perturbs the run.
      */
     void setTraceSink(mem::TraceSink *sink);
-    mem::TraceSink *traceSink() const { return trace_; }
 
     /**
      * Attach a full invariant-checking session (memory + scheduler +

@@ -370,17 +370,17 @@ traceToolMain(int argc, char **argv)
         o.overrides.l2SizeBytes = o.l2Kb << 10;
         return cmdReplay(path, o.overrides);
     }
-    if (argc > 3)
+    int (*const cmdFile)(const std::string &) =
+        cmd == "info"       ? cmdInfo
+        : cmd == "validate" ? cmdValidate
+        : cmd == "sweep"    ? cmdSweep
+        : cmd == "sharing"  ? cmdSharing
+                            : nullptr;
+    if (!cmdFile || argc > 3)
         return usage(stderr, 1);
-    if (cmd == "info")
-        return cmdInfo(path);
-    if (cmd == "validate")
-        return cmdValidate(path);
-    if (cmd == "sweep")
-        return cmdSweep(path);
-    if (cmd == "sharing")
-        return cmdSharing(path);
-    return usage(stderr, 1);
+    if (path == "--help")
+        return usage(stdout, 0);
+    return cmdFile(path);
 }
 
 } // namespace middlesim::core

@@ -14,7 +14,9 @@ namespace middlesim::core
  * main() body of the middlesim-trace driver.
  *
  * Subcommands (`middlesim-trace --help` also lists the options of
- * timeline, record and replay, one table each):
+ * timeline, record and replay, one table each; `<cmd> --help` prints
+ * the same usage for info, validate, sweep and sharing, and the
+ * command's own table for the other three):
  *   info FILE            header, record counts, annotation breakdown
  *   validate FILE        full structural validation (exit 0 iff valid)
  *   timeline FILE        annotation timeline (GC windows, mode

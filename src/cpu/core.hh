@@ -49,8 +49,6 @@ class InOrderCore
     InOrderCore(unsigned cpu_id, mem::Hierarchy &mem,
                 const CoreParams &params, sim::Rng rng);
 
-    unsigned cpuId() const { return cpuId_; }
-
     /** Local clock in cycles. */
     sim::Tick now() const { return now_; }
 

@@ -66,10 +66,6 @@ class StoreBuffer
         return n;
     }
 
-    unsigned depth() const { return depth_; }
-
-    void clear() { inflight_.clear(); }
-
   private:
     unsigned depth_;
     std::deque<sim::Tick> inflight_;

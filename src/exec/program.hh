@@ -246,7 +246,6 @@ class ResourcePool
 
     std::uint64_t acquires() const { return acquires_; }
     std::uint64_t exhaustedAcquires() const { return exhausted_; }
-    std::size_t queueLength() const { return waiters_.size(); }
 
   private:
     std::string name_;

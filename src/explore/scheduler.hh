@@ -55,12 +55,6 @@ class ExploreScheduler
     /** Position of `cpu` in its stream (references executed). */
     std::uint32_t posOf(unsigned cpu) const { return pos_[cpu]; }
 
-    /** The reference step(cpu) would execute next. */
-    const mem::MemRef &nextRef(unsigned cpu) const
-    {
-        return (*streams_)[cpu][pos_[cpu]];
-    }
-
     /**
      * Execute the next reference of `cpu`. Check violated()
      * afterwards; a violated scheduler must be reset() before further

@@ -34,14 +34,6 @@ GcProgram::GcProgram(const GcWork &work, sim::Rng rng)
         phase_ = work_.rootScanInstr ? Phase::Roots : Phase::Done;
 }
 
-std::uint64_t
-GcProgram::estimateInstructions(const GcWork &work)
-{
-    return work.rootScanInstr +
-           (work.survivorBytes / 64) * work.instrPerLine +
-           (work.compactBytes / 64) * work.instrPerLine * 2;
-}
-
 exec::NextOp
 GcProgram::next(exec::Burst &burst, sim::Tick)
 {

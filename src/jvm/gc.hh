@@ -61,9 +61,6 @@ class GcProgram : public exec::ThreadProgram
 
     exec::NextOp next(exec::Burst &burst, sim::Tick now) override;
 
-    /** Total instructions this collection will execute (estimate). */
-    static std::uint64_t estimateInstructions(const GcWork &work);
-
   private:
     enum class Phase : std::uint8_t
     {

@@ -47,13 +47,6 @@ Heap::allocateOld(std::uint64_t bytes)
     return addr;
 }
 
-double
-Heap::oldOccupancy() const
-{
-    return static_cast<double>(oldUsed_) /
-           static_cast<double>(oldGenCapacity());
-}
-
 void
 Heap::compactOld(std::uint64_t live_bytes)
 {

@@ -90,9 +90,6 @@ class Heap
 
     std::uint64_t pretenuredBytes() const { return oldFloor_; }
 
-    /** Fraction of old-generation capacity in use. */
-    double oldOccupancy() const;
-
     /**
      * Compact the old generation down to `live_bytes` (end of a major
      * collection). Pretenured regions allocated before the compaction
@@ -100,8 +97,6 @@ class Heap
      * sliding compaction of the short-lived promoted data.
      */
     void compactOld(std::uint64_t live_bytes);
-
-    const HeapParams &params() const { return params_; }
 
   private:
     HeapParams params_;

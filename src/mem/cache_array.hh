@@ -135,8 +135,6 @@ class CacheArray
     /** Number of valid lines currently held. */
     std::uint64_t validCount() const;
 
-    const sim::CacheParams &params() const { return params_; }
-
     /** Iterate lines of the set containing addr (for snoops/tests). */
     std::pair<const CacheLine *, const CacheLine *> setOf(Addr addr) const;
 

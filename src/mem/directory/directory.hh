@@ -116,7 +116,11 @@ class DirectoryController
         return static_cast<unsigned>((block >> blockShift_) % nodes_);
     }
 
-    /** Hop distance between two nodes (MachineConfig::hopsBetween). */
+    /**
+     * Hop distance between two nodes: the shorter way around the
+     * ring, or the dimension-ordered XY route on the wrap-around
+     * mesh (the routing spec in tests/mesh_routing.hh).
+     */
     unsigned
     hops(unsigned a, unsigned b) const
     {

@@ -20,7 +20,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -68,12 +67,6 @@ class GroupBitsRef
         w_[g / 64] &= ~(std::uint64_t{1} << (g % 64));
     }
 
-    void
-    clearAll() const requires kMutable
-    {
-        std::memset(w_, 0, n_ * sizeof(std::uint64_t));
-    }
-
     bool
     none() const
     {
@@ -93,17 +86,6 @@ class GroupBitsRef
         for (unsigned i = 0; i < n_; ++i)
             c += static_cast<unsigned>(std::popcount(w_[i]));
         return c;
-    }
-
-    /** Lowest set group index; -1 when empty. */
-    int
-    first() const
-    {
-        for (unsigned i = 0; i < n_; ++i) {
-            if (w_[i])
-                return static_cast<int>(i * 64u) + std::countr_zero(w_[i]);
-        }
-        return -1;
     }
 
     /**
@@ -189,11 +171,8 @@ class SharerSet
     bool test(unsigned g) const { return g < 64 * words() && bits().test(g); }
     void set(unsigned g) { bits().set(g); }
     void clear(unsigned g) { bits().clear(g); }
-    void clearAll() { bits().clearAll(); }
     bool none() const { return bits().none(); }
-    bool any() const { return bits().any(); }
     unsigned count() const { return bits().count(); }
-    int first() const { return bits().first(); }
     std::string toHex() const { return bits().toHex(); }
 
     template <typename F>
@@ -209,8 +188,6 @@ class SharerSet
     {
         bits().forEachSetExcept(skip, std::forward<F>(fn));
     }
-
-    bool operator==(const SharerSet &o) const { return bits() == o.bits(); }
 
   private:
     std::vector<std::uint64_t> w_;

@@ -101,13 +101,4 @@ RefinementSweep::resetCounters()
     misses_.assign(misses_.size(), 0);
 }
 
-void
-RefinementSweep::reset()
-{
-    resetCounters();
-    for (Level &level : levels_)
-        level.ways.assign(level.ways.size(), kEmpty);
-    lastBlock_ = kEmpty;
-}
-
 } // namespace middlesim::mem::stackdist

@@ -63,9 +63,6 @@ class RefinementSweep
     /** Zero counters; keep cache contents. */
     void resetCounters();
 
-    /** Discard contents and counters. */
-    void reset();
-
   private:
     /** One geometry: per-set recency rows of `assoc` block ids. */
     struct Level

@@ -60,18 +60,6 @@ SweepSimulator::dcacheResults() const
     return syncedResults(dbank_);
 }
 
-double
-SweepSimulator::imissPer1000(std::size_t i) const
-{
-    return icacheResults().at(i).missesPer1000(instructions_);
-}
-
-double
-SweepSimulator::dmissPer1000(std::size_t i) const
-{
-    return dcacheResults().at(i).missesPer1000(instructions_);
-}
-
 void
 SweepSimulator::resetCounters()
 {
@@ -82,14 +70,6 @@ SweepSimulator::resetCounters()
     // tests/test_sweep.cpp).
     ibank_.refine.resetCounters();
     dbank_.refine.resetCounters();
-    instructions_ = 0;
-}
-
-void
-SweepSimulator::reset()
-{
-    ibank_.refine.reset();
-    dbank_.refine.reset();
     instructions_ = 0;
 }
 

@@ -75,14 +75,6 @@ class SweepSimulator
     const std::vector<SweepResult> &icacheResults() const;
     const std::vector<SweepResult> &dcacheResults() const;
 
-    /** Misses per 1000 instructions for config i, instruction side. */
-    double imissPer1000(std::size_t i) const;
-    /** Misses per 1000 instructions for config i, data side. */
-    double dmissPer1000(std::size_t i) const;
-
-    /** Clear caches and counters. */
-    void reset();
-
     /** Zero counters but keep cache contents (post-warmup). */
     void resetCounters();
 

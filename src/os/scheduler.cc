@@ -226,12 +226,6 @@ Scheduler::accountMode(unsigned cpu, exec::ExecMode mode, sim::Tick cycles)
 }
 
 void
-Scheduler::accountIo(unsigned cpu, sim::Tick cycles)
-{
-    modes_[cpu].io += cycles;
-}
-
-void
 Scheduler::accountIdle(unsigned cpu, sim::Tick cycles, bool gc_active)
 {
     if (gc_active)

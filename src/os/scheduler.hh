@@ -53,7 +53,6 @@ class Scheduler
 
     SimThread &thread(unsigned tid) { return threads_[tid]; }
     const SimThread &thread(unsigned tid) const { return threads_[tid]; }
-    std::size_t numThreads() const { return threads_.size(); }
 
     unsigned totalCpus() const { return totalCpus_; }
     unsigned appCpus() const { return appCpus_; }
@@ -111,7 +110,6 @@ class Scheduler
 
     /** Mode accounting. */
     void accountMode(unsigned cpu, exec::ExecMode mode, sim::Tick cycles);
-    void accountIo(unsigned cpu, sim::Tick cycles);
     void accountIdle(unsigned cpu, sim::Tick cycles, bool gc_active);
 
     const ModeBreakdown &modes(unsigned cpu) const { return modes_[cpu]; }
@@ -124,9 +122,6 @@ class Scheduler
 
     std::uint64_t contextSwitches() const { return contextSwitches_; }
     void countContextSwitch() { ++contextSwitches_; }
-
-    /** Cross-CPU moves of previously-placed unbound threads. */
-    std::uint64_t migrations() const { return migrations_->value(); }
 
     /** Record migrations into a reference trace (nullptr detaches). */
     void setTraceSink(mem::TraceSink *sink) { traceSink_ = sink; }

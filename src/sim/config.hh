@@ -199,13 +199,6 @@ struct MachineConfig
         return group / groupsPerNode();
     }
 
-    /** NUMA node a CPU belongs to (via its L2 group). */
-    unsigned
-    nodeOfCpu(unsigned cpu) const
-    {
-        return nodeOfGroup(cpu / cpusPerL2);
-    }
-
     /**
      * Home node of a block-aligned address: physical memory is
      * block-interleaved across nodes.
@@ -253,45 +246,6 @@ struct MachineConfig
 
     /** Mesh Y coordinate (row) of a node. */
     unsigned meshY(unsigned node) const { return node / meshWidth(); }
-
-    /**
-     * Interconnect hop distance between two nodes. Ring: the shorter
-     * way around. Mesh: dimension-ordered XY routing on the
-     * wrap-around grid — the Manhattan distance with each axis
-     * measured the shorter way around its ring, so the route length
-     * equals ringDistance in X plus ringDistance in Y and a W x 1
-     * mesh agrees with the W-node ring exactly.
-     */
-    unsigned
-    hopsBetween(unsigned a, unsigned b) const
-    {
-        if (topology == Topology::Mesh) {
-            const unsigned w = meshWidth();
-            return ringDistance(a % w, b % w, w) +
-                   ringDistance(a / w, b / w, numaNodes / w);
-        }
-        return ringDistance(a, b, numaNodes);
-    }
-
-    /** X-axis leg of the dimension-ordered mesh route (0 under ring). */
-    unsigned
-    meshHopsX(unsigned a, unsigned b) const
-    {
-        if (topology != Topology::Mesh)
-            return 0;
-        const unsigned w = meshWidth();
-        return ringDistance(a % w, b % w, w);
-    }
-
-    /** Y-axis leg of the dimension-ordered mesh route (0 under ring). */
-    unsigned
-    meshHopsY(unsigned a, unsigned b) const
-    {
-        if (topology != Topology::Mesh)
-            return 0;
-        const unsigned w = meshWidth();
-        return ringDistance(a / w, b / w, numaNodes / w);
-    }
 
     void
     validate() const

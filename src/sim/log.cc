@@ -6,23 +6,6 @@
 namespace middlesim::sim
 {
 
-namespace
-{
-bool quietFlag = false;
-} // namespace
-
-void
-setQuiet(bool q)
-{
-    quietFlag = q;
-}
-
-bool
-quiet()
-{
-    return quietFlag;
-}
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
@@ -40,15 +23,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (!quietFlag)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (!quietFlag)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
+    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 } // namespace middlesim::sim

@@ -37,10 +37,6 @@ formatMessage(Args &&...args)
     return os.str();
 }
 
-/** Toggle for suppressing warn()/inform() output (used by tests). */
-void setQuiet(bool quiet);
-bool quiet();
-
 } // namespace middlesim::sim
 
 #define panic(...)                                                     \

@@ -164,7 +164,6 @@ class EventJournal
 
     const std::vector<Event> &events() const { return events_; }
     std::uint64_t dropped() const { return dropped_; }
-    std::size_t capacity() const { return capacity_; }
 
     void reset();
 

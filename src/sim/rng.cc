@@ -1,7 +1,5 @@
 #include "sim/rng.hh"
 
-#include <cmath>
-
 namespace middlesim::sim
 {
 
@@ -69,13 +67,6 @@ Rng::uniform(std::uint64_t bound)
     return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t
-Rng::range(std::int64_t lo, std::int64_t hi)
-{
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 double
 Rng::real()
 {
@@ -90,17 +81,6 @@ Rng::chance(double p)
     if (p >= 1.0)
         return true;
     return real() < p;
-}
-
-std::uint64_t
-Rng::geometric(double p)
-{
-    if (p >= 1.0)
-        return 0;
-    if (p <= 0.0)
-        return 0;
-    const double u = 1.0 - real(); // in (0, 1]
-    return static_cast<std::uint64_t>(std::log(u) / std::log(1.0 - p));
 }
 
 Rng

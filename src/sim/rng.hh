@@ -32,17 +32,11 @@ class Rng
     /** Uniform integer in [0, bound) using Lemire rejection. */
     std::uint64_t uniform(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t range(std::int64_t lo, std::int64_t hi);
-
     /** Uniform double in [0, 1). */
     double real();
 
     /** Bernoulli trial with probability p. */
     bool chance(double p);
-
-    /** Geometric number of extra trials with success probability p. */
-    std::uint64_t geometric(double p);
 
     /**
      * Fork a new independent stream.

@@ -30,20 +30,6 @@ ticksToSeconds(Tick t)
     return static_cast<double>(t) / clockHz;
 }
 
-/** Convert simulated seconds to a cycle count (rounds down). */
-constexpr Tick
-secondsToTicks(double s)
-{
-    return static_cast<Tick>(s * clockHz);
-}
-
-/** Convert simulated milliseconds to a cycle count. */
-constexpr Tick
-millisToTicks(double ms)
-{
-    return secondsToTicks(ms * 1e-3);
-}
-
 } // namespace middlesim::sim
 
 #endif // SIM_TICKS_HH

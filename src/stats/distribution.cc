@@ -30,16 +30,6 @@ ConcentrationCurve::shareOfTopK(std::size_t k) const
 }
 
 double
-ConcentrationCurve::shareOfTopFraction(double fraction) const
-{
-    if (counts_.empty())
-        return 0.0;
-    const auto k = static_cast<std::size_t>(
-        std::ceil(fraction * static_cast<double>(counts_.size())));
-    return shareOfTopK(k);
-}
-
-double
 ConcentrationCurve::maxShare() const
 {
     return shareOfTopK(1);
@@ -59,32 +49,11 @@ ConcentrationCurve::keysForShare(double share) const
     return static_cast<std::size_t>(it - cumulative_.begin()) + 1;
 }
 
-std::vector<std::pair<double, double>>
-ConcentrationCurve::curve(unsigned n) const
-{
-    std::vector<std::pair<double, double>> out;
-    if (counts_.empty() || n == 0)
-        return out;
-    out.reserve(n);
-    for (unsigned i = 1; i <= n; ++i) {
-        const double frac = static_cast<double>(i) / n;
-        out.emplace_back(frac, shareOfTopFraction(frac));
-    }
-    return out;
-}
-
 void
 KeyCounts::add(std::uint64_t key, std::uint64_t weight)
 {
     counts_[key] += weight;
     total_ += weight;
-}
-
-std::uint64_t
-KeyCounts::countOf(std::uint64_t key) const
-{
-    auto it = counts_.find(key);
-    return it == counts_.end() ? 0 : it->second;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>

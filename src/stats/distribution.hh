@@ -39,9 +39,6 @@ class ConcentrationCurve
     /** Share of the total contributed by the top k keys. */
     double shareOfTopK(std::size_t k) const;
 
-    /** Share of the total contributed by the top `fraction` of keys. */
-    double shareOfTopFraction(double fraction) const;
-
     /** Share of the single largest key. */
     double maxShare() const;
 
@@ -50,11 +47,6 @@ class ConcentrationCurve
      * `share` (0..1) of the total.
      */
     std::size_t keysForShare(double share) const;
-
-    /**
-     * Sampled CDF: n points of (fraction of keys, cumulative share).
-     */
-    std::vector<std::pair<double, double>> curve(unsigned n) const;
 
   private:
     std::vector<std::uint64_t> counts_; // descending
@@ -70,7 +62,6 @@ class KeyCounts
 
     std::size_t numKeys() const { return counts_.size(); }
     std::uint64_t total() const { return total_; }
-    std::uint64_t countOf(std::uint64_t key) const;
 
     /** All (key, count) pairs sorted by key (exact comparison). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>>

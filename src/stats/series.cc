@@ -15,32 +15,6 @@ Series::yAt(double x, double fallback) const
     return fallback;
 }
 
-void
-Series::merge(const Series &other)
-{
-    std::vector<Point> fresh;
-    for (const Point &p : other.points) {
-        bool matched = false;
-        for (Point &mine : points) {
-            if (std::abs(mine.x - p.x) < 1e-9) {
-                mine.y += p.y;
-                mine.err = std::sqrt(mine.err * mine.err +
-                                     p.err * p.err);
-                matched = true;
-                break;
-            }
-        }
-        if (!matched)
-            fresh.push_back(p);
-    }
-    for (const Point &p : fresh) {
-        auto at = points.begin();
-        while (at != points.end() && at->x < p.x)
-            ++at;
-        points.insert(at, p);
-    }
-}
-
 double
 Series::maxY() const
 {
@@ -53,22 +27,6 @@ Series::maxY() const
         }
     }
     return best;
-}
-
-double
-Series::argmaxY() const
-{
-    double best = 0.0;
-    double arg = 0.0;
-    bool first = true;
-    for (const auto &p : points) {
-        if (first || p.y > best) {
-            best = p.y;
-            arg = p.x;
-            first = false;
-        }
-    }
-    return arg;
 }
 
 } // namespace middlesim::stats

@@ -42,18 +42,8 @@ struct Series
     /** y value at the given x (exact match), or fallback. */
     double yAt(double x, double fallback = 0.0) const;
 
-    /**
-     * Merge another series: y (and err, in quadrature) sum at points
-     * with matching x; unmatched points of `other` are appended in
-     * x order.
-     */
-    void merge(const Series &other);
-
     /** Largest y over all points (0 if empty). */
     double maxY() const;
-
-    /** x position of the largest y (0 if empty). */
-    double argmaxY() const;
 };
 
 } // namespace middlesim::stats

@@ -1,6 +1,5 @@
 #include "stats/summary.hh"
 
-#include <algorithm>
 #include <cmath>
 
 namespace middlesim::stats
@@ -9,36 +8,10 @@ namespace middlesim::stats
 void
 RunningStat::add(double x)
 {
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
     ++n_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
     m2_ += delta * (x - mean_);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ += other.n_;
 }
 
 double
@@ -53,12 +26,6 @@ double
 RunningStat::stddev() const
 {
     return std::sqrt(variance());
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
 }
 
 } // namespace middlesim::stats

@@ -16,15 +16,12 @@
 namespace middlesim::stats
 {
 
-/** Online mean / variance / extrema accumulator. */
+/** Online mean / variance accumulator. */
 class RunningStat
 {
   public:
     /** Add one sample. */
     void add(double x);
-
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
 
     /** Number of samples observed. */
     std::uint64_t count() const { return n_; }
@@ -38,20 +35,10 @@ class RunningStat
     /** Sample standard deviation. */
     double stddev() const;
 
-    /** Sum of all samples. */
-    double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-    void reset();
-
   private:
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 } // namespace middlesim::stats

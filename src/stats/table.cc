@@ -51,19 +51,6 @@ Table::print(std::ostream &os) const
         emitRow(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emitRow = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << (c == 0 ? "" : ",") << row[c];
-        os << '\n';
-    };
-    emitRow(headers_);
-    for (const auto &row : rows_)
-        emitRow(row);
-}
-
 std::string
 Table::num(double v, int precision)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Aligned text tables and CSV emission for figure reports.
+ * Aligned text tables for figure reports.
  */
 
 #ifndef STATS_TABLE_HH
@@ -25,9 +25,6 @@ class Table
 
     /** Render with padded, right-aligned numeric-style columns. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV. */
-    void printCsv(std::ostream &os) const;
 
     std::size_t numRows() const { return rows_.size(); }
 

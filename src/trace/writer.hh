@@ -61,9 +61,7 @@ class TraceWriter final : public mem::TraceSink
     void annotation(mem::TraceAnnotation kind, unsigned cpu,
                     sim::Tick now, std::uint64_t arg) override;
 
-    const TraceHeader &header() const { return header_; }
     std::uint64_t refCount() const { return refs_; }
-    std::uint64_t annotationCount() const { return annotations_; }
 
     /** Finalize an in-memory recording and return the trace bytes. */
     std::string take();

@@ -62,9 +62,6 @@ class BeanCache
     /** Install `key` at time `now`; returns its slot address. */
     mem::Addr install(std::uint64_t key, sim::Tick now);
 
-    std::uint64_t capacity() const { return capacity_; }
-    unsigned beanBytes() const { return beanBytes_; }
-
     /** Bytes of live cached payload (occupied, unexpired slots). */
     std::uint64_t liveBytes(sim::Tick now) const;
 

@@ -50,9 +50,6 @@ class CodeLibrary
         return r;
     }
 
-    /** Total text reserved so far. */
-    mem::Addr cursor() const { return cursor_; }
-
   private:
     mem::Addr cursor_;
 };
@@ -90,8 +87,6 @@ class CodePath
 
     /** Sum of region sizes (upper bound of the footprint). */
     std::uint64_t footprintBytes() const;
-
-    bool empty() const { return entries_.empty(); }
 
   private:
     std::vector<Entry> entries_;

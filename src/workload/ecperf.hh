@@ -142,8 +142,6 @@ class EcperfServer
     jvm::Jvm &vm() { return vm_; }
     os::KernelModel &kernel() { return kernel_; }
 
-    sim::Rng forkRng() { return rng_.fork(); }
-
   private:
     friend class EcperfThread;
 

@@ -34,38 +34,6 @@ ObjectTree::nodeAddr(unsigned level, std::uint64_t index) const
 }
 
 mem::Addr
-ObjectTree::fillDescent(exec::Burst &burst, sim::Rng &rng,
-                        bool write_leaf, unsigned concentration) const
-{
-    // Draw the leaf with power-law concentration, then walk the
-    // interior path that leads to it.
-    double u = rng.real();
-    double powed = u;
-    for (unsigned i = 1; i < concentration; ++i)
-        powed *= u;
-    const std::uint64_t leaves = levelCount_[levels_ - 1];
-    std::uint64_t leaf_index = static_cast<std::uint64_t>(
-        powed * static_cast<double>(leaves));
-    if (leaf_index >= leaves)
-        leaf_index = leaves - 1;
-    return descendTo(burst, leaf_index, write_leaf);
-}
-
-mem::Addr
-ObjectTree::fillDescentHot(exec::Burst &burst, sim::Rng &rng,
-                           bool write_leaf, std::uint64_t hot_leaves,
-                           double p_hot) const
-{
-    const std::uint64_t leaves = levelCount_[levels_ - 1];
-    hot_leaves = std::min(std::max<std::uint64_t>(hot_leaves, 1),
-                          leaves);
-    const std::uint64_t leaf_index =
-        rng.chance(p_hot) ? rng.uniform(hot_leaves)
-                          : rng.uniform(leaves);
-    return descendTo(burst, leaf_index, write_leaf);
-}
-
-mem::Addr
 ObjectTree::fillDescentTiered(exec::Burst &burst, sim::Rng &rng,
                               bool write_leaf,
                               std::uint64_t hot_leaves, double p_hot,

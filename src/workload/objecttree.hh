@@ -39,7 +39,6 @@ class ObjectTree
     std::uint64_t footprintBytes() const { return totalNodes_ * nodeBytes_; }
 
     std::uint64_t numNodes() const { return totalNodes_; }
-    unsigned levels() const { return levels_; }
 
     /** Address of a node by level and index within the level. */
     mem::Addr nodeAddr(unsigned level, std::uint64_t index) const;
@@ -49,36 +48,17 @@ class ObjectTree
      * to `burst`: one load per level, plus a store to the leaf when
      * `write_leaf` is set.
      *
-     * Leaf selection follows a power-law: with concentration k, the
-     * leaf index is distributed as U^k * leaves, so most descents
-     * revisit a small hot subset (recently active customers, popular
-     * stock) while the tail sweeps the whole table. k = 1 is uniform.
+     * The leaf is drawn from three tiers: with probability `p_hot`
+     * uniformly from the first `hot_leaves` leaves (the table's
+     * working set: active customers, popular stock), with
+     * probability `p_warm` from a warm region of `warm_leaves`, else
+     * uniformly from the whole table. The hot tier produces the
+     * plateau-shaped per-warehouse working set behind the
+     * shared-cache behavior of Figure 16; the warm tier grows the
+     * per-warehouse footprint gradient of Figure 13 without
+     * disturbing it. p_hot = p_warm = 0 is a uniform draw.
      *
      * @return the leaf node address (for follow-up accesses).
-     */
-    mem::Addr fillDescent(exec::Burst &burst, sim::Rng &rng,
-                          bool write_leaf,
-                          unsigned concentration = 1) const;
-
-    /**
-     * Two-tier descent: with probability `p_hot` the leaf is drawn
-     * uniformly from the first `hot_leaves` leaves (the table's
-     * working set: active customers, popular stock), otherwise
-     * uniformly from the whole table. This produces the plateau-
-     * shaped per-warehouse working set behind the shared-cache
-     * behavior of Figure 16.
-     */
-    mem::Addr fillDescentHot(exec::Burst &burst, sim::Rng &rng,
-                             bool write_leaf,
-                             std::uint64_t hot_leaves,
-                             double p_hot) const;
-
-    /**
-     * Three-tier descent: hot working set with probability `p_hot`,
-     * a warm region of `warm_leaves` with probability `p_warm`, else
-     * the whole table. The warm tier grows the per-warehouse
-     * footprint gradient of Figure 13 without disturbing the hot
-     * working set of Figure 16.
      */
     mem::Addr fillDescentTiered(exec::Burst &burst, sim::Rng &rng,
                                 bool write_leaf,

@@ -149,8 +149,6 @@ class SpecJbbCompany
     /** Per-warehouse static tree bytes (for sizing/tests). */
     std::uint64_t perWarehouseBytes() const;
 
-    sim::Rng forkRng() { return rng_.fork(); }
-
   private:
     friend class SpecJbbThread;
 

@@ -8,7 +8,7 @@
 namespace middlesim::workload
 {
 
-ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s)
+ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n)
 {
     if (n == 0)
         fatal("zipf: need at least one key");

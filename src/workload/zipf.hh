@@ -27,12 +27,8 @@ class ZipfSampler
     /** Draw one key; key 0 is the most popular. */
     std::uint64_t sample(sim::Rng &rng) const;
 
-    std::uint64_t numKeys() const { return n_; }
-    double skew() const { return s_; }
-
   private:
     std::uint64_t n_;
-    double s_;
     /** Cumulative probability up to each key. */
     std::vector<double> cdf_;
 };

@@ -28,14 +28,15 @@ TEST(SharerSetTest, InlineSmallGeometry)
     EXPECT_EQ(s.count(), 0u);
     s.set(0);
     s.set(15);
-    EXPECT_TRUE(s.any());
+    EXPECT_FALSE(s.none());
     EXPECT_EQ(s.count(), 2u);
     EXPECT_TRUE(s.test(0));
     EXPECT_TRUE(s.test(15));
     EXPECT_FALSE(s.test(7));
     s.clear(0);
     EXPECT_EQ(s.count(), 1u);
-    EXPECT_EQ(s.first(), 15);
+    EXPECT_FALSE(s.test(0));
+    EXPECT_TRUE(s.test(15));
 }
 
 TEST(SharerSetTest, WideGeometryPastInlineBits)
@@ -59,7 +60,9 @@ TEST(SharerSetTest, WideGeometryPastInlineBits)
     s.forEachSetExcept(64, [&](unsigned g) { seen.push_back(g); });
     EXPECT_EQ(seen, (std::vector<unsigned>{0, 63, 511}));
 
-    s.clearAll();
+    for (const unsigned g : seen)
+        s.clear(g);
+    s.clear(64);
     EXPECT_TRUE(s.none());
 }
 
@@ -71,8 +74,8 @@ TEST(SharerSetTest, DeepCopyIsIndependent)
     EXPECT_TRUE(b.test(100));
     b.set(5);
     EXPECT_FALSE(a.test(5));
-    EXPECT_TRUE(a == SharerSet(a));
-    EXPECT_TRUE(a != b);
+    EXPECT_TRUE(a.bits() == SharerSet(a).bits());
+    EXPECT_FALSE(a.bits() == b.bits());
     SharerSet c(128);
     c = b;
     EXPECT_TRUE(c.test(5));
@@ -96,7 +99,6 @@ TEST(SharerSetTest, ViewsShareTheWordAlgorithms)
     s.set(100);
     EXPECT_TRUE(s.bits() == bits);
     EXPECT_EQ(bits.toHex(), s.toHex());
-    EXPECT_EQ(bits.first(), 100);
 }
 
 TEST(BlockMeta, InsertFindAndMutate)

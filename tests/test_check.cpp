@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -420,6 +421,7 @@ TEST(CheckReportTest, CollectionModeCapsStoredViolations)
     opts.maxViolations = 2;
     check::CheckReport report(opts);
     EXPECT_TRUE(report.clean());
+    report.refIndex = 3;
     for (int i = 0; i < 5; ++i)
         report.violate("test.invariant", "detail", 100 + i);
     EXPECT_FALSE(report.clean());
@@ -427,6 +429,7 @@ TEST(CheckReportTest, CollectionModeCapsStoredViolations)
     ASSERT_EQ(report.violations().size(), 2u);
     EXPECT_EQ(report.violations()[0].invariant, "test.invariant");
     EXPECT_EQ(report.violations()[0].tick, 100u);
+    EXPECT_EQ(report.violations()[0].refIndex, 3u);
 }
 
 TEST(CheckReportTest, FormatViolationMatchesFailFastShape)
@@ -441,29 +444,25 @@ TEST(CheckReportTest, FormatViolationMatchesFailFastShape)
               "in group 1 (tick 1234, ref #7)");
 }
 
-TEST(CheckReportTest, FormatReportCleanAndViolated)
+TEST(CheckReportDeathTest, FailFastPrintsTheFormattedViolation)
 {
-    check::CheckOptions opts;
-    opts.failFast = false;
-    opts.maxViolations = 1;
-    check::CheckReport report(opts);
-    report.refsChecked = 42;
-    EXPECT_EQ(check::formatReport(report),
-              "clean: 42 refs checked, 0 violations");
-
-    report.refIndex = 3;
-    report.violate("a.b", "first", 10);
-    report.violate("c.d", "second", 20);
-    const std::string text = check::formatReport(report);
-    EXPECT_NE(text.find("violated: 42 refs checked, 2 violations"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("(1 retained)"), std::string::npos) << text;
-    EXPECT_NE(text.find("a.b — first (tick 10, ref #3)"),
-              std::string::npos)
-        << text;
-    // The second violation fell to the cap and must not be rendered.
-    EXPECT_EQ(text.find("c.d"), std::string::npos) << text;
+    const check::Violation v{"mosi.peer-not-invalidated",
+                             "block 0x40 still Shared in group 1", 1234,
+                             7};
+    // The whole of stderr: "fatal: invariant violated: ", the
+    // formatted violation, then fatal()'s source location.
+    std::string pattern = "^fatal: invariant violated: ";
+    for (const char c : check::formatViolation(v)) {
+        if (std::string_view(".[]{}()*+?^$|\\").find(c) !=
+            std::string_view::npos)
+            pattern += '\\';
+        pattern += c;
+    }
+    pattern += " \\([^()]*report\\.hh:[0-9]+\\)\n$";
+    check::CheckReport report; // fail-fast is the default
+    report.refIndex = v.refIndex;
+    EXPECT_EXIT(report.violate(v.invariant, v.detail, v.tick),
+                ::testing::ExitedWithCode(1), pattern);
 }
 
 TEST(CheckReportTest, BoundedCollectionUnderRealFlood)

@@ -67,15 +67,6 @@ TEST(StoreBuffer, SerializedDrain)
     EXPECT_EQ(sb.occupancy(250), 0u);
 }
 
-TEST(StoreBuffer, ClearEmpties)
-{
-    StoreBuffer sb(2);
-    sb.issue(0, 1000);
-    sb.clear();
-    EXPECT_EQ(sb.occupancy(0), 0u);
-    EXPECT_EQ(sb.issue(0, 10), 0u);
-}
-
 TEST(InOrderCore, BaseCpiAccounting)
 {
     mem::Hierarchy mem(machine2(), mem::LatencyModel{}, false);

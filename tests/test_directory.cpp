@@ -48,6 +48,7 @@
 #include "mem/directory/directory.hh"
 #include "mem/fault.hh"
 #include "mem/hierarchy.hh"
+#include "mesh_routing.hh"
 #include "sim/config.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
@@ -58,6 +59,9 @@
 using namespace middlesim;
 using mem::AccessType;
 using mem::Hierarchy;
+using test::hopsBetween;
+using test::meshHopsX;
+using test::meshHopsY;
 
 namespace
 {
@@ -365,16 +369,16 @@ TEST(DirNuma, TopologyHelpers)
 {
     const sim::MachineConfig m = dirMachine(16, 2, 4);
     EXPECT_EQ(m.numL2s(), 8u);
-    EXPECT_EQ(m.nodeOfCpu(0), 0u);
-    EXPECT_EQ(m.nodeOfCpu(15), 3u);
+    EXPECT_EQ(m.nodeOfGroup(0 / m.cpusPerL2), 0u);
+    EXPECT_EQ(m.nodeOfGroup(15 / m.cpusPerL2), 3u);
     // Homes interleave by block index.
     EXPECT_EQ(m.homeNodeOf(0, 64), 0u);
     EXPECT_EQ(m.homeNodeOf(64, 64), 1u);
     EXPECT_EQ(m.homeNodeOf(64 * 5, 64), 1u);
     // Ring distance wraps: node 0 -> node 3 is one hop.
-    EXPECT_EQ(m.hopsBetween(0, 3), 1u);
-    EXPECT_EQ(m.hopsBetween(0, 2), 2u);
-    EXPECT_EQ(m.hopsBetween(1, 1), 0u);
+    EXPECT_EQ(hopsBetween(m, 0, 3), 1u);
+    EXPECT_EQ(hopsBetween(m, 0, 2), 2u);
+    EXPECT_EQ(hopsBetween(m, 1, 1), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -489,9 +493,9 @@ TEST(DirMesh, XyRouteLengthIsManhattan)
             // Manhattan distance on the torus, computed from scratch.
             const unsigned dx = ringDist(a % g.w, b % g.w, g.w);
             const unsigned dy = ringDist(a / g.w, b / g.w, g.h);
-            EXPECT_EQ(m.meshHopsX(a, b), dx) << a << "->" << b;
-            EXPECT_EQ(m.meshHopsY(a, b), dy) << a << "->" << b;
-            EXPECT_EQ(m.hopsBetween(a, b), dx + dy) << a << "->" << b;
+            EXPECT_EQ(meshHopsX(m, a, b), dx) << a << "->" << b;
+            EXPECT_EQ(meshHopsY(m, a, b), dy) << a << "->" << b;
+            EXPECT_EQ(hopsBetween(m, a, b), dx + dy) << a << "->" << b;
         }
     }
 }
@@ -508,10 +512,10 @@ TEST(DirMesh, DegenerateMeshMatchesRing)
         ASSERT_EQ(mesh.meshWidth(), n) << n;
         for (unsigned a = 0; a < n; ++a) {
             for (unsigned b = 0; b < n; ++b) {
-                EXPECT_EQ(mesh.hopsBetween(a, b),
-                          ring.hopsBetween(a, b))
+                EXPECT_EQ(hopsBetween(mesh, a, b),
+                          hopsBetween(ring, a, b))
                     << n << ": " << a << "->" << b;
-                EXPECT_EQ(mesh.meshHopsY(a, b), 0u)
+                EXPECT_EQ(meshHopsY(mesh, a, b), 0u)
                     << n << ": " << a << "->" << b;
             }
         }
@@ -521,8 +525,8 @@ TEST(DirMesh, DegenerateMeshMatchesRing)
 TEST(DirMesh, ChargeHopsSplitsAxesExactly)
 {
     // Every node pair, charged one at a time: mem.numa.hops moves by
-    // MachineConfig::hopsBetween, and on the mesh the per-axis
-    // counters move by meshHopsX / meshHopsY.
+    // hopsBetween (tests/mesh_routing.hh), and on the mesh the
+    // per-axis counters move by meshHopsX / meshHopsY.
     std::vector<unsigned> node_counts;
     for (unsigned n = 1; n <= 16; ++n)
         node_counts.push_back(n);
@@ -550,12 +554,12 @@ TEST(DirMesh, ChargeHopsSplitsAxesExactly)
                     const std::uint64_t x0 = mesh ? x->value() : 0;
                     const std::uint64_t y0 = mesh ? y->value() : 0;
                     dir.chargeHops(a, b, 1);
-                    ASSERT_EQ(hops.value() - h0, m.hopsBetween(a, b))
+                    ASSERT_EQ(hops.value() - h0, hopsBetween(m, a, b))
                         << a << "->" << b;
                     if (mesh) {
-                        ASSERT_EQ(x->value() - x0, m.meshHopsX(a, b))
+                        ASSERT_EQ(x->value() - x0, meshHopsX(m, a, b))
                             << a << "->" << b;
-                        ASSERT_EQ(y->value() - y0, m.meshHopsY(a, b))
+                        ASSERT_EQ(y->value() - y0, meshHopsY(m, a, b))
                             << a << "->" << b;
                     }
                 }
@@ -570,9 +574,10 @@ TEST(DirMesh, ChargeHopsSplitsAxesExactly)
 
 TEST(DirMesh, CachedTopologyMatchesMachineConfig)
 {
-    // The controller's precomputed group -> node map, home
-    // interleaving and hop distances agree with MachineConfig at
-    // power-of-two and other node counts, on both topologies.
+    // The controller's precomputed group -> node map and home
+    // interleaving agree with MachineConfig, and its hop distances
+    // with the routing spec, at power-of-two and other node counts,
+    // on both topologies.
     for (const sim::Topology topo :
          {sim::Topology::Ring, sim::Topology::Mesh}) {
         for (const unsigned nodes : {1u, 2u, 3u, 6u, 8u, 12u, 16u, 64u}) {
@@ -589,7 +594,7 @@ TEST(DirMesh, CachedTopologyMatchesMachineConfig)
                     << block;
             for (unsigned a = 0; a < nodes; ++a) {
                 for (unsigned b = 0; b < nodes; ++b)
-                    ASSERT_EQ(dir.hops(a, b), m.hopsBetween(a, b))
+                    ASSERT_EQ(dir.hops(a, b), hopsBetween(m, a, b))
                         << a << "->" << b;
             }
         }

@@ -46,11 +46,7 @@ TEST(AccessType, IsWriteClassification)
 TEST(Ticks, ClockConversions)
 {
     EXPECT_DOUBLE_EQ(sim::ticksToSeconds(248000000), 1.0);
-    EXPECT_EQ(sim::secondsToTicks(1.0), 248000000u);
-    EXPECT_EQ(sim::millisToTicks(1.0), 248000u);
-    // Round trip within truncation error.
-    EXPECT_NEAR(sim::ticksToSeconds(sim::secondsToTicks(0.125)),
-                0.125, 1e-8);
+    EXPECT_DOUBLE_EQ(sim::ticksToSeconds(31000000), 0.125);
 }
 
 TEST(CacheParams, GeometryDerivation)
@@ -120,16 +116,6 @@ TEST(LogDeath, TableRowMismatchPanics)
 {
     stats::Table t({"a", "b"});
     EXPECT_DEATH(t.addRow({"only-one"}), "cells");
-}
-
-TEST(Log, QuietSuppressesWarnings)
-{
-    sim::setQuiet(true);
-    EXPECT_TRUE(sim::quiet());
-    warn("this should not print");
-    inform("nor this");
-    sim::setQuiet(false);
-    EXPECT_FALSE(sim::quiet());
 }
 
 TEST(Log, FormatMessage)

@@ -38,15 +38,6 @@ TEST(PaperData, SweepAndSeriesAreConsistent)
     }
 }
 
-TEST(PaperData, HeadlineClaims)
-{
-    const auto &c = core::paper::claims();
-    EXPECT_NEAR(c.ecperfPeakSpeedup, 10.0, 0.5);
-    EXPECT_NEAR(c.jbbPlateauSpeedup, 7.0, 0.5);
-    EXPECT_GT(c.c2cRatioAt14, c.c2cRatioAt2);
-    EXPECT_GT(c.jbbTopLineC2cShare, c.ecperfTopLineC2cShare);
-}
-
 TEST(PaperData, Fig16Crossover)
 {
     // The digitized reference must itself encode the crossover.

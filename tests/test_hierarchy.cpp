@@ -110,7 +110,9 @@ TEST(HierarchyStats, CommunicationTracking)
     h.access({0x1000, AccessType::Load, 1}, 0); // copyback
     h.access({0x2000, AccessType::Load, 2}, 0); // plain miss
     EXPECT_EQ(h.c2cPerLine().total(), 1u);
-    EXPECT_EQ(h.c2cPerLine().countOf(0x1000), 1u);
+    using Item = std::pair<std::uint64_t, std::uint64_t>;
+    EXPECT_EQ(h.c2cPerLine().sortedItems(),
+              (std::vector<Item>{{0x1000, 1}}));
     EXPECT_GE(h.touchedLines(), 2u);
     h.resetCommunicationTracking();
     EXPECT_EQ(h.c2cPerLine().total(), 0u);

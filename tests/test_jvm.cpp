@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gc_bound.hh"
 #include "jvm/gc.hh"
 #include "jvm/heap.hh"
 #include "jvm/jvm.hh"
@@ -249,7 +250,7 @@ TEST(GcProgram, PhasesAndWorkCoverage)
     EXPECT_EQ(to_stores, work.survivorBytes / 64);
     EXPECT_GT(from_loads, 0u);
     EXPECT_GE(instructions, work.rootScanInstr);
-    EXPECT_LE(instructions, GcProgram::estimateInstructions(work) * 2);
+    EXPECT_LE(instructions, test::estimateInstructions(work) * 2);
 }
 
 TEST(GcProgram, CompactPhaseTouchesOldGen)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel experiment runner tests: thread-pool mechanics, the
- * determinism guarantee of runGrid/runRepeated (jobs=N is
+ * determinism guarantee of runGrid over repeated specs (jobs=N is
  * byte-identical to jobs=1), and the metadata mask-width guard.
  */
 
@@ -25,6 +25,16 @@ using namespace middlesim;
 
 namespace
 {
+
+/** `runs` repetitions of `spec`, seeded as every figure seeds them. */
+std::vector<core::ExperimentSpec>
+repetitions(const core::ExperimentSpec &spec, unsigned runs)
+{
+    std::vector<core::ExperimentSpec> specs;
+    for (unsigned r = 0; r < runs; ++r)
+        specs.push_back(core::repeatedSpec(spec, r));
+    return specs;
+}
 
 /** Field-by-field bitwise equality of two run results. */
 void
@@ -160,14 +170,14 @@ TEST(ParallelRunner, RepeatedSpecPerturbsOnlyTheSeed)
     EXPECT_EQ(r2.measure, base.measure);
 }
 
-TEST(ParallelRunner, RunRepeatedIsIdenticalAcrossJobCounts)
+TEST(ParallelRunner, RepeatedRunsAreIdenticalAcrossJobCounts)
 {
     const core::ExperimentSpec spec = smallSpec();
 
     sim::ThreadPool::setGlobalJobs(1);
-    const auto serial = core::runRepeated(spec, 4);
+    const auto serial = core::runGrid(repetitions(spec, 4));
     sim::ThreadPool::setGlobalJobs(4);
-    const auto parallel = core::runRepeated(spec, 4);
+    const auto parallel = core::runGrid(repetitions(spec, 4));
     sim::ThreadPool::setGlobalJobs(1);
 
     ASSERT_EQ(serial.size(), 4u);
@@ -218,7 +228,7 @@ metricsDocument(const std::vector<core::RunResult> &results,
 TEST(ParallelRunner, MetricsTravelWithEveryResult)
 {
     sim::ThreadPool::setGlobalJobs(1);
-    const auto results = core::runRepeated(smallSpec(), 2);
+    const auto results = core::runGrid(repetitions(smallSpec(), 2));
     ASSERT_EQ(results.size(), 2u);
     for (const auto &res : results) {
         ASSERT_NE(res.metrics, nullptr);
@@ -236,13 +246,13 @@ TEST(ParallelRunner, MetricsJsonIsByteIdenticalAcrossJobCounts)
 
     sim::ThreadPool::setGlobalJobs(1);
     const std::string serial =
-        metricsDocument(core::runRepeated(spec, 3), spec);
+        metricsDocument(core::runGrid(repetitions(spec, 3)), spec);
     sim::ThreadPool::setGlobalJobs(4);
     const std::string parallel =
-        metricsDocument(core::runRepeated(spec, 3), spec);
+        metricsDocument(core::runGrid(repetitions(spec, 3)), spec);
     sim::ThreadPool::setGlobalJobs(4);
     const std::string again =
-        metricsDocument(core::runRepeated(spec, 3), spec);
+        metricsDocument(core::runGrid(repetitions(spec, 3)), spec);
     sim::ThreadPool::setGlobalJobs(1);
 
     EXPECT_FALSE(serial.empty());

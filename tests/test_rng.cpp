@@ -55,21 +55,6 @@ TEST(Rng, UniformCoversAllValues)
     EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(Rng, RangeInclusive)
-{
-    Rng rng(11);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 5000; ++i) {
-        const auto v = rng.range(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        saw_lo |= v == -3;
-        saw_hi |= v == 3;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, RealInUnitInterval)
 {
     Rng rng(13);
@@ -135,17 +120,6 @@ TEST(Rng, ForkedSiblingsDiffer)
             ++same;
     }
     EXPECT_LT(same, 5);
-}
-
-TEST(Rng, GeometricMean)
-{
-    Rng rng(41);
-    double sum = 0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.geometric(0.25));
-    // Mean of geometric (number of failures) = (1-p)/p = 3.
-    EXPECT_NEAR(sum / n, 3.0, 0.15);
 }
 
 class RngUniformSweep : public ::testing::TestWithParam<std::uint64_t>

@@ -360,14 +360,12 @@ TEST(Scheduler, ModeAccountingConserved)
     sched.accountMode(0, exec::ExecMode::System, 20);
     sched.accountIdle(0, 10, false);
     sched.accountIdle(1, 5, true);
-    sched.accountIo(1, 5);
     const auto m0 = sched.modes(0);
     EXPECT_EQ(m0.total(), 100u);
     EXPECT_DOUBLE_EQ(m0.fraction(m0.user), 0.7);
     const auto all = sched.allModes();
-    EXPECT_EQ(all.total(), 110u);
+    EXPECT_EQ(all.total(), 105u);
     EXPECT_EQ(all.gcIdle, 5u);
-    EXPECT_EQ(all.io, 5u);
     sched.resetAccounting();
     EXPECT_EQ(sched.allModes().total(), 0u);
 }

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "stats/distribution.hh"
-#include "stats/histogram.hh"
 #include "stats/series.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
@@ -32,9 +31,6 @@ TEST(RunningStat, MeanAndVariance)
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
     // Sample variance of this classic data set is 32/7.
     EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(RunningStat, SingleSampleHasZeroVariance)
@@ -42,136 +38,6 @@ TEST(RunningStat, SingleSampleHasZeroVariance)
     RunningStat s;
     s.add(3.5);
     EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, MergeMatchesCombined)
-{
-    RunningStat a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        const double v = i * 0.37;
-        if (i % 2) {
-            a.add(v);
-        } else {
-            b.add(v);
-        }
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeIntoEmpty)
-{
-    RunningStat a, b;
-    b.add(1.0);
-    b.add(2.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-}
-
-TEST(Histogram, BinsAndEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(5.5);
-    h.add(9.99);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_DOUBLE_EQ(h.binLo(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.binHi(5), 6.0);
-}
-
-TEST(Histogram, OutOfRangeClamped)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-5.0);
-    h.add(100.0);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-}
-
-TEST(Histogram, Quantile)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, WeightedAdd)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.add(1.5, 10);
-    EXPECT_EQ(h.binCount(1), 10u);
-    EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Histogram, EmptyQuantileReturnsLowerBound)
-{
-    Histogram h(2.0, 10.0, 8);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 2.0);
-}
-
-TEST(Histogram, SingleSampleQuantileIsItsBinCenter)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(7.3); // bin [7, 8), center 7.5
-    EXPECT_DOUBLE_EQ(h.quantile(0.01), 7.5);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 7.5);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 7.5);
-}
-
-TEST(Histogram, QuantileClampsOutOfRangeArgument)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(5.0);
-    EXPECT_DOUBLE_EQ(h.quantile(-3.0), h.quantile(0.0));
-    EXPECT_DOUBLE_EQ(h.quantile(7.0), h.quantile(1.0));
-}
-
-TEST(Log2Histogram, Buckets)
-{
-    Log2Histogram h;
-    h.add(0);
-    h.add(1);
-    h.add(2);
-    h.add(3);
-    h.add(4);
-    h.add(1024);
-    EXPECT_EQ(h.bucketCount(0), 2u); // 0 and 1
-    EXPECT_EQ(h.bucketCount(1), 2u); // 2 and 3
-    EXPECT_EQ(h.bucketCount(2), 1u); // 4
-    EXPECT_EQ(h.bucketCount(10), 1u); // 1024
-    EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Log2Histogram, EmptyAndUnknownBuckets)
-{
-    Log2Histogram h;
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.numBuckets(), 0u);
-    EXPECT_EQ(h.bucketCount(17), 0u); // out of range reads as zero
-}
-
-TEST(Log2Histogram, TopBucketHoldsLargestValues)
-{
-    Log2Histogram h;
-    h.add(~0ULL); // 2^64 - 1 -> bucket 63, the largest possible
-    EXPECT_EQ(h.numBuckets(), 64u);
-    EXPECT_EQ(h.bucketCount(63), 1u);
-    h.reset();
-    EXPECT_EQ(h.numBuckets(), 0u);
-    EXPECT_EQ(h.total(), 0u);
 }
 
 TEST(ConcentrationCurve, Shares)
@@ -196,23 +62,12 @@ TEST(ConcentrationCurve, KeysForShare)
     EXPECT_EQ(c.keysForShare(1.0), 4u);
 }
 
-TEST(ConcentrationCurve, Fractions)
-{
-    ConcentrationCurve c({50, 30, 15, 5});
-    EXPECT_DOUBLE_EQ(c.shareOfTopFraction(0.25), 0.50);
-    EXPECT_DOUBLE_EQ(c.shareOfTopFraction(0.5), 0.80);
-    EXPECT_DOUBLE_EQ(c.shareOfTopFraction(1.0), 1.0);
-}
-
 TEST(ConcentrationCurve, SingleKeyOwnsEverything)
 {
     ConcentrationCurve c({42});
     EXPECT_DOUBLE_EQ(c.maxShare(), 1.0);
     EXPECT_EQ(c.keysForShare(0.01), 1u);
     EXPECT_EQ(c.keysForShare(1.0), 1u);
-    const auto pts = c.curve(4);
-    ASSERT_FALSE(pts.empty());
-    EXPECT_DOUBLE_EQ(pts.back().second, 1.0);
 }
 
 TEST(KeyCounts, AddAndConcentrate)
@@ -223,8 +78,9 @@ TEST(KeyCounts, AddAndConcentrate)
     k.add(0x2000, 5);
     EXPECT_EQ(k.numKeys(), 2u);
     EXPECT_EQ(k.total(), 15u);
-    EXPECT_EQ(k.countOf(0x1000), 10u);
-    EXPECT_EQ(k.countOf(0x9999), 0u);
+    using Item = std::pair<std::uint64_t, std::uint64_t>;
+    EXPECT_EQ(k.sortedItems(),
+              (std::vector<Item>{{0x1000, 10}, {0x2000, 5}}));
     const auto curve = k.concentration();
     EXPECT_DOUBLE_EQ(curve.maxShare(), 10.0 / 15.0);
 }
@@ -238,66 +94,19 @@ TEST(Series, Access)
     EXPECT_DOUBLE_EQ(s.yAt(2), 30.0);
     EXPECT_DOUBLE_EQ(s.yAt(99, -1.0), -1.0);
     EXPECT_DOUBLE_EQ(s.maxY(), 30.0);
-    EXPECT_DOUBLE_EQ(s.argmaxY(), 2.0);
 }
 
-TEST(Series, MergeSumsMatchingPoints)
-{
-    Series a("a");
-    a.add(1, 10, 3);
-    a.add(2, 20, 4);
-    Series b("b");
-    b.add(1, 5);
-    b.add(2, 7, 3);
-    a.merge(b);
-    ASSERT_EQ(a.points.size(), 2u);
-    EXPECT_DOUBLE_EQ(a.yAt(1), 15.0);
-    EXPECT_DOUBLE_EQ(a.yAt(2), 27.0);
-    // Errors add in quadrature: sqrt(4^2 + 3^2) = 5.
-    EXPECT_DOUBLE_EQ(a.points[1].err, 5.0);
-}
-
-TEST(Series, MergeInsertsUnmatchedPointsInOrder)
-{
-    Series a("a");
-    a.add(2, 20);
-    a.add(4, 40);
-    Series b("b");
-    b.add(1, 1);
-    b.add(3, 3);
-    b.add(5, 5);
-    a.merge(b);
-    ASSERT_EQ(a.points.size(), 5u);
-    for (std::size_t i = 0; i < a.points.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.points[i].x, static_cast<double>(i + 1));
-    EXPECT_DOUBLE_EQ(a.yAt(3), 3.0);
-    EXPECT_DOUBLE_EQ(a.yAt(4), 40.0);
-}
-
-TEST(Series, MergeIntoEmptyCopiesOther)
-{
-    Series a("a");
-    Series b("b");
-    b.add(3, 30);
-    b.add(1, 10);
-    a.merge(b);
-    ASSERT_EQ(a.points.size(), 2u);
-    EXPECT_DOUBLE_EQ(a.points[0].x, 1.0);
-    EXPECT_DOUBLE_EQ(a.points[1].x, 3.0);
-}
-
-TEST(Table, PrintAndCsv)
+TEST(Table, PrintAlignsColumns)
 {
     Table t({"a", "bb"});
     t.addRow({"1", "2"});
     t.addRow({"333", "4"});
     std::ostringstream os;
     t.print(os);
-    EXPECT_NE(os.str().find("333"), std::string::npos);
-    std::ostringstream csv;
-    t.printCsv(csv);
-    EXPECT_NE(csv.str().find("a,bb"), std::string::npos);
-    EXPECT_NE(csv.str().find("333,4"), std::string::npos);
+    EXPECT_EQ(os.str(), "  a  bb\n"
+                        "-------\n"
+                        "  1   2\n"
+                        "333   4\n");
     EXPECT_EQ(t.numRows(), 2u);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Multi-size uniprocessor cache sweep tests: the split I/D banks,
- * counters and resets, and bit-identity of the single-pass engine with
+ * counters and counter resets, and bit-identity of the single-pass engine with
  * the naive per-configuration oracle (tests/naive_sweep.hh).
  */
 
@@ -79,8 +79,10 @@ TEST(Sweep, MissesPer1000Instructions)
         sweep.access({static_cast<mem::Addr>(i) * 4096 * 16,
                       AccessType::Load, 0});
     sweep.countInstructions(5000);
-    EXPECT_DOUBLE_EQ(sweep.dmissPer1000(0), 2.0);
-    EXPECT_DOUBLE_EQ(sweep.imissPer1000(0), 0.0);
+    EXPECT_DOUBLE_EQ(
+        sweep.dcacheResults()[0].missesPer1000(sweep.instructions()), 2.0);
+    EXPECT_DOUBLE_EQ(
+        sweep.icacheResults()[0].missesPer1000(sweep.instructions()), 0.0);
 }
 
 TEST(Sweep, ResetCountersKeepsContents)
@@ -94,15 +96,6 @@ TEST(Sweep, ResetCountersKeepsContents)
     // Contents survive: this access hits.
     sweep.access({0x1000, AccessType::Load, 0});
     EXPECT_EQ(sweep.dcacheResults()[0].misses, 0u);
-}
-
-TEST(Sweep, FullResetClearsContents)
-{
-    SweepSimulator sweep({{4096, 2, 64}});
-    sweep.access({0x1000, AccessType::Load, 0});
-    sweep.reset();
-    sweep.access({0x1000, AccessType::Load, 0});
-    EXPECT_EQ(sweep.dcacheResults()[0].misses, 1u);
 }
 
 TEST(Sweep, FastPathMatchesNaiveReference)

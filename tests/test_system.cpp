@@ -347,7 +347,9 @@ TEST(Experiment, RunResultDerivedMetrics)
 TEST(Experiment, RepeatedRunsAndSummary)
 {
     ExperimentSpec spec = tinySpec(WorkloadKind::SpecJbb, 2);
-    const auto runs = core::runRepeated(spec, 3);
+    const auto runs = core::runGrid({core::repeatedSpec(spec, 0),
+                                     core::repeatedSpec(spec, 1),
+                                     core::repeatedSpec(spec, 2)});
     ASSERT_EQ(runs.size(), 3u);
     const auto stat = core::summarize(
         runs, [](const core::RunResult &r) { return r.throughput; });

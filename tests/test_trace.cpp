@@ -833,10 +833,11 @@ TEST_F(TraceEndToEnd, SpecMismatchFallsBackToExecution)
 
     core::RunCache::global().clearMemory();
     core::configureTracing("", dir);
-    sim::setQuiet(true); // the fallback warns; keep test output clean
+    testing::internal::CaptureStderr();
     const core::SweepOutcome fallback = core::cachedSweepOutcome(
         core::WorkloadKind::SpecJbb, 3, opt);
-    sim::setQuiet(false);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("warn: trace:"),
+              std::string::npos);
 
     // The mismatched trace must be ignored, not replayed as scale 3.
     EXPECT_EQ(fallback.snap.counters.count("trace.replay.refs"), 0u);

@@ -21,6 +21,19 @@ using workload::CodePath;
 using workload::ObjectTree;
 using workload::ZipfSampler;
 
+namespace
+{
+
+/** A descent with no hot or warm tier: the leaf is drawn uniformly. */
+mem::Addr
+uniformDescent(const ObjectTree &tree, exec::Burst &burst, sim::Rng &rng,
+               bool write_leaf)
+{
+    return tree.fillDescentTiered(burst, rng, write_leaf, 0, 0.0, 0, 0.0);
+}
+
+} // namespace
+
 TEST(CodeLibrary, RegionsDoNotOverlap)
 {
     CodeLibrary lib(0x1000000);
@@ -106,7 +119,7 @@ TEST(ObjectTree, DescentLoadsOnePathRootToLeaf)
     ObjectTree tree(0x1000000, 4, 8, 128);
     sim::Rng rng(6);
     exec::Burst burst;
-    const mem::Addr leaf = tree.fillDescent(burst, rng, false);
+    const mem::Addr leaf = uniformDescent(tree, burst, rng, false);
     // One load per level plus the leaf's second line.
     ASSERT_EQ(burst.refs.size(), 5u);
     EXPECT_EQ(burst.refs[0].addr, tree.nodeAddr(0, 0));
@@ -121,7 +134,7 @@ TEST(ObjectTree, DescentWriteTouchesLeaf)
     ObjectTree tree(0x1000000, 3, 4, 128);
     sim::Rng rng(6);
     exec::Burst burst;
-    const mem::Addr leaf = tree.fillDescent(burst, rng, true);
+    const mem::Addr leaf = uniformDescent(tree, burst, rng, true);
     EXPECT_EQ(burst.refs.back().type, mem::AccessType::Store);
     EXPECT_EQ(burst.refs.back().addr, leaf);
 }
@@ -134,7 +147,7 @@ TEST(ObjectTree, HotTierConfinesLeaves)
     for (int i = 0; i < 2000; ++i) {
         burst.clear();
         const mem::Addr leaf =
-            tree.fillDescentHot(burst, rng, false, 16, 1.0);
+            tree.fillDescentTiered(burst, rng, false, 16, 1.0, 0, 0.0);
         EXPECT_LT(leaf, tree.nodeAddr(3, 16));
         EXPECT_GE(leaf, tree.nodeAddr(3, 0));
     }
@@ -194,7 +207,7 @@ TEST_P(TreeGeometry, EveryDescentReachesAValidLeaf)
     const mem::Addr leaf_base = tree.nodeAddr(levels - 1, 0);
     for (int i = 0; i < 500; ++i) {
         burst.clear();
-        const mem::Addr leaf = tree.fillDescent(burst, rng, false);
+        const mem::Addr leaf = uniformDescent(tree, burst, rng, false);
         EXPECT_GE(leaf, leaf_base);
         EXPECT_LT(leaf, 0x2000000 + tree.footprintBytes());
     }
