@@ -26,13 +26,16 @@ if [ "$1" = "--check" ]; then
         > /dev/null
     cmake --build build-tsan -j"$(nproc)" --target \
         test_parallel test_metrics test_sweep test_cache \
-        test_trace test_serialize > /dev/null
+        test_trace test_serialize test_stackdist \
+        middlesim_trace_cli > /dev/null
     ./build-tsan/tests/test_parallel
     ./build-tsan/tests/test_metrics
     ./build-tsan/tests/test_sweep
     ./build-tsan/tests/test_cache
     ./build-tsan/tests/test_trace
     ./build-tsan/tests/test_serialize
+    ./build-tsan/tests/test_stackdist
+    bash tests/trace_sharing.sh build-tsan/bench
     echo "################ sanitizer check: address"
     cmake -B build-asan -S . -DMIDDLESIM_SANITIZE=address \
         > /dev/null

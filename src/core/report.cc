@@ -110,14 +110,17 @@ figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
     sim::parseOptions(tool.c_str(), table, argc, argv);
     applyDriverOptions(d);
 
+    // Opened before the simulation, so a bad path costs no work.
+    std::ofstream metrics_os;
+    if (!metrics_out.empty()) {
+        metrics_os.open(metrics_out);
+        if (!metrics_os)
+            fatal(tool, ": cannot open '", metrics_out, "' for writing");
+    }
     const FigureResult fig = harness(d.fig);
     printFigure(fig, std::cout);
-    if (!metrics_out.empty()) {
-        std::ofstream os(metrics_out);
-        if (!os)
-            fatal(tool, ": cannot open '", metrics_out, "' for writing");
-        writeMetricsJson(os, fig.id, fig.metricsByPoint);
-    }
+    if (!metrics_out.empty())
+        writeMetricsJson(metrics_os, fig.id, fig.metricsByPoint);
     return fig.allPass() ? 0 : 1;
 }
 

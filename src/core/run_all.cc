@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -167,6 +168,22 @@ runAllMain(int argc, char **argv)
     applyDriverOptions(d);
     const FigureOptions &opt = d.fig;
 
+    // Output paths fail here, before the work, not after it.
+    if (!metrics_dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(metrics_dir, ec);
+        if (ec)
+            fatal("run_all: cannot create '", metrics_dir,
+                  "': ", ec.message());
+    }
+    std::ofstream stats_os;
+    if (!stats_out.empty()) {
+        stats_os.open(stats_out);
+        if (!stats_os)
+            fatal("run_all: cannot open '", stats_out,
+                  "' for writing");
+    }
+
     // Global work queue: every leaf every figure needs, deduplicated
     // by content address.
     std::vector<WorkItem> unique_items;
@@ -218,11 +235,7 @@ runAllMain(int argc, char **argv)
     }
 
     if (!stats_out.empty()) {
-        std::ofstream os(stats_out);
-        if (!os)
-            fatal("run_all: cannot open '", stats_out,
-                  "' for writing");
-        writeStatsJson(os, requested,
+        writeStatsJson(stats_os, requested,
                        static_cast<std::uint64_t>(unique_items.size()),
                        prefetch_seconds);
     }

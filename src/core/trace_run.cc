@@ -1,13 +1,12 @@
 #include "core/trace_run.hh"
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
-#include <thread>
 
 #include "core/cache.hh"
 #include "core/metrics_io.hh"
 #include "sim/log.hh"
-#include "sim/threadpool.hh"
 #include "trace/reader.hh"
 
 namespace middlesim::core
@@ -36,15 +35,17 @@ collectHierarchyState(const mem::Hierarchy &h, unsigned total_cpus,
 }
 
 /**
- * Replay the rest of `reader`, whose header is valid, into `hierarchy`
- * and fill `out` from the result.
+ * Fill `out` from `hierarchy`, into which every record of `reader`
+ * (counted in `counts`) was replayed; a reader that did not complete
+ * gives its error instead.
  */
 void
-replayInto(trace::TraceReader &reader, mem::Hierarchy &hierarchy,
-           HierarchyReplayOutcome &out)
+finishReplay(const trace::TraceReader &reader,
+             const trace::ReplayCounts &counts,
+             const mem::Hierarchy &hierarchy, HierarchyReplayOutcome &out)
 {
     out.header = reader.header();
-    out.counts = trace::replayTrace(reader, &hierarchy, nullptr);
+    out.counts = counts;
     if (!reader.complete()) {
         out.error = reader.error();
         return;
@@ -205,7 +206,9 @@ replayTraceHierarchy(std::string trace_data,
         return out;
     }
     auto hierarchy = trace::hierarchyFor(reader.header(), overrides);
-    replayInto(reader, *hierarchy, out);
+    const trace::ReplayCounts counts =
+        trace::replayTrace(reader, hierarchy.get(), nullptr);
+    finishReplay(reader, counts, *hierarchy, out);
     return out;
 }
 
@@ -219,28 +222,54 @@ replayTraceSweep(std::string trace_data)
         return out;
     }
     out.header = reader.header();
-    mem::SweepSimulator sweep{mem::SweepSimulator::paperSweep()};
-    out.counts = trace::replayTrace(reader, nullptr, &sweep);
+
+    // One sweep per set slice, each a frontend of the replay, built
+    // here: the constructor can fatal(), which must not run on a
+    // worker.
+    const std::vector<sim::CacheParams> configs =
+        mem::SweepSimulator::paperSweep();
+    const auto slices = static_cast<unsigned>(std::bit_floor(
+        std::min<std::uint64_t>(
+            trace::replayThreads(),
+            mem::stackdist::RefinementSweep::maxSlices(configs))));
+    std::vector<mem::SweepSimulator> sweeps;
+    sweeps.reserve(slices);
+    std::vector<trace::ReplayFrontend> frontends;
+    for (unsigned s = 0; s < slices; ++s) {
+        sweeps.emplace_back(configs, s, slices);
+        frontends.push_back({nullptr, &sweeps.back()});
+    }
+    out.counts = trace::replayTrace(reader, frontends);
     if (!reader.complete()) {
         out.error = reader.error();
         return out;
     }
-    out.icache = sweep.icacheResults();
-    out.dcache = sweep.dcacheResults();
-    out.instructions = sweep.instructions();
+
+    // Each geometry's counts are the slices' sums; every slice counted
+    // the whole stream's instructions.
+    out.icache = sweeps[0].icacheResults();
+    out.dcache = sweeps[0].dcacheResults();
+    for (unsigned s = 1; s < slices; ++s) {
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            out.icache[i].accesses += sweeps[s].icacheResults()[i].accesses;
+            out.icache[i].misses += sweeps[s].icacheResults()[i].misses;
+            out.dcache[i].accesses += sweeps[s].dcacheResults()[i].accesses;
+            out.dcache[i].misses += sweeps[s].dcacheResults()[i].misses;
+        }
+    }
+    out.instructions = sweeps[0].instructions();
     out.valid = true;
     return out;
 }
 
 std::vector<HierarchyReplayOutcome>
-replayTraceSharing(std::shared_ptr<const std::string> trace_data,
+replayTraceSharing(trace::TraceReader &reader,
                    const std::vector<unsigned> &degrees)
 {
     std::vector<HierarchyReplayOutcome> outs(degrees.size());
-    const trace::TraceReader probe(trace_data);
-    if (!probe.ok()) {
+    if (!reader.ok()) {
         for (HierarchyReplayOutcome &out : outs)
-            out.error = probe.error();
+            out.error = reader.error();
         return outs;
     }
 
@@ -248,23 +277,16 @@ replayTraceSharing(std::shared_ptr<const std::string> trace_data,
     // hierarchy here, never on a worker. Each table then grows on a
     // worker of its own, so it maps its arrays (mem::TableWords).
     std::vector<std::unique_ptr<mem::Hierarchy>> hierarchies;
-    hierarchies.reserve(degrees.size());
+    std::vector<trace::ReplayFrontend> frontends;
     for (unsigned degree : degrees) {
         hierarchies.push_back(trace::hierarchyFor(
-            probe.header(), trace::ReplayOverrides{0, degree}));
+            reader.header(), trace::ReplayOverrides{0, degree}));
         hierarchies.back()->mapBlockTableArrays();
+        frontends.push_back({hierarchies.back().get(), nullptr});
     }
-
-    // A local pool: tasks of the global pool must not submit nested
-    // work, and a pool made here postdates any fork of the caller.
-    const unsigned hardware =
-        std::max(1u, std::thread::hardware_concurrency());
-    sim::ThreadPool pool(static_cast<unsigned>(
-        std::clamp<std::size_t>(degrees.size(), 1, hardware)));
-    pool.parallelFor(degrees.size(), [&](std::size_t i) {
-        trace::TraceReader reader(trace_data);
-        replayInto(reader, *hierarchies[i], outs[i]);
-    });
+    const trace::ReplayCounts counts = trace::replayTrace(reader, frontends);
+    for (std::size_t i = 0; i < degrees.size(); ++i)
+        finishReplay(reader, counts, *hierarchies[i], outs[i]);
     return outs;
 }
 
@@ -272,9 +294,8 @@ std::vector<HierarchyReplayOutcome>
 replayTraceSharing(std::string trace_data,
                    const std::vector<unsigned> &degrees)
 {
-    return replayTraceSharing(
-        std::make_shared<const std::string>(std::move(trace_data)),
-        degrees);
+    trace::TraceReader reader(std::move(trace_data));
+    return replayTraceSharing(reader, degrees);
 }
 
 } // namespace middlesim::core

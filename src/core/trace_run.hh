@@ -128,22 +128,28 @@ struct SweepReplayOutcome
 };
 
 /**
- * One decode of the trace through a SweepSimulator covering every
- * paper-sweep geometry.
+ * One decode of the trace through the paper-sweep geometries, split
+ * into P set slices (mem::SweepSimulator), one replay frontend each:
+ * P is the largest power of two no larger than the replay threads
+ * (trace::replayThreads) and the smallest set count. The slices'
+ * counts sum, per geometry, to one unsliced simulator's; `counts` and
+ * `instructions` cover the whole stream. On a malformed trace the
+ * outcome carries the reader's error.
  */
 SweepReplayOutcome replayTraceSweep(std::string trace_data);
 
 /**
- * Figure 16 sharing study from one SMP recording: one hierarchy per
- * sharing degree (cpusPerL2 override), each replayed as its own task
- * on a local pool of min(degrees, hardware threads) workers, with its
- * own TraceReader over the shared bytes. The hierarchies never
- * interact, so outcome i is bit-identical to
- * replayTraceHierarchy(trace, {0, degrees[i]}), in degree order. On a
- * malformed trace, every outcome carries the same error.
+ * Figure 16 sharing study from one SMP recording, decoded once: one
+ * hierarchy per sharing degree (cpusPerL2 override), each a replay
+ * frontend with a worker of its own when more than one replay thread
+ * is available (trace::replayTrace). The hierarchies never interact,
+ * so outcome i is bit-identical to replayTraceHierarchy(trace,
+ * {0, degrees[i]}), in degree order. On a malformed trace, every
+ * outcome carries the reader's error. `reader` is the trace after its
+ * header, which the caller may have read to choose the degrees.
  */
 std::vector<HierarchyReplayOutcome>
-replayTraceSharing(std::shared_ptr<const std::string> trace_data,
+replayTraceSharing(trace::TraceReader &reader,
                    const std::vector<unsigned> &degrees);
 
 /** The same, taking the trace bytes over. */

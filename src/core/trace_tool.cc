@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -313,12 +312,11 @@ printSharingRow(unsigned share, const HierarchyReplayOutcome &out,
 int
 cmdSharing(const std::string &path)
 {
-    // The header and every degree's replay read one copy of the bytes.
-    const auto data = std::make_shared<const std::string>(loadTrace(path));
-    const trace::TraceReader probe(data);
-    if (!probe.ok())
-        fatal("middlesim-trace: '", path, "': ", probe.error());
-    const unsigned total = probe.header().totalCpus;
+    // The header picks the degrees; one decode then feeds them all.
+    trace::TraceReader reader(loadTrace(path));
+    if (!reader.ok())
+        fatal("middlesim-trace: '", path, "': ", reader.error());
+    const unsigned total = reader.header().totalCpus;
     std::vector<unsigned> degrees;
     for (unsigned share = 1; share <= total; share *= 2) {
         if (total % share == 0)
@@ -328,7 +326,7 @@ cmdSharing(const std::string &path)
     std::printf("%8s %12s %12s %12s %12s\n", "cpusPerL2", "misses",
                 "coherence", "capacity", "c2c");
     const std::vector<HierarchyReplayOutcome> outs =
-        replayTraceSharing(data, degrees);
+        replayTraceSharing(reader, degrees);
     for (std::size_t i = 0; i < degrees.size(); ++i)
         printSharingRow(degrees[i], outs[i], path);
     return 0;

@@ -70,13 +70,14 @@ class InOrderCore
 
     /**
      * Fetch the code block containing `addr`. An L1I hit's latency is
-     * covered by the base CPI; a plain hit is applied in place
-     * without a trip through Hierarchy::access().
+     * covered by the base CPI; a hit is applied in place, recorded
+     * too when a trace sink is attached, without a trip through
+     * Hierarchy::access().
      */
     void
     fetchBlock(mem::Addr addr)
     {
-        if (!mem_.fetchHitInPlace(cpuId_, addr))
+        if (!mem_.fetchHitInPlace(cpuId_, addr, now_))
             fetchThroughHierarchy(addr);
     }
 

@@ -111,17 +111,22 @@ class Hierarchy
     }
 
     /**
-     * Apply an I-fetch of `addr` by `cpu` in place when it hits the
-     * L1I and no hook (access observer, trace sink, sweep tap) is
-     * attached: the same effect as access() for that hit. Returns
-     * false, changing nothing, otherwise; the caller then goes
-     * through access().
+     * Apply an I-fetch of `addr` by `cpu` at `now` in place when it
+     * hits the L1I and neither an access observer nor a sweep tap is
+     * attached: the same effect as access() for that hit, down to
+     * handing an attached trace sink the same {addr, IFetch, cpu} at
+     * the same tick, so recording keeps this path. Returns false,
+     * changing nothing, otherwise; the caller then goes through
+     * access().
      */
     bool
-    fetchHitInPlace(unsigned cpu, Addr addr)
+    fetchHitInPlace(unsigned cpu, Addr addr, sim::Tick now)
     {
-        return !observer_ && !traceSink_ && !sweepTap_ &&
-               applyL1iHit(cpu, addr);
+        if (observer_ || sweepTap_ || !applyL1iHit(cpu, addr))
+            return false;
+        if (traceSink_)
+            traceSink_->ref({addr, AccessType::IFetch, cpu}, now);
+        return true;
     }
 
     /** L2 group serving a CPU. */

@@ -1,5 +1,8 @@
 #include "mem/stackdist/refinement.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/log.hh"
 
 namespace middlesim::mem::stackdist
@@ -33,25 +36,38 @@ RefinementSweep::suitable(const std::vector<sim::CacheParams> &configs)
     return true;
 }
 
+std::uint64_t
+RefinementSweep::maxSlices(const std::vector<sim::CacheParams> &configs)
+{
+    std::uint64_t sets = configs.front().numSets();
+    for (const sim::CacheParams &p : configs)
+        sets = std::min(sets, p.numSets());
+    return sets;
+}
+
 RefinementSweep::RefinementSweep(
-    const std::vector<sim::CacheParams> &configs)
+    const std::vector<sim::CacheParams> &configs, unsigned slices)
 {
     if (!suitable(configs)) {
         fatal("sweep: cache geometries need one power-of-two block "
               "size, power-of-two set counts and associativity <= ",
               kMaxAssoc);
     }
-    unsigned shift = 0;
-    while ((1u << shift) <
-           static_cast<unsigned>(configs.front().blockBytes))
-        ++shift;
-    blockShift_ = shift;
+    if (!isPow2(slices) || slices > maxSlices(configs)) {
+        fatal("sweep: ", slices, " slices; the count must be a power "
+              "of two no larger than the smallest set count, ",
+              maxSlices(configs));
+    }
+    blockShift_ = static_cast<unsigned>(
+        std::countr_zero(configs.front().blockBytes));
+    sliceShift_ = static_cast<unsigned>(std::countr_zero(slices));
     levels_.reserve(configs.size());
     for (const sim::CacheParams &p : configs) {
+        const std::uint64_t sets = p.numSets() / slices;
         Level level;
-        level.setMask = p.numSets() - 1;
+        level.setMask = sets - 1;
         level.assoc = p.assoc;
-        level.ways.assign(p.numSets() * p.assoc, kEmpty);
+        level.ways.assign(sets * p.assoc, kEmpty);
         levels_.push_back(std::move(level));
     }
     misses_.assign(configs.size(), 0);
@@ -73,7 +89,8 @@ RefinementSweep::access(Addr addr, bool count_miss)
     for (std::size_t k = 0; k < levels_.size(); ++k) {
         Level &level = levels_[k];
         std::uint64_t *row =
-            level.ways.data() + (block & level.setMask) * level.assoc;
+            level.ways.data() +
+            ((block >> sliceShift_) & level.setMask) * level.assoc;
         unsigned pos = level.assoc;
         for (unsigned w = 0; w < level.assoc; ++w) {
             if (row[w] == block) {

@@ -15,6 +15,16 @@
  * configuration with its own CacheArray; tests/test_stackdist.cpp
  * enforces this against that naive oracle across randomized
  * geometries.
+ *
+ * An engine may hold one of P set slices, P a power of two no larger
+ * than the smallest set count. Then a block b with b & (P-1) == s
+ * maps to sets of slice s only, in every geometry, and slice s's
+ * engine holds numSets/P sets per geometry, indexed by
+ * (b >> log2 P) & (numSets/P - 1). Fed only its slice's blocks, each
+ * slice engine counts exactly what the unsliced engine counts for
+ * those blocks, the last-block shortcut included (no other slice
+ * touches its sets), so the slices' counts sum to the unsliced
+ * engine's.
  */
 
 #ifndef MEM_STACKDIST_REFINEMENT_HH
@@ -33,9 +43,17 @@ namespace middlesim::mem::stackdist
 class RefinementSweep
 {
   public:
-    /** Fatal, naming the rule, unless `configs` satisfy suitable(). */
-    explicit RefinementSweep(
-        const std::vector<sim::CacheParams> &configs);
+    /**
+     * One slice of `slices` (see file comment). Fatal, naming the
+     * rule, unless `configs` satisfy suitable() and `slices` is a
+     * power of two no larger than maxSlices(configs).
+     */
+    explicit RefinementSweep(const std::vector<sim::CacheParams> &configs,
+                             unsigned slices = 1);
+
+    /** The smallest set count among `configs` (suitable ones). */
+    static std::uint64_t
+    maxSlices(const std::vector<sim::CacheParams> &configs);
 
     /**
      * True when every geometry can be simulated by this engine: a
@@ -67,9 +85,13 @@ class RefinementSweep
     /** One geometry: per-set recency rows of `assoc` block ids. */
     struct Level
     {
+        /** This slice's set count, less one. */
         std::uint64_t setMask;
         unsigned assoc;
-        /** numSets * assoc block ids, MRU first; kEmpty when free. */
+        /**
+         * numSets / slices * assoc block ids, MRU first; kEmpty when
+         * free.
+         */
         std::vector<std::uint64_t> ways;
     };
 
@@ -77,6 +99,8 @@ class RefinementSweep
         ~static_cast<std::uint64_t>(0);
 
     unsigned blockShift_;
+    /** log2 of the slice count: the block bits that pick the slice. */
+    unsigned sliceShift_ = 0;
     std::vector<Level> levels_;
     std::vector<std::uint64_t> misses_;
     std::uint64_t accesses_ = 0;

@@ -1,10 +1,13 @@
 #include "mem/sweep.hh"
 
+#include <bit>
+
 namespace middlesim::mem
 {
 
-SweepSimulator::Bank::Bank(const std::vector<sim::CacheParams> &configs)
-    : refine(configs)
+SweepSimulator::Bank::Bank(const std::vector<sim::CacheParams> &configs,
+                           unsigned slices)
+    : refine(configs, slices)
 {
     for (const auto &params : configs)
         results.push_back({params, 0, 0});
@@ -12,7 +15,17 @@ SweepSimulator::Bank::Bank(const std::vector<sim::CacheParams> &configs)
 
 SweepSimulator::SweepSimulator(
     const std::vector<sim::CacheParams> &configs)
-    : ibank_(configs), dbank_(configs)
+    : SweepSimulator(configs, 0, 1)
+{
+}
+
+SweepSimulator::SweepSimulator(
+    const std::vector<sim::CacheParams> &configs, unsigned slice,
+    unsigned slices)
+    : ibank_(configs, slices), dbank_(configs, slices),
+      blockShift_(static_cast<unsigned>(
+          std::countr_zero(configs.front().blockBytes))),
+      sliceMask_(slices - 1), slice_(slice)
 {
 }
 
@@ -23,19 +36,6 @@ SweepSimulator::paperSweep()
     for (std::uint64_t kb = 64; kb <= 16 * 1024; kb *= 2)
         configs.push_back({kb * 1024, 4, 64});
     return configs;
-}
-
-void
-SweepSimulator::access(const MemRef &ref)
-{
-    if (ref.type == AccessType::IFetch) {
-        ibank_.refine.access(ref.addr, /*count_miss=*/true);
-    } else {
-        // Block-initializing stores install without a fetch: counted
-        // as an access, never a miss.
-        dbank_.refine.access(
-            ref.addr, /*count_miss=*/ref.type != AccessType::BlockStore);
-    }
 }
 
 const std::vector<SweepResult> &

@@ -18,6 +18,12 @@
  * Miss and access counts are bit-identical to simulating each
  * configuration with its own CacheArray (enforced against that naive
  * oracle in tests/test_sweep.cpp and tests/test_stackdist.cpp).
+ *
+ * A simulator may hold one set slice of the sweep (see
+ * stackdist/refinement.hh): it ignores references to other slices'
+ * blocks, so P slices fed the same stream, each on a thread of its
+ * own, count per geometry exactly what one unsliced simulator counts
+ * (core::replayTraceSweep sums them).
  */
 
 #ifndef MEM_SWEEP_HH
@@ -61,11 +67,35 @@ class SweepSimulator
      */
     explicit SweepSimulator(const std::vector<sim::CacheParams> &configs);
 
+    /**
+     * Slice `slice` of `slices`, a power of two no larger than
+     * stackdist::RefinementSweep::maxSlices(configs) (else fatal).
+     */
+    SweepSimulator(const std::vector<sim::CacheParams> &configs,
+                   unsigned slice, unsigned slices);
+
     /** The standard sweep of the paper: 64 KB..16 MB, 4-way, 64 B. */
     static std::vector<sim::CacheParams> paperSweep();
 
-    /** Feed one reference to the appropriate bank of all caches. */
-    void access(const MemRef &ref);
+    /**
+     * Feed one reference to the appropriate bank of all caches; one
+     * to another slice's block is ignored.
+     */
+    void
+    access(const MemRef &ref)
+    {
+        if (((ref.addr >> blockShift_) & sliceMask_) != slice_)
+            return;
+        if (ref.type == AccessType::IFetch) {
+            ibank_.refine.access(ref.addr, /*count_miss=*/true);
+        } else {
+            // Block-initializing stores install without a fetch:
+            // counted as an access, never a miss.
+            dbank_.refine.access(
+                ref.addr,
+                /*count_miss=*/ref.type != AccessType::BlockStore);
+        }
+    }
 
     /** Count one executed instruction (denominator of MPKI). */
     void countInstructions(std::uint64_t n) { instructions_ += n; }
@@ -82,7 +112,8 @@ class SweepSimulator
     /** One side (I or D) of the split sweep. */
     struct Bank
     {
-        explicit Bank(const std::vector<sim::CacheParams> &configs);
+        Bank(const std::vector<sim::CacheParams> &configs,
+             unsigned slices);
 
         stackdist::RefinementSweep refine;
         /** Per-config results; counters synced lazily. */
@@ -95,6 +126,10 @@ class SweepSimulator
 
     Bank ibank_;
     Bank dbank_;
+    /** The block bits that pick a slice, and this simulator's. */
+    unsigned blockShift_;
+    std::uint64_t sliceMask_;
+    std::uint64_t slice_;
     std::uint64_t instructions_ = 0;
 };
 

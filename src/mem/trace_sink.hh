@@ -9,7 +9,9 @@
  * consumed them. TraceSink is the seam that recreates that split
  * here: the execution-driven layers (mem::Hierarchy, os::Scheduler,
  * core::System) call into an optionally-attached sink; when none is
- * attached the cost is a single predictable-not-taken branch.
+ * attached the cost is a single predictable-not-taken branch. The
+ * inline L1I-hit path (Hierarchy::fetchHitInPlace) hands its hits to
+ * the sink too, so a recorded run keeps that path.
  *
  * Two record kinds flow through the sink:
  *  - ref(): every memory reference, in the exact global order the

@@ -13,16 +13,6 @@ fnv1a64(std::string_view data)
     return fnv1a64Step(fnv1a64Init, data);
 }
 
-std::uint64_t
-fnv1a64Step(std::uint64_t h, std::string_view data)
-{
-    for (char c : data) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 std::string
 hashHex(std::uint64_t h)
 {

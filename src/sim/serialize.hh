@@ -31,8 +31,19 @@ std::uint64_t fnv1a64(std::string_view data);
 /** Fixed-width hex rendering of a 64-bit hash (16 lowercase digits). */
 std::string hashHex(std::uint64_t h);
 
-/** Incremental FNV-1a: fold `data` into running hash `h`. */
-std::uint64_t fnv1a64Step(std::uint64_t h, std::string_view data);
+/**
+ * Incremental FNV-1a: fold `data` into running hash `h`. Inline, so
+ * that a trace codec hashing each record as it goes pays no call.
+ */
+inline std::uint64_t
+fnv1a64Step(std::uint64_t h, std::string_view data)
+{
+    for (char c : data) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
 
 /** Initial value of the incremental FNV-1a hash (offset basis). */
 inline constexpr std::uint64_t fnv1a64Init = 0xcbf29ce484222325ULL;
@@ -51,6 +62,23 @@ zigzagDecode(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
+}
+
+/**
+ * Write `v` as an LEB128 varint (1-10 bytes, 7 payload bits each) at
+ * `out`, which has room for 10 bytes; @return the bytes written.
+ * Signed deltas go through zigzagEncode() first.
+ */
+inline std::size_t
+putVarU64(char *out, std::uint64_t v)
+{
+    std::size_t n = 0;
+    while (v >= 0x80) {
+        out[n++] = static_cast<char>((v & 0x7f) | 0x80);
+        v >>= 7;
+    }
+    out[n++] = static_cast<char>(v);
+    return n;
 }
 
 /** Append-only little-endian byte stream. */
@@ -88,22 +116,11 @@ class ByteWriter
     str(std::string_view s)
     {
         u64(s.size());
-        buf_.append(s.data(), s.size());
+        raw(s.data(), s.size());
     }
 
-    /** LEB128 unsigned varint (1-10 bytes, 7 payload bits each). */
-    void
-    varU64(std::uint64_t v)
-    {
-        while (v >= 0x80) {
-            buf_.push_back(static_cast<char>((v & 0x7f) | 0x80));
-            v >>= 7;
-        }
-        buf_.push_back(static_cast<char>(v));
-    }
-
-    /** Zigzag-encoded signed varint (for small deltas of any sign). */
-    void varI64(std::int64_t v) { varU64(zigzagEncode(v)); }
+    /** Append `n` bytes as they are. */
+    void raw(const char *p, std::size_t n) { buf_.append(p, n); }
 
     void
     vecU64(const std::vector<std::uint64_t> &v)
@@ -209,6 +226,9 @@ class ByteReader
 
     /** Zigzag-encoded signed varint. */
     std::int64_t varI64() { return zigzagDecode(varU64()); }
+
+    /** Step over `n` <= remaining() bytes the caller decoded itself. */
+    void skip(std::size_t n) { pos_ += n; }
 
     std::vector<std::uint64_t>
     vecU64()

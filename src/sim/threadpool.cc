@@ -27,9 +27,24 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
+namespace
+{
+
+/** Set for the life of every worker thread (ThreadPool::onWorker). */
+thread_local bool t_onWorker = false;
+
+} // namespace
+
+bool
+ThreadPool::onWorker()
+{
+    return t_onWorker;
+}
+
 void
 ThreadPool::workerLoop()
 {
+    t_onWorker = true;
     for (;;) {
         std::function<void()> task;
         {

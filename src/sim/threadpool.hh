@@ -17,8 +17,8 @@
  * per hardware thread unless a command-line tool resizes it with
  * setGlobalJobs() from its --jobs=N / MIDDLESIM_JOBS option
  * (src/sim/args.hh); the pool itself reads no environment. Code that
- * must not share the global pool, such as the sharing-study replay,
- * makes a local one.
+ * must not share the global pool, such as the trace replays, makes a
+ * local one, unless it already runs on a pool worker (onWorker()).
  */
 
 #ifndef SIM_THREADPOOL_HH
@@ -86,6 +86,13 @@ class ThreadPool
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
+
+    /**
+     * True on a worker thread of any pool. Code that would fan out on
+     * a local pool of its own runs inline there instead, so a task of
+     * the global pool never starts a pool under it.
+     */
+    static bool onWorker();
 
     /** Process-wide pool used by the experiment runner. */
     static ThreadPool &global();

@@ -1,5 +1,6 @@
 #include "trace/reader.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,12 +11,7 @@ namespace middlesim::trace
 {
 
 TraceReader::TraceReader(std::string data)
-    : TraceReader(std::make_shared<const std::string>(std::move(data)))
-{
-}
-
-TraceReader::TraceReader(std::shared_ptr<const std::string> data)
-    : data_(std::move(data)), r_(*data_), hash_(sim::fnv1a64Init)
+    : data_(std::move(data)), r_(data_)
 {
     annCounts_.assign(mem::numTraceAnnotations, 0);
     std::string err;
@@ -24,17 +20,22 @@ TraceReader::TraceReader(std::shared_ptr<const std::string> data)
         return;
     }
     cpuState_.assign(header_.totalCpus, {});
-    hashedUpTo_ = 0; // checksum covers header + records (see writer)
+    // The checksum covers the header and the records (see writer).
+    hash_ = sim::fnv1a64Step(hash_, std::string_view(data_).substr(
+                                        0, r_.pos()));
+    plainEnd_ = data_.size() > 31 ? data_.size() - 31 : 0;
+    plainCpus_ = std::min(header_.totalCpus, refCpuEscape);
 }
 
 void
 TraceReader::fail(const std::string &why)
 {
+    plainEnd_ = 0;
     if (!ok_)
         return;
     ok_ = false;
     std::ostringstream os;
-    os << why << " (at byte " << r_.pos() << " of " << data_->size()
+    os << why << " (at byte " << r_.pos() << " of " << data_.size()
        << ")";
     error_ = os.str();
 }
@@ -42,11 +43,7 @@ TraceReader::fail(const std::string &why)
 bool
 TraceReader::readFooter()
 {
-    // Everything before the footer tag is checksummed.
-    hash_ = sim::fnv1a64Step(
-        hash_,
-        std::string_view(*data_).substr(hashedUpTo_,
-                                       r_.pos() - 1 - hashedUpTo_));
+    plainEnd_ = 0;
     const std::uint64_t want_refs = r_.u64();
     const std::uint64_t want_anns = r_.u64();
     const std::uint64_t want_hash = r_.u64();
@@ -76,10 +73,11 @@ TraceReader::readFooter()
 }
 
 bool
-TraceReader::next(TraceRecord &out)
+TraceReader::nextChecked(TraceRecord &out)
 {
     if (!ok_ || complete_)
         return false;
+    const std::size_t start = r_.pos();
     const std::uint8_t tag = r_.u8();
     if (!r_.ok()) {
         fail("truncated record stream (missing footer)");
@@ -123,6 +121,7 @@ TraceReader::next(TraceRecord &out)
         out.ref = {st.addr, static_cast<mem::AccessType>(type), cpu};
         out.tick = st.tick;
         ++refs_;
+        hashRecord(start);
         return true;
     }
 
@@ -151,7 +150,15 @@ TraceReader::next(TraceRecord &out)
     out.arg = arg;
     ++annotations_;
     ++annCounts_[kind];
+    hashRecord(start);
     return true;
+}
+
+void
+TraceReader::hashRecord(std::size_t start)
+{
+    hash_ = sim::fnv1a64Step(
+        hash_, std::string_view(data_).substr(start, r_.pos() - start));
 }
 
 bool

@@ -14,6 +14,17 @@
  * miss counts, classifications and footprints; replaying against a
  * *different* geometry answers what-if questions at a fraction of the
  * execution-driven cost.
+ *
+ * A replay decodes its trace once, into chunks of compact records,
+ * and every frontend applies every chunk in trace order. With two or
+ * more frontends and two or more replay threads (replayThreads()),
+ * each frontend gets a worker of its own on a local pool, and the
+ * chunks pass through a small fixed ring: a slot is refilled only
+ * after every worker has applied it, and a worker that finds nothing
+ * left to apply decodes the next chunks itself, so the faster workers
+ * decode for the slowest. Otherwise the calling thread decodes each
+ * chunk and applies it to each frontend in turn. The ring's size does
+ * not depend on the trace.
  */
 
 #ifndef TRACE_REPLAY_HH
@@ -21,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "mem/hierarchy.hh"
 #include "mem/sweep.hh"
@@ -63,14 +75,32 @@ std::unique_ptr<mem::Hierarchy>
 hierarchyFor(const TraceHeader &header,
              const ReplayOverrides &overrides = {});
 
+/** One replay target: a hierarchy, a sweep or both (either may be null). */
+struct ReplayFrontend
+{
+    mem::Hierarchy *hierarchy = nullptr;
+    mem::SweepSimulator *sweep = nullptr;
+};
+
 /**
- * Replay every remaining record of `reader` into the given frontends
- * (either may be nullptr). Check reader.complete() afterwards: a
- * trace that fails validation mid-stream yields partial state that
- * must be discarded. Replays of one trace into different hierarchies
- * never interact, so each may run on its own thread with its own
- * reader over shared bytes (core::replayTraceSharing does).
+ * Threads a replay may fan out to: the hardware threads, or 1 when
+ * the caller already runs on a pool worker (sim::ThreadPool::onWorker)
+ * and so must not start a pool under it.
  */
+unsigned replayThreads();
+
+/**
+ * Replay every remaining record of `reader`, decoded once, into every
+ * frontend (see file comment). Frontends must share no state, and
+ * anything that may fatal(), such as building them, belongs to the
+ * caller, never to a worker. Check reader.complete() afterwards: a
+ * trace that fails validation mid-stream stops the decoding and
+ * leaves every frontend with partial state that must be discarded.
+ */
+ReplayCounts replayTrace(TraceReader &reader,
+                         const std::vector<ReplayFrontend> &frontends);
+
+/** The same into one frontend. */
 ReplayCounts replayTrace(TraceReader &reader, mem::Hierarchy *hierarchy,
                          mem::SweepSimulator *sweep);
 

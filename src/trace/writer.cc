@@ -158,12 +158,13 @@ decodeHeader(sim::ByteReader &r, TraceHeader &out, std::string &err)
 }
 
 TraceWriter::TraceWriter(TraceHeader header)
-    : header_(std::move(header)), hash_(sim::fnv1a64Init)
+    : header_(std::move(header))
 {
     // The footer checksum covers every byte before the footer tag —
     // header included, so a flipped bit in a header string (which no
     // field validation could catch) still fails loudly.
     encodeHeader(buf_, header_);
+    hash_ = sim::fnv1a64(buf_.data());
     cpuState_.assign(header_.totalCpus, {});
 }
 
@@ -194,13 +195,18 @@ TraceWriter::ref(const mem::MemRef &ref, sim::Tick now)
                "trace: ref cpu out of range");
     const unsigned nib =
         ref.cpu < refCpuEscape ? ref.cpu : refCpuEscape;
-    buf_.u8(static_cast<std::uint8_t>(
-        (static_cast<unsigned>(ref.type) << 4) | nib));
+    char rec[maxRecordBytes];
+    std::size_t n = 0;
+    rec[n++] = static_cast<char>(
+        (static_cast<unsigned>(ref.type) << 4) | nib);
     if (nib == refCpuEscape)
-        buf_.varU64(ref.cpu);
+        n += sim::putVarU64(rec + n, ref.cpu);
     PerCpu &st = cpuState_[ref.cpu];
-    buf_.varI64(static_cast<std::int64_t>(ref.addr - st.addr));
-    buf_.varI64(static_cast<std::int64_t>(now - st.tick));
+    n += sim::putVarU64(rec + n, sim::zigzagEncode(static_cast<std::int64_t>(
+                                     ref.addr - st.addr)));
+    n += sim::putVarU64(rec + n, sim::zigzagEncode(static_cast<std::int64_t>(
+                                     now - st.tick)));
+    append(rec, n);
     st.addr = ref.addr;
     st.tick = now;
     ++refs_;
@@ -213,39 +219,38 @@ TraceWriter::annotation(mem::TraceAnnotation kind, unsigned cpu,
                         sim::Tick now, std::uint64_t arg)
 {
     sim_assert(!finished_, "trace: annotation() after finalize");
-    buf_.u8(static_cast<std::uint8_t>(
-        tagAnnotationBase | static_cast<unsigned>(kind)));
-    buf_.varU64(cpu);
-    buf_.varI64(static_cast<std::int64_t>(now - lastAnnTick_));
-    buf_.varU64(arg);
+    char rec[maxRecordBytes];
+    std::size_t n = 0;
+    rec[n++] = static_cast<char>(
+        tagAnnotationBase | static_cast<unsigned>(kind));
+    n += sim::putVarU64(rec + n, cpu);
+    n += sim::putVarU64(rec + n, sim::zigzagEncode(static_cast<std::int64_t>(
+                                     now - lastAnnTick_)));
+    n += sim::putVarU64(rec + n, arg);
+    append(rec, n);
     lastAnnTick_ = now;
     ++annotations_;
 }
 
 void
-TraceWriter::hashPending()
+TraceWriter::append(const char *rec, std::size_t n)
 {
-    const std::string &data = buf_.data();
-    hash_ = sim::fnv1a64Step(
-        hash_, std::string_view(data).substr(hashedUpTo_));
-    hashedUpTo_ = data.size();
+    hash_ = sim::fnv1a64Step(hash_, {rec, n});
+    buf_.raw(rec, n);
 }
 
 void
 TraceWriter::flushToFile()
 {
-    hashPending();
     const std::string chunk = buf_.take();
     file_.write(chunk.data(),
                 static_cast<std::streamsize>(chunk.size()));
     buf_ = sim::ByteWriter();
-    hashedUpTo_ = 0;
 }
 
 void
 TraceWriter::appendFooter()
 {
-    hashPending();
     buf_.u8(tagFooter);
     buf_.u64(refs_);
     buf_.u64(annotations_);

@@ -39,8 +39,9 @@ bool decodeHeader(sim::ByteReader &r, TraceHeader &out,
  *    and writer), and close() atomically renames the finished file
  *    into place — memory use stays flat for arbitrarily long runs.
  *
- * The record-region checksum is maintained incrementally, so neither
- * mode ever needs a second pass.
+ * Each record is encoded into a stack buffer, hashed into the footer
+ * checksum and appended once, so neither mode ever makes a hash pass
+ * over its buffer.
  */
 class TraceWriter final : public mem::TraceSink
 {
@@ -73,13 +74,17 @@ class TraceWriter final : public mem::TraceSink
     bool close();
 
   private:
+    /** A record's largest encoding: a tag and three 10-byte varints. */
+    static constexpr std::size_t maxRecordBytes = 31;
+
+    /** Hash one encoded record into the checksum and append it. */
+    void append(const char *rec, std::size_t n);
     void appendFooter();
-    void hashPending();
     void flushToFile();
 
     TraceHeader header_;
     sim::ByteWriter buf_;
-    std::size_t hashedUpTo_ = 0;
+    /** FNV-1a of every byte written so far (header and records). */
     std::uint64_t hash_;
 
     struct PerCpu

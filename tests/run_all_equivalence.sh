@@ -36,7 +36,7 @@ done
 
 workdir=$(mktemp -d /tmp/middlesim_equiv.XXXXXX)
 trap 'rm -rf "$workdir"' EXIT
-mkdir -p "$workdir/metrics_solo" "$workdir/metrics_runall"
+mkdir -p "$workdir/metrics_solo"
 
 # Run a command whose shape checks may fail (exit 1) but which must
 # not crash (any other nonzero exit; 128+N means killed by signal N).

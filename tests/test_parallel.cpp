@@ -130,6 +130,21 @@ TEST(ThreadPool, SingleJobRunsInline)
     EXPECT_EQ(tid.get(), self);
 }
 
+TEST(ThreadPool, OnWorkerMarksOnlyWorkerThreads)
+{
+    // Work that would start a pool of its own runs inline on a worker.
+    EXPECT_FALSE(sim::ThreadPool::onWorker());
+    sim::ThreadPool pool(2);
+    EXPECT_TRUE(pool.submit([] { return sim::ThreadPool::onWorker(); })
+                    .get());
+    // The single-job pool runs tasks on the submitting thread.
+    sim::ThreadPool inline_pool(1);
+    EXPECT_FALSE(
+        inline_pool.submit([] { return sim::ThreadPool::onWorker(); })
+            .get());
+    EXPECT_FALSE(sim::ThreadPool::onWorker());
+}
+
 TEST(ThreadPool, ParallelForPropagatesExceptions)
 {
     sim::ThreadPool pool(3);

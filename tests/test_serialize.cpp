@@ -20,6 +20,26 @@
 
 using namespace middlesim;
 
+namespace
+{
+
+/** Append a varint the way the trace writer does (sim::putVarU64). */
+void
+putVar(sim::ByteWriter &w, std::uint64_t v)
+{
+    char bytes[10];
+    w.raw(bytes, sim::putVarU64(bytes, v));
+}
+
+/** Append a zigzag-encoded signed varint. */
+void
+putZigzag(sim::ByteWriter &w, std::int64_t v)
+{
+    putVar(w, sim::zigzagEncode(v));
+}
+
+} // namespace
+
 TEST(Varint, RoundTripsBoundaryValues)
 {
     const std::vector<std::uint64_t> values = {
@@ -36,7 +56,7 @@ TEST(Varint, RoundTripsBoundaryValues)
     };
     sim::ByteWriter w;
     for (std::uint64_t v : values)
-        w.varU64(v);
+        putVar(w, v);
     sim::ByteReader r(w.data());
     for (std::uint64_t v : values)
         EXPECT_EQ(r.varU64(), v);
@@ -47,7 +67,7 @@ TEST(Varint, EncodingLengthsMatchLeb128)
 {
     auto encodedSize = [](std::uint64_t v) {
         sim::ByteWriter w;
-        w.varU64(v);
+        putVar(w, v);
         return w.data().size();
     };
     EXPECT_EQ(encodedSize(0), 1u);
@@ -72,7 +92,7 @@ TEST(Varint, SignedZigzagRoundTripsExtremes)
     };
     sim::ByteWriter w;
     for (std::int64_t v : values)
-        w.varI64(v);
+        putZigzag(w, v);
     sim::ByteReader r(w.data());
     for (std::int64_t v : values)
         EXPECT_EQ(r.varI64(), v);
@@ -83,7 +103,7 @@ TEST(Varint, SmallMagnitudeSignedDeltasStaySmall)
 {
     // The point of zigzag: -1 must not encode as ten 0xff bytes.
     sim::ByteWriter w;
-    w.varI64(-1);
+    putZigzag(w, -1);
     EXPECT_EQ(w.data().size(), 1u);
 }
 
@@ -122,7 +142,7 @@ TEST(Varint, AcceptsExactlyTenByteMax)
 TEST(Varint, TruncationMidValueFailsSticky)
 {
     sim::ByteWriter w;
-    w.varU64(1u << 30);
+    putVar(w, 1u << 30);
     const std::string full = w.data();
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
         sim::ByteReader r(std::string_view(full).substr(0, cut));
@@ -141,7 +161,7 @@ TEST(Reader, TruncationAtEveryPrefixNeverReadsOob)
     w.u32(0xdeadbeefu);
     w.u64(42);
     w.str("payload");
-    w.varU64(12345);
+    putVar(w, 12345);
     w.vecU64({1, 2, 3});
     const std::string full = w.data();
 
@@ -346,10 +366,10 @@ writeOps(sim::ByteWriter &w, const std::vector<Op> &ops)
             w.f64(op.f);
             break;
           case Op::VarU64:
-            w.varU64(op.u);
+            putVar(w, op.u);
             break;
           case Op::VarI64:
-            w.varI64(op.i);
+            putZigzag(w, op.i);
             break;
           case Op::Str:
             w.str(op.s);
@@ -452,7 +472,7 @@ TEST(Property, VarintPowerOfTwoNeighborhoodsRoundTrip)
         const std::uint64_t p = 1ULL << k;
         for (std::uint64_t v : {p - 1, p, p + 1}) {
             sim::ByteWriter w;
-            w.varU64(v);
+            putVar(w, v);
             sim::ByteReader r(w.data());
             EXPECT_EQ(r.varU64(), v) << "k=" << k;
             EXPECT_TRUE(r.atEnd());
@@ -463,7 +483,7 @@ TEST(Property, VarintPowerOfTwoNeighborhoodsRoundTrip)
                                                               : -s;
             for (std::int64_t sv : {s, neg}) {
                 sim::ByteWriter ws;
-                ws.varI64(sv);
+                putZigzag(ws, sv);
                 sim::ByteReader rs(ws.data());
                 EXPECT_EQ(rs.varI64(), sv) << "k=" << k;
                 EXPECT_TRUE(rs.atEnd());

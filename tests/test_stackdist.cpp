@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -80,6 +81,65 @@ TEST(Refinement, MatchesNaiveAcrossRandomGeometries)
     }
 }
 
+TEST(Refinement, SlicesSumToTheUnslicedEngine)
+{
+    // P set slices, each fed only its own blocks, count per geometry
+    // exactly what one unsliced engine counts, across a counter reset.
+    const int trials = deepSweep() ? 300 : 60;
+    const int steps = deepSweep() ? 12000 : 4000;
+    for (int trial = 0; trial < trials; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        sim::Rng rng(0x5EED0000u + static_cast<std::uint64_t>(trial));
+        const auto configs = randomGeometries(rng);
+        const std::uint64_t max_slices =
+            mem::stackdist::RefinementSweep::maxSlices(configs);
+        std::vector<mem::Addr> stream;
+        std::vector<bool> count_miss;
+        mem::Addr cursor = 0;
+        for (int step = 0; step < steps; ++step) {
+            const mem::MemRef ref = test::nextRef(rng, cursor);
+            stream.push_back(ref.addr);
+            count_miss.push_back(ref.type != mem::AccessType::BlockStore);
+        }
+        const unsigned shift = static_cast<unsigned>(
+            std::countr_zero(configs.front().blockBytes));
+        for (unsigned slices = 1; slices <= 8 && slices <= max_slices;
+             slices *= 2) {
+            SCOPED_TRACE(std::to_string(slices) + " slices");
+            mem::stackdist::RefinementSweep whole(configs);
+            std::vector<mem::stackdist::RefinementSweep> parts;
+            for (unsigned s = 0; s < slices; ++s)
+                parts.emplace_back(configs, slices);
+            const auto feed = [&](std::size_t from, std::size_t to) {
+                for (std::size_t i = from; i < to; ++i) {
+                    whole.access(stream[i], count_miss[i]);
+                    parts[(stream[i] >> shift) & (slices - 1)].access(
+                        stream[i], count_miss[i]);
+                }
+            };
+            const auto expectSums = [&] {
+                std::uint64_t accesses = 0;
+                for (const auto &part : parts)
+                    accesses += part.accesses();
+                EXPECT_EQ(accesses, whole.accesses());
+                for (std::size_t k = 0; k < configs.size(); ++k) {
+                    std::uint64_t misses = 0;
+                    for (const auto &part : parts)
+                        misses += part.misses(k);
+                    EXPECT_EQ(misses, whole.misses(k)) << "config " << k;
+                }
+            };
+            feed(0, stream.size() / 2);
+            expectSums();
+            whole.resetCounters();
+            for (auto &part : parts)
+                part.resetCounters();
+            feed(stream.size() / 2, stream.size());
+            expectSums();
+        }
+    }
+}
+
 TEST(Refinement, ResetCountersKeepsContents)
 {
     const auto configs = SweepSimulator::paperSweep();
@@ -112,5 +172,15 @@ TEST(SweepDeath, UnrepresentableGeometriesAreFatal)
         EXPECT_EXIT(SweepSimulator{configs}, ::testing::ExitedWithCode(1),
                     "one power-of-two block size, power-of-two set "
                     "counts and associativity <= 64");
+    }
+
+    // Set slices: a power of two no larger than the smallest set
+    // count (256 in the paper sweep).
+    const auto paper = SweepSimulator::paperSweep();
+    for (unsigned slices : {0u, 3u, 512u}) {
+        EXPECT_EXIT((SweepSimulator{paper, 0, slices}),
+                    ::testing::ExitedWithCode(1),
+                    "the count must be a power of two no larger than "
+                    "the smallest set count, 256");
     }
 }

@@ -21,8 +21,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/cache.hh"
@@ -440,8 +440,8 @@ TEST(TraceCorruption, ReplayOfInvalidTraceReportsError)
 
 TEST(TraceCorruption, SharingReplayGivesEveryDegreeTheSameError)
 {
-    // Damage past the header reaches every degree's own reader on its
-    // own task; each must report what a single-degree replay reports.
+    // Damage past the header stops the one decoder the degrees share;
+    // each must report what a single-degree replay reports.
     const std::string full = sampleTrace();
     const std::string truncated = full.substr(0, full.size() - 40);
     std::string flipped = full;
@@ -460,47 +460,203 @@ TEST(TraceCorruption, SharingReplayGivesEveryDegreeTheSameError)
     }
 }
 
-TEST(TraceFormat, ReadersSharingOneBufferMatchAnOwningReader)
+namespace
 {
-    // Two readers over one buffer, advanced in turn, each decode the
-    // whole stream exactly as a reader owning its own copy does.
-    const std::string bytes = sampleTrace();
-    const auto shared = std::make_shared<const std::string>(bytes);
-    trace::TraceReader owner{std::string(bytes)};
-    trace::TraceReader a(shared);
-    trace::TraceReader b(shared);
-    ASSERT_TRUE(owner.ok() && a.ok() && b.ok());
 
-    const auto expectSame = [](const trace::TraceRecord &x,
-                               const trace::TraceRecord &y) {
-        EXPECT_EQ(x.isRef, y.isRef);
-        EXPECT_EQ(x.ref.addr, y.ref.addr);
-        EXPECT_EQ(x.ref.type, y.ref.type);
-        EXPECT_EQ(x.ref.cpu, y.ref.cpu);
-        EXPECT_EQ(x.tick, y.tick);
-        EXPECT_EQ(x.kind, y.kind);
-        EXPECT_EQ(x.arg, y.arg);
-    };
-    trace::TraceRecord want, got_a, got_b;
-    std::uint64_t records = 0;
-    for (;;) {
-        const bool more = owner.next(want);
-        ASSERT_EQ(a.next(got_a), more) << "record " << records;
-        ASSERT_EQ(b.next(got_b), more) << "record " << records;
-        if (!more)
-            break;
-        expectSame(got_a, want);
-        expectSame(got_b, want);
-        ++records;
+/**
+ * A 20-CPU trace that reaches every decoder branch: every access
+ * type, CPUs on both sides of the tag's CPU escape, address and tick
+ * deltas from one to ten varint bytes in both directions, and one
+ * annotation of every kind, spread through the refs.
+ */
+std::string
+pinnedTrace()
+{
+    const unsigned kCpus = 20;
+    trace::TraceWriter w(syntheticHeader(kCpus));
+    std::uint64_t addr = 0x10000;
+    sim::Tick tick = 0;
+    unsigned kind = 0;
+    for (unsigned i = 0; i < 420; ++i) {
+        const unsigned step = i % 11;
+        if (step == 3)
+            addr += std::uint64_t{1} << (7 * (i % 9) + 6);
+        else if (step == 7)
+            addr -= std::uint64_t{0x40} << (i % 40);
+        else if (step == 10)
+            addr ^= std::uint64_t{1} << 63;
+        else
+            addr += 64 * step;
+        tick += i % 13 == 5 ? (std::uint64_t{1} << (i % 60)) : i % 4;
+        mem::MemRef ref;
+        ref.addr = addr;
+        ref.type = static_cast<mem::AccessType>(i % 5);
+        ref.cpu = (i * 7) % kCpus;
+        w.ref(ref, tick);
+        if (i % 29 == 13 && kind < mem::numTraceAnnotations) {
+            w.annotation(static_cast<mem::TraceAnnotation>(kind),
+                         (kind * 3) % kCpus, tick + kind,
+                         kind % 2 ? ~std::uint64_t{0} >> kind : kind);
+            ++kind;
+        }
     }
-    EXPECT_EQ(records, 202u);
-    for (const trace::TraceReader *r : {&a, &b}) {
-        EXPECT_TRUE(r->complete()) << r->error();
-        EXPECT_EQ(r->refCount(), owner.refCount());
-        EXPECT_EQ(r->annotationCount(), owner.annotationCount());
+    EXPECT_EQ(kind, mem::numTraceAnnotations);
+    return w.take();
+}
+
+/** One step of a word-wise FNV-1a digest. */
+std::uint64_t
+mixWord(std::uint64_t h, std::uint64_t word)
+{
+    return (h ^ word) * 0x100000001b3ULL;
+}
+
+/**
+ * Digest of everything a reader reports for `data`: the header
+ * verdict, every decoded record, one further next() after the last,
+ * and the final ok/complete/error/counts.
+ */
+std::uint64_t
+readerOutcomeDigest(std::string data)
+{
+    trace::TraceReader r(std::move(data));
+    std::uint64_t h = mixWord(sim::fnv1a64Init, r.ok());
+    trace::TraceRecord rec;
+    while (r.next(rec)) {
+        h = mixWord(h, rec.isRef);
+        h = mixWord(h, rec.tick);
+        h = mixWord(h, rec.ref.cpu);
+        if (rec.isRef) {
+            h = mixWord(h, rec.ref.addr);
+            h = mixWord(h, static_cast<std::uint64_t>(rec.ref.type));
+        } else {
+            h = mixWord(h, static_cast<std::uint64_t>(rec.kind));
+            h = mixWord(h, rec.arg);
+        }
     }
-    EXPECT_TRUE(owner.complete());
-    EXPECT_EQ(*shared, bytes);
+    h = mixWord(h, r.next(rec));
+    h = mixWord(h, r.ok());
+    h = mixWord(h, r.complete());
+    h = mixWord(h, sim::fnv1a64(r.error()));
+    h = mixWord(h, r.refCount());
+    h = mixWord(h, r.annotationCount());
+    return h;
+}
+
+} // namespace
+
+TEST(TraceCorruption, OutcomesArePinned)
+{
+    // What the decoder reports for every truncation of a small trace
+    // and for four bit patterns XORed into every byte: each record,
+    // each verdict, each error text with its byte offset. The digest
+    // was recorded on the byte-at-a-time decoder that checksummed the
+    // whole trace at its footer; any decoder must reproduce it.
+    const std::string full = pinnedTrace();
+    ASSERT_EQ(full.size(), 6557u);
+    std::uint64_t h = readerOutcomeDigest(full);
+    for (std::size_t cut = 0; cut < full.size(); ++cut)
+        h = mixWord(h, readerOutcomeDigest(full.substr(0, cut)));
+    for (const std::uint8_t mask : {0x01, 0x40, 0x80, 0xff}) {
+        for (std::size_t pos = 0; pos < full.size(); ++pos) {
+            std::string bad = full;
+            bad[pos] = static_cast<char>(bad[pos] ^ mask);
+            h = mixWord(h, readerOutcomeDigest(std::move(bad)));
+        }
+    }
+    EXPECT_EQ(sim::hashHex(h), "ae579714f2aef8ad");
+}
+
+TEST(TraceFormat, RecordedBytesArePinned)
+{
+    // The exact bytes of two in-memory recordings, one with shared
+    // L2s and one tracking communication. Recorded on the writer that
+    // hashed its buffer at take(), with every L1I hit going through
+    // Hierarchy::access(); any recorder must reproduce them.
+    EXPECT_EQ(sim::hashHex(sim::fnv1a64(
+                  core::recordTraceRun(sharedL2EcperfSpec()).traceData)),
+              "a194bdc6f53ab792");
+    EXPECT_EQ(sim::hashHex(sim::fnv1a64(
+                  core::recordTraceRun(commTrackingJbbSpec()).traceData)),
+              "14a2e6eb8810dc74");
+}
+
+namespace
+{
+
+/**
+ * A trace of many chunks of records for the replays: 8 CPUs, with the
+ * measurement protocol's resets and instruction counts in between.
+ */
+std::string
+longSampleTrace()
+{
+    trace::TraceWriter w(syntheticHeader(8));
+    sim::Rng rng(2718);
+    mem::Addr cursor = 0x400000;
+    for (unsigned i = 0; i < 30'000; ++i) {
+        if (i == 10'000) {
+            w.annotation(mem::TraceAnnotation::MeasureBegin, 0, 3 * i, 0);
+            w.annotation(mem::TraceAnnotation::StatsReset, 0, 3 * i, 0);
+        }
+        cursor = rng.chance(0.7) ? cursor + 64 * rng.uniform(4)
+                                 : 0x400000 + 64 * rng.uniform(1 << 16);
+        mem::MemRef ref;
+        ref.addr = cursor;
+        ref.type = static_cast<mem::AccessType>(rng.uniform(5));
+        ref.cpu = static_cast<unsigned>(rng.uniform(8));
+        w.ref(ref, 3 * i);
+    }
+    w.annotation(mem::TraceAnnotation::Instructions, 0, 90'000, 77'777);
+    return w.take();
+}
+
+/** Truncated and bit-flipped copies of `full`, damaged past its header. */
+std::vector<std::string>
+damagedCopies(const std::string &full)
+{
+    std::vector<std::string> bad;
+    for (const std::size_t at :
+         {full.size() / 3, full.size() / 2, full.size() - 40}) {
+        bad.push_back(full.substr(0, at));
+        std::string flipped = full;
+        flipped[at] ^= 0x40;
+        bad.push_back(std::move(flipped));
+    }
+    return bad;
+}
+
+/** What one reader reports on `data` after decoding all it can. */
+std::string
+singleReaderError(const std::string &data)
+{
+    trace::TraceReader r{std::string(data)};
+    r.drain();
+    return r.error();
+}
+
+} // namespace
+
+TEST(TraceCorruption, DecodeOnceReplaysGiveTheSingleReaderError)
+{
+    // Damage that stops the one decoder of a replay, chunks into the
+    // stream, reaches every frontend: each sweep and sharing outcome
+    // carries exactly the error one reader reports.
+    for (const std::string &bad : damagedCopies(longSampleTrace())) {
+        ASSERT_TRUE(trace::TraceReader{std::string(bad)}.ok());
+        const std::string want = singleReaderError(bad);
+        ASSERT_FALSE(want.empty());
+        const core::SweepReplayOutcome sweep = core::replayTraceSweep(bad);
+        EXPECT_FALSE(sweep.valid);
+        EXPECT_EQ(sweep.error, want);
+        const std::vector<core::HierarchyReplayOutcome> outs =
+            core::replayTraceSharing(bad, {1, 2, 4, 8});
+        ASSERT_EQ(outs.size(), 4u);
+        for (const core::HierarchyReplayOutcome &out : outs) {
+            EXPECT_FALSE(out.valid);
+            EXPECT_EQ(out.error, want);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -668,30 +824,58 @@ TEST(TraceReplay, SweepReplayMatchesNaiveOracle)
     test::expectMatchesOracle(fast.icache, fast.dcache, oracle);
 }
 
-TEST(TraceReplay, SharingFanoutBitIdenticalToPerDegree)
+namespace
 {
-    // The Figure 16 study from one SMP recording: the sharing degrees,
-    // replayed in parallel over one shared buffer, must each leave
-    // their hierarchy in exactly the state a dedicated per-degree
-    // replay produces.
-    core::TraceRecordOutcome rec =
-        core::recordTraceRun(sharedL2EcperfSpec());
-    ASSERT_FALSE(rec.traceData.empty());
 
-    const std::vector<unsigned> degrees = {1, 2, 4};
-    const std::vector<core::HierarchyReplayOutcome> fanout =
-        core::replayTraceSharing(rec.traceData, degrees);
+/** A directory-protocol machine of 8 CPUs on 4 NUMA nodes. */
+core::ExperimentSpec
+directoryEcperfSpec()
+{
+    core::ExperimentSpec spec = sharedL2EcperfSpec();
+    spec.appCpus = 4;
+    spec.totalCpus = 8;
+    spec.cpusPerL2 = 1;
+    spec.sys.machine.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    spec.sys.machine.numaNodes = 4;
+    spec.warmup = 500'000;
+    spec.measure = 1'000'000;
+    spec.seed = 19;
+    return spec;
+}
+
+/** The recorded geometries the decode-once replays are checked on. */
+std::vector<core::ExperimentSpec>
+replayGeometries()
+{
+    return {sharedL2EcperfSpec(), commTrackingJbbSpec(),
+            directoryEcperfSpec()};
+}
+
+/** Sharing degrees of a machine: the powers of two dividing its CPUs. */
+std::vector<unsigned>
+sharingDegrees(unsigned total_cpus)
+{
+    std::vector<unsigned> degrees;
+    for (unsigned d = 1; d <= total_cpus; d *= 2)
+        degrees.push_back(d);
+    return degrees;
+}
+
+/** Each degree's outcome of the sharing study equals a serial replay. */
+void
+expectSharingMatchesSerialReplays(
+    const std::string &trace_data, const std::vector<unsigned> &degrees,
+    const std::vector<core::HierarchyReplayOutcome> &fanout)
+{
     ASSERT_EQ(fanout.size(), degrees.size());
-
     for (std::size_t i = 0; i < degrees.size(); ++i) {
         ASSERT_TRUE(fanout[i].valid) << fanout[i].error;
         trace::ReplayOverrides overrides;
         overrides.cpusPerL2 = degrees[i];
         core::HierarchyReplayOutcome solo =
-            core::replayTraceHierarchy(rec.traceData, overrides);
+            core::replayTraceHierarchy(trace_data, overrides);
         ASSERT_TRUE(solo.valid) << solo.error;
-        const std::string what =
-            "degree " + std::to_string(degrees[i]);
+        const std::string what = "degree " + std::to_string(degrees[i]);
         ASSERT_EQ(fanout[i].perCpu.size(), solo.perCpu.size());
         for (std::size_t c = 0; c < solo.perCpu.size(); ++c)
             expectStatsEqual(fanout[i].perCpu[c], solo.perCpu[c],
@@ -700,6 +884,103 @@ TEST(TraceReplay, SharingFanoutBitIdenticalToPerDegree)
         EXPECT_EQ(fanout[i].c2cLines, solo.c2cLines) << what;
         EXPECT_EQ(fanout[i].touchedLines, solo.touchedLines) << what;
         EXPECT_EQ(fanout[i].counts.refs, solo.counts.refs) << what;
+        EXPECT_EQ(fanout[i].counts.instructions, solo.counts.instructions)
+            << what;
+    }
+}
+
+/**
+ * The sliced sweep replay equals one SweepSimulator fed the decoded
+ * stream serially, resets and instruction counts included.
+ */
+void
+expectSweepMatchesSerialPass(const std::string &trace_data,
+                             const core::SweepReplayOutcome &sliced)
+{
+    ASSERT_TRUE(sliced.valid) << sliced.error;
+    mem::SweepSimulator serial{mem::SweepSimulator::paperSweep()};
+    trace::TraceReader reader{std::string(trace_data)};
+    const trace::ReplayCounts counts =
+        trace::replayTrace(reader, nullptr, &serial);
+    ASSERT_TRUE(reader.complete()) << reader.error();
+    EXPECT_EQ(sliced.counts.refs, counts.refs);
+    EXPECT_EQ(sliced.instructions, serial.instructions());
+    ASSERT_EQ(sliced.icache.size(), serial.icacheResults().size());
+    for (std::size_t i = 0; i < sliced.icache.size(); ++i) {
+        EXPECT_EQ(sliced.icache[i].accesses,
+                  serial.icacheResults()[i].accesses) << "config " << i;
+        EXPECT_EQ(sliced.icache[i].misses, serial.icacheResults()[i].misses)
+            << "config " << i;
+        EXPECT_EQ(sliced.dcache[i].accesses,
+                  serial.dcacheResults()[i].accesses) << "config " << i;
+        EXPECT_EQ(sliced.dcache[i].misses, serial.dcacheResults()[i].misses)
+            << "config " << i;
+    }
+}
+
+} // namespace
+
+TEST(TraceReplay, SharingFanoutBitIdenticalToPerDegree)
+{
+    // The Figure 16 study from one SMP recording: the sharing degrees,
+    // fed from one decode, must each leave their hierarchy in exactly
+    // the state a dedicated per-degree replay produces, on every
+    // recorded geometry.
+    for (const core::ExperimentSpec &spec : replayGeometries()) {
+        SCOPED_TRACE(core::pointName(spec));
+        core::TraceRecordOutcome rec = core::recordTraceRun(spec);
+        ASSERT_FALSE(rec.traceData.empty());
+        const std::vector<unsigned> degrees =
+            sharingDegrees(spec.totalCpus);
+        expectSharingMatchesSerialReplays(
+            rec.traceData, degrees,
+            core::replayTraceSharing(rec.traceData, degrees));
+    }
+}
+
+TEST(TraceReplay, SlicedSweepMatchesASerialSweep)
+{
+    // The sweep replay's set slices, fed from one decode, sum to what
+    // one simulator counts in a serial pass over the same stream.
+    for (const core::ExperimentSpec &spec : replayGeometries()) {
+        SCOPED_TRACE(core::pointName(spec));
+        core::TraceRecordOutcome rec = core::recordTraceRun(spec);
+        expectSweepMatchesSerialPass(rec.traceData,
+                                     core::replayTraceSweep(rec.traceData));
+    }
+    const std::string synthetic = longSampleTrace();
+    expectSweepMatchesSerialPass(synthetic,
+                                 core::replayTraceSweep(synthetic));
+}
+
+TEST(TraceReplay, ReplaysOnAPoolWorkerRunInlineAndMatch)
+{
+    // A replay called from a global-pool worker starts no pool of its
+    // own: one replay thread, so one sweep slice and every frontend
+    // applied on that worker. Its outcomes equal the fanned-out ones.
+    const core::TraceRecordOutcome rec =
+        core::recordTraceRun(sharedL2EcperfSpec());
+    const std::vector<unsigned> degrees = {1, 2, 4};
+    sim::ThreadPool::setGlobalJobs(2);
+    const auto [threads, sweep, sharing] =
+        sim::ThreadPool::global()
+            .submit([&] {
+                return std::make_tuple(
+                    trace::replayThreads(),
+                    core::replayTraceSweep(rec.traceData),
+                    core::replayTraceSharing(rec.traceData, degrees));
+            })
+            .get();
+    sim::ThreadPool::setGlobalJobs(1);
+    EXPECT_EQ(threads, 1u);
+    expectSweepMatchesSerialPass(rec.traceData, sweep);
+    expectSharingMatchesSerialReplays(rec.traceData, degrees, sharing);
+    const core::SweepReplayOutcome fanned =
+        core::replayTraceSweep(rec.traceData);
+    ASSERT_EQ(fanned.icache.size(), sweep.icache.size());
+    for (std::size_t i = 0; i < sweep.icache.size(); ++i) {
+        EXPECT_EQ(fanned.icache[i].misses, sweep.icache[i].misses);
+        EXPECT_EQ(fanned.dcache[i].misses, sweep.dcache[i].misses);
     }
 }
 

@@ -1,7 +1,7 @@
 #!/bin/bash
 # `middlesim-trace sharing` replays one recording at every sharing
-# degree, each degree as its own task over one shared copy of the
-# trace. Each of its rows (misses, coherence, capacity, c2c) must
+# degree, each degree on a worker of its own, all fed from one decode
+# of the trace. Each of its rows (misses, coherence, capacity, c2c) must
 # equal what `middlesim-trace replay --cpus-per-l2=N` reports for that
 # degree alone, and the rows must come in degree order 1, 2, 4, 8.
 # Checked on a small 8-CPU ECperf recording, with and without
