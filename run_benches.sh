@@ -15,35 +15,8 @@
 # the summed per-figure serial seconds, and the dedupe ratio from
 # run_all --stats-out.
 #
-# run_benches.sh --check instead builds two sanitizer-instrumented
-# trees (MIDDLESIM_SANITIZE=thread|address) and runs the concurrency
-# tests under TSan and the full test suite under ASan+UBSan.
-
-if [ "$1" = "--check" ]; then
-    set -e
-    echo "################ sanitizer check: thread"
-    cmake -B build-tsan -S . -DMIDDLESIM_SANITIZE=thread \
-        > /dev/null
-    cmake --build build-tsan -j"$(nproc)" --target \
-        test_parallel test_metrics test_sweep test_cache \
-        test_trace test_serialize test_stackdist \
-        middlesim_trace_cli > /dev/null
-    ./build-tsan/tests/test_parallel
-    ./build-tsan/tests/test_metrics
-    ./build-tsan/tests/test_sweep
-    ./build-tsan/tests/test_cache
-    ./build-tsan/tests/test_trace
-    ./build-tsan/tests/test_serialize
-    ./build-tsan/tests/test_stackdist
-    bash tests/trace_sharing.sh build-tsan/bench
-    echo "################ sanitizer check: address"
-    cmake -B build-asan -S . -DMIDDLESIM_SANITIZE=address \
-        > /dev/null
-    cmake --build build-asan -j"$(nproc)" > /dev/null
-    (cd build-asan && ctest --output-on-failure)
-    echo "ALL_SANITIZER_CHECKS_DONE"
-    exit 0
-fi
+# The sanitizer runs are the CI `asan` and `tsan` jobs
+# (.github/workflows/ci.yml).
 
 figures="fig04_scaling fig05_execmodes fig06_cpi fig07_datastall \
          fig08_c2c_ratio fig09_gc_effect fig10_c2c_timeline \

@@ -19,7 +19,8 @@ namespace
 // always) changes the struct size, so each struct's size is pinned
 // here for the LP64 ABI the project targets; a mismatch is a compile
 // error pointing at the encoder to update. When you add a field:
-// extend the matching encode*() below, THEN update the pinned size.
+// extend the matching encode*() below (the field list, for
+// CacheParams and LatencyModel), THEN update the pinned size.
 // ---------------------------------------------------------------------
 
 constexpr bool kLp64 = sizeof(void *) == 8;
@@ -29,9 +30,9 @@ constexpr bool sizePinned = !kLp64 || sizeof(T) == Expected;
 
 #define MIDDLESIM_PIN_SIZE(type, expected)                              \
     static_assert(sizePinned<type, expected>,                           \
-                  #type " changed size: update the matching encoder "   \
-                  "in core/cache.cc (and bump cacheSchemaVersion), "    \
-                  "then re-pin the size here")
+                  #type " changed size: update its encoder or field "   \
+                  "list (and bump cacheSchemaVersion), then re-pin "    \
+                  "the size in core/cache.cc")
 
 MIDDLESIM_PIN_SIZE(sim::CacheParams, 16);
 MIDDLESIM_PIN_SIZE(sim::MachineConfig, 80);
@@ -48,21 +49,13 @@ MIDDLESIM_PIN_SIZE(ExperimentSpec, 792);
 #undef MIDDLESIM_PIN_SIZE
 
 void
-encodeCacheParams(sim::ByteWriter &w, const sim::CacheParams &p)
-{
-    w.u64(p.sizeBytes);
-    w.u32(p.assoc);
-    w.u32(p.blockBytes);
-}
-
-void
-encodeMachine(sim::ByteWriter &w, const sim::MachineConfig &m)
+encodeMachine(sim::FieldWriter &w, const sim::MachineConfig &m)
 {
     w.u32(m.totalCpus);
     w.u32(m.appCpus);
-    encodeCacheParams(w, m.l1i);
-    encodeCacheParams(w, m.l1d);
-    encodeCacheParams(w, m.l2);
+    w.record(m.l1i);
+    w.record(m.l1d);
+    w.record(m.l2);
     w.u32(m.cpusPerL2);
     w.u8(static_cast<std::uint8_t>(m.protocol));
     w.u32(m.numaNodes);
@@ -71,21 +64,7 @@ encodeMachine(sim::ByteWriter &w, const sim::MachineConfig &m)
 }
 
 void
-encodeLatency(sim::ByteWriter &w, const mem::LatencyModel &l)
-{
-    w.u64(l.l1Hit);
-    w.u64(l.l2Hit);
-    w.u64(l.memory);
-    w.u64(l.cacheToCache);
-    w.u64(l.upgrade);
-    w.u64(l.busOccupancy);
-    w.u64(l.busAddrOccupancy);
-    w.u64(l.hop);
-    w.u64(l.directoryLookup);
-}
-
-void
-encodeCore(sim::ByteWriter &w, const cpu::CoreParams &c)
+encodeCore(sim::FieldWriter &w, const cpu::CoreParams &c)
 {
     w.f64(c.baseCpi);
     w.u32(c.storeBufferDepth);
@@ -94,7 +73,7 @@ encodeCore(sim::ByteWriter &w, const cpu::CoreParams &c)
 }
 
 void
-encodeJvm(sim::ByteWriter &w, const jvm::JvmParams &j)
+encodeJvm(sim::FieldWriter &w, const jvm::JvmParams &j)
 {
     w.u64(j.heap.heapBytes);
     w.u64(j.heap.newGenBytes);
@@ -111,7 +90,7 @@ encodeJvm(sim::ByteWriter &w, const jvm::JvmParams &j)
 }
 
 void
-encodeKernel(sim::ByteWriter &w, const os::KernelParams &k)
+encodeKernel(sim::FieldWriter &w, const os::KernelParams &k)
 {
     w.u64(k.netSendInstr);
     w.u64(k.netRecvInstr);
@@ -121,7 +100,7 @@ encodeKernel(sim::ByteWriter &w, const os::KernelParams &k)
 }
 
 void
-encodeJbb(sim::ByteWriter &w, const workload::SpecJbbParams &p)
+encodeJbb(sim::FieldWriter &w, const workload::SpecJbbParams &p)
 {
     w.u32(p.warehouses);
     for (double m : p.mix)
@@ -153,7 +132,7 @@ encodeJbb(sim::ByteWriter &w, const workload::SpecJbbParams &p)
 }
 
 void
-encodeEcperf(sim::ByteWriter &w, const workload::EcperfParams &p)
+encodeEcperf(sim::FieldWriter &w, const workload::EcperfParams &p)
 {
     w.u32(p.injectionRate);
     w.u32(p.workerThreads);
@@ -174,10 +153,10 @@ encodeEcperf(sim::ByteWriter &w, const workload::EcperfParams &p)
 }
 
 void
-encodeSystemConfig(sim::ByteWriter &w, const SystemConfig &c)
+encodeSystemConfig(sim::FieldWriter &w, const SystemConfig &c)
 {
     encodeMachine(w, c.machine);
-    encodeLatency(w, c.latency);
+    w.record(c.latency);
     encodeCore(w, c.core);
     encodeJvm(w, c.jvm);
     encodeKernel(w, c.kernel);
@@ -196,7 +175,8 @@ encodeSystemConfig(sim::ByteWriter &w, const SystemConfig &c)
 std::string
 encodeSpecKey(const ExperimentSpec &spec)
 {
-    sim::ByteWriter w;
+    sim::ByteWriter bytes;
+    sim::FieldWriter w(bytes);
     w.str(cacheSchemaVersion);
     w.u8(spec.workload == WorkloadKind::SpecJbb ? 0 : 1);
     w.u32(spec.appCpus);
@@ -214,7 +194,7 @@ encodeSpecKey(const ExperimentSpec &spec)
     encodeSystemConfig(w, spec.sys);
     encodeJbb(w, spec.jbb);
     encodeEcperf(w, spec.ecperf);
-    return w.take();
+    return bytes.take();
 }
 
 std::string
@@ -222,202 +202,6 @@ cacheFileName(const std::string &kind, const std::string &key)
 {
     return kind + "-" + sim::hashHex(sim::fnv1a64(kind + "\x1f" + key)) +
            ".msc";
-}
-
-// ---------------------------------------------------------------------
-// Payload codecs
-// ---------------------------------------------------------------------
-
-void
-encodeSnapshot(sim::ByteWriter &w, const sim::MetricSnapshot &s)
-{
-    w.u64(s.counters.size());
-    for (const auto &[name, v] : s.counters) {
-        w.str(name);
-        w.u64(v);
-    }
-    w.u64(s.gauges.size());
-    for (const auto &[name, v] : s.gauges) {
-        w.str(name);
-        w.f64(v);
-    }
-    w.u64(s.histograms.size());
-    for (const auto &[name, h] : s.histograms) {
-        w.str(name);
-        w.u64(h.count);
-        w.u64(h.sum);
-        w.vecU64(h.buckets);
-    }
-    w.u64(s.series.size());
-    for (const auto &[name, d] : s.series) {
-        w.str(name);
-        w.u64(d.period);
-        w.vecF64(d.values);
-    }
-    w.u64(s.events.size());
-    for (const auto &e : s.events) {
-        w.u64(e.tick);
-        w.str(e.type);
-        w.str(e.detail);
-    }
-    w.u64(s.eventsDropped);
-}
-
-sim::MetricSnapshot
-decodeSnapshot(sim::ByteReader &r)
-{
-    sim::MetricSnapshot s;
-    const std::uint64_t counters = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < counters; ++i) {
-        std::string name = r.str();
-        s.counters.emplace(std::move(name), r.u64());
-    }
-    const std::uint64_t gauges = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < gauges; ++i) {
-        std::string name = r.str();
-        s.gauges.emplace(std::move(name), r.f64());
-    }
-    const std::uint64_t histograms = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < histograms; ++i) {
-        std::string name = r.str();
-        sim::MetricSnapshot::HistogramData h;
-        h.count = r.u64();
-        h.sum = r.u64();
-        h.buckets = r.vecU64();
-        s.histograms.emplace(std::move(name), std::move(h));
-    }
-    const std::uint64_t series = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < series; ++i) {
-        std::string name = r.str();
-        sim::MetricSnapshot::SeriesData d;
-        d.period = r.u64();
-        d.values = r.vecF64();
-        s.series.emplace(std::move(name), std::move(d));
-    }
-    const std::uint64_t events = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < events; ++i) {
-        sim::EventJournal::Event e;
-        e.tick = r.u64();
-        e.type = r.str();
-        e.detail = r.str();
-        s.events.push_back(std::move(e));
-    }
-    s.eventsDropped = r.u64();
-    return s;
-}
-
-std::string
-encodeRunResult(const RunResult &r)
-{
-    sim::ByteWriter w;
-    w.f64(r.seconds);
-    w.u64(r.txTotal);
-    w.vecU64(r.txByType);
-    w.f64(r.throughput);
-
-    w.u64(r.cpi.instructions);
-    w.u64(r.cpi.base);
-    w.u64(r.cpi.iStall);
-    w.u64(r.cpi.dsStoreBuf);
-    w.u64(r.cpi.dsRaw);
-    w.u64(r.cpi.dsL2Hit);
-    w.u64(r.cpi.dsC2C);
-    w.u64(r.cpi.dsMemory);
-    w.u64(r.cpi.dsOther);
-
-    w.u64(r.modes.user);
-    w.u64(r.modes.system);
-    w.u64(r.modes.io);
-    w.u64(r.modes.idle);
-    w.u64(r.modes.gcIdle);
-
-    w.u64(r.cache.ifetches);
-    w.u64(r.cache.loads);
-    w.u64(r.cache.stores);
-    w.u64(r.cache.atomics);
-    w.u64(r.cache.l1iHits);
-    w.u64(r.cache.l1dHits);
-    w.u64(r.cache.l2Accesses);
-    w.u64(r.cache.l2Hits);
-    w.u64(r.cache.missCold);
-    w.u64(r.cache.missCoherence);
-    w.u64(r.cache.missCapacity);
-    w.u64(r.cache.c2cTransfers);
-    w.u64(r.cache.upgrades);
-    w.u64(r.cache.writebacks);
-    w.u64(r.cache.blockStores);
-    w.u64(r.cache.instrMisses);
-    w.u64(r.cache.dataMisses);
-
-    w.u64(r.gcMinor);
-    w.u64(r.gcMajor);
-    w.u64(r.gcPause);
-    w.f64(r.liveAfterMB);
-    w.f64(r.beanHitRate);
-
-    w.u8(r.metrics ? 1 : 0);
-    if (r.metrics)
-        encodeSnapshot(w, *r.metrics);
-    return w.take();
-}
-
-bool
-decodeRunResult(const std::string &payload, RunResult &out)
-{
-    sim::ByteReader r(payload);
-    RunResult res;
-    res.seconds = r.f64();
-    res.txTotal = r.u64();
-    res.txByType = r.vecU64();
-    res.throughput = r.f64();
-
-    res.cpi.instructions = r.u64();
-    res.cpi.base = r.u64();
-    res.cpi.iStall = r.u64();
-    res.cpi.dsStoreBuf = r.u64();
-    res.cpi.dsRaw = r.u64();
-    res.cpi.dsL2Hit = r.u64();
-    res.cpi.dsC2C = r.u64();
-    res.cpi.dsMemory = r.u64();
-    res.cpi.dsOther = r.u64();
-
-    res.modes.user = r.u64();
-    res.modes.system = r.u64();
-    res.modes.io = r.u64();
-    res.modes.idle = r.u64();
-    res.modes.gcIdle = r.u64();
-
-    res.cache.ifetches = r.u64();
-    res.cache.loads = r.u64();
-    res.cache.stores = r.u64();
-    res.cache.atomics = r.u64();
-    res.cache.l1iHits = r.u64();
-    res.cache.l1dHits = r.u64();
-    res.cache.l2Accesses = r.u64();
-    res.cache.l2Hits = r.u64();
-    res.cache.missCold = r.u64();
-    res.cache.missCoherence = r.u64();
-    res.cache.missCapacity = r.u64();
-    res.cache.c2cTransfers = r.u64();
-    res.cache.upgrades = r.u64();
-    res.cache.writebacks = r.u64();
-    res.cache.blockStores = r.u64();
-    res.cache.instrMisses = r.u64();
-    res.cache.dataMisses = r.u64();
-
-    res.gcMinor = r.u64();
-    res.gcMajor = r.u64();
-    res.gcPause = r.u64();
-    res.liveAfterMB = r.f64();
-    res.beanHitRate = r.f64();
-
-    if (r.u8())
-        res.metrics = std::make_shared<sim::MetricSnapshot>(
-            decodeSnapshot(r));
-    if (!r.atEnd())
-        return false;
-    out = std::move(res);
-    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -595,8 +379,7 @@ RunCache::storeDisk(const std::string &kind, const std::string &key,
 RunResult
 cachedRunExperiment(const ExperimentSpec &spec)
 {
-    return throughCache<RunResult>("run", spec, decodeRunResult,
-                                   encodeRunResult,
+    return throughCache<RunResult>("run", spec,
                                    [&] { return runExperiment(spec); });
 }
 

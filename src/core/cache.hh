@@ -12,14 +12,16 @@
  *  - an always-on in-process memo, so duplicate (spec, seed) points
  *    in one process simulate exactly once, and
  *  - an optional on-disk cache (--cache-dir=PATH / MIDDLESIM_CACHE,
- *    `middlesim-cache-v2` file format), so whole figure drivers can
- *    re-run near-instantly across processes.
+ *    in the format named by cacheSchemaVersion), so whole figure
+ *    drivers can re-run near-instantly across processes.
  *
- * The payload codecs round-trip bit-exactly (doubles travel as
- * IEEE-754 bit patterns), so a cache hit is byte-identical to a
- * fresh simulation — tests/test_cache.cpp enforces this. Corrupt,
- * truncated or version-mismatched cache files are treated as misses,
- * never as errors.
+ * A payload is the bytes of a record's field list (sim/serialize.hh):
+ * RunResult for "run", and the core/figures_internal.hh records for
+ * "fig10", "live", "sweep" and "comm". The lists round-trip
+ * bit-exactly (doubles travel as IEEE-754 bit patterns), so a cache
+ * hit is byte-identical to a fresh simulation — tests/test_cache.cpp
+ * enforces this. Corrupt, truncated or version-mismatched cache files
+ * are treated as misses, never as errors.
  */
 
 #ifndef CORE_CACHE_HH
@@ -39,9 +41,9 @@ namespace middlesim::core
 
 /**
  * Cache schema identifier. Bump whenever the spec encoding, a payload
- * codec, or any simulation behavior changes in a way that invalidates
- * stored results (see EXPERIMENTS.md "When to wipe the cache"); old
- * files then read as misses.
+ * field list, or any simulation behavior changes in a way that
+ * invalidates stored results (see EXPERIMENTS.md "When to wipe the
+ * cache"); old files then read as misses.
  */
 inline constexpr const char *cacheSchemaVersion = "middlesim-cache-v3";
 
@@ -58,17 +60,9 @@ std::string encodeSpecKey(const ExperimentSpec &spec);
 std::string cacheFileName(const std::string &kind,
                           const std::string &key);
 
-/** Exact (bit-for-bit) snapshot codec, for payloads that embed one. */
-void encodeSnapshot(sim::ByteWriter &w, const sim::MetricSnapshot &s);
-sim::MetricSnapshot decodeSnapshot(sim::ByteReader &r);
-
-/** Exact RunResult codec (scalars, breakdowns, metrics snapshot). */
-std::string encodeRunResult(const RunResult &r);
-bool decodeRunResult(const std::string &payload, RunResult &out);
-
 /**
  * Two-layer content-addressed payload store. Payloads are opaque
- * byte strings produced by the codecs above; keys are canonical
+ * byte strings (sim::encodeFields of a record); keys are canonical
  * encodings (full keys are stored and verified, so a 64-bit file-name
  * hash collision degrades to a miss, never to a wrong result).
  */
@@ -138,27 +132,27 @@ class RunCache
 /**
  * `run()` through the content-addressed cache, the one path of every
  * cached kind: compute the key of `spec`, fetch (memo, then disk)
- * and decode under `kind`, or simulate on a miss and store. A
- * payload that does not decode is warned about and re-simulated.
- * Results are byte-identical to calling `run()` directly.
+ * and decode under `kind` by the field list of `T`, or simulate on a
+ * miss and store. A payload that does not decode is warned about and
+ * re-simulated. Results are byte-identical to calling `run()`
+ * directly.
  */
-template <typename T, typename Decode, typename Encode, typename Run>
+template <typename T, typename Run>
 T
-throughCache(const char *kind, const ExperimentSpec &spec,
-             Decode decode, Encode encode, Run run)
+throughCache(const char *kind, const ExperimentSpec &spec, Run run)
 {
     const std::string key = encodeSpecKey(spec);
     RunCache &cache = RunCache::global();
     std::string payload;
     if (cache.fetch(kind, key, payload)) {
         T cached;
-        if (decode(payload, cached))
+        if (sim::decodeFields(payload, cached))
             return cached;
         warn("cache: undecodable '", kind,
              "' payload; re-simulating");
     }
     T fresh = run();
-    cache.store(kind, key, encode(fresh));
+    cache.store(kind, key, sim::encodeFields(fresh));
     return fresh;
 }
 

@@ -117,6 +117,29 @@ struct RunResult
      */
     std::shared_ptr<const sim::MetricSnapshot> metrics;
 
+    /** Field list (sim/serialize.hh) of the "run" cache payload. */
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &r)
+    {
+        s.f64(r.seconds);
+        s.u64(r.txTotal);
+        s.vecU64(r.txByType);
+        s.f64(r.throughput);
+        for (const auto &[name, counter] : cpu::CpiBreakdown::counters)
+            s.u64(r.cpi.*counter);
+        for (const auto &[name, counter] : os::ModeBreakdown::counters)
+            s.u64(r.modes.*counter);
+        for (const auto &[name, counter] : mem::CacheStats::counters)
+            s.u64(r.cache.*counter);
+        s.u64(r.gcMinor);
+        s.u64(r.gcMajor);
+        s.u64(r.gcPause);
+        s.f64(r.liveAfterMB);
+        s.f64(r.beanHitRate);
+        s.shared(r.metrics);
+    }
+
     /** Instructions per completed transaction (path length). */
     double pathLength() const;
 

@@ -19,18 +19,6 @@ namespace
 using stats::Series;
 using stats::Table;
 
-std::string
-fmt(double v, int prec = 2)
-{
-    return Table::num(v, prec);
-}
-
-ShapeCheck
-check(const std::string &what, bool pass, const std::string &detail)
-{
-    return {what, pass, detail};
-}
-
 /** Mean of a metric over repeated runs. */
 double
 meanOf(const std::vector<RunResult> &runs,
@@ -610,43 +598,6 @@ fig10Spec(const FigureOptions &opt)
     return spec;
 }
 
-std::string
-encodeFig10(const Fig10Data &d)
-{
-    sim::ByteWriter w;
-    w.u64(d.t0);
-    w.vecU64(d.bins);
-    w.u64(d.gcWindows.size());
-    for (const auto &[start, end] : d.gcWindows) {
-        w.u64(start);
-        w.u64(end);
-    }
-    w.str(d.point);
-    encodeSnapshot(w, d.snap);
-    return w.take();
-}
-
-bool
-decodeFig10(const std::string &payload, Fig10Data &out)
-{
-    sim::ByteReader r(payload);
-    Fig10Data d;
-    d.t0 = r.u64();
-    d.bins = r.vecU64();
-    const std::uint64_t windows = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < windows; ++i) {
-        const sim::Tick start = r.u64();
-        const sim::Tick end = r.u64();
-        d.gcWindows.emplace_back(start, end);
-    }
-    d.point = r.str();
-    d.snap = decodeSnapshot(r);
-    if (!r.atEnd())
-        return false;
-    out = std::move(d);
-    return true;
-}
-
 Fig10Data
 fig10Leaf(const FigureOptions &opt)
 {
@@ -678,8 +629,7 @@ fig10Leaf(const FigureOptions &opt)
 Fig10Data
 cachedFig10Data(const FigureOptions &opt)
 {
-    return throughCache<Fig10Data>("fig10", fig10Spec(opt), decodeFig10,
-                                   encodeFig10,
+    return throughCache<Fig10Data>("fig10", fig10Spec(opt),
                                    [&] { return fig10Leaf(opt); });
 }
 

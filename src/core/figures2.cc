@@ -30,18 +30,6 @@ namespace
 using stats::Series;
 using stats::Table;
 
-std::string
-fmt(double v, int prec = 2)
-{
-    return Table::num(v, prec);
-}
-
-ShapeCheck
-check(const std::string &what, bool pass, const std::string &detail)
-{
-    return {what, pass, detail};
-}
-
 /** The Figure 11 experiment configuration for one scale point. */
 ExperimentSpec
 liveSpec(WorkloadKind kind, unsigned scale, const FigureOptions &opt)
@@ -196,119 +184,6 @@ dataMpki(const RunResult &r)
            static_cast<double>(r.cpi.instructions);
 }
 
-// ---------------------------------------------------------------------
-// Leaf payload codecs (bit-exact; see core/cache.hh)
-// ---------------------------------------------------------------------
-
-std::string
-encodeLivePoint(const LivePoint &p)
-{
-    sim::ByteWriter w;
-    w.f64(p.mb);
-    w.str(p.point);
-    encodeSnapshot(w, p.snap);
-    return w.take();
-}
-
-bool
-decodeLivePoint(const std::string &payload, LivePoint &out)
-{
-    sim::ByteReader r(payload);
-    LivePoint p;
-    p.mb = r.f64();
-    p.point = r.str();
-    p.snap = decodeSnapshot(r);
-    if (!r.atEnd())
-        return false;
-    out = std::move(p);
-    return true;
-}
-
-void
-encodeSweepResults(sim::ByteWriter &w,
-                   const std::vector<mem::SweepResult> &results)
-{
-    w.u64(results.size());
-    for (const auto &res : results) {
-        w.u64(res.params.sizeBytes);
-        w.u32(res.params.assoc);
-        w.u32(res.params.blockBytes);
-        w.u64(res.accesses);
-        w.u64(res.misses);
-    }
-}
-
-std::vector<mem::SweepResult>
-decodeSweepResults(sim::ByteReader &r)
-{
-    std::vector<mem::SweepResult> results;
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < n; ++i) {
-        mem::SweepResult res;
-        res.params.sizeBytes = r.u64();
-        res.params.assoc = r.u32();
-        res.params.blockBytes = r.u32();
-        res.accesses = r.u64();
-        res.misses = r.u64();
-        results.push_back(res);
-    }
-    return results;
-}
-
-std::string
-encodeSweepOutcome(const SweepOutcome &o)
-{
-    sim::ByteWriter w;
-    encodeSweepResults(w, o.icache);
-    encodeSweepResults(w, o.dcache);
-    w.u64(o.instructions);
-    w.str(o.point);
-    encodeSnapshot(w, o.snap);
-    return w.take();
-}
-
-bool
-decodeSweepOutcome(const std::string &payload, SweepOutcome &out)
-{
-    sim::ByteReader r(payload);
-    SweepOutcome o;
-    o.icache = decodeSweepResults(r);
-    o.dcache = decodeSweepResults(r);
-    o.instructions = r.u64();
-    o.point = r.str();
-    o.snap = decodeSnapshot(r);
-    if (!r.atEnd())
-        return false;
-    out = std::move(o);
-    return true;
-}
-
-std::string
-encodeCommPoint(const CommPoint &p)
-{
-    sim::ByteWriter w;
-    w.vecU64(p.curve.counts());
-    w.u64(p.touchedLines);
-    w.str(p.point);
-    encodeSnapshot(w, p.snap);
-    return w.take();
-}
-
-bool
-decodeCommPoint(const std::string &payload, CommPoint &out)
-{
-    sim::ByteReader r(payload);
-    CommPoint p;
-    p.curve = stats::ConcentrationCurve(r.vecU64());
-    p.touchedLines = r.u64();
-    p.point = r.str();
-    p.snap = decodeSnapshot(r);
-    if (!r.atEnd())
-        return false;
-    out = std::move(p);
-    return true;
-}
-
 } // namespace
 
 LivePoint
@@ -316,8 +191,7 @@ cachedLivePoint(WorkloadKind kind, unsigned scale,
                 const FigureOptions &opt)
 {
     return throughCache<LivePoint>(
-        "live", liveSpec(kind, scale, opt), decodeLivePoint,
-        encodeLivePoint,
+        "live", liveSpec(kind, scale, opt),
         [&] { return liveAfterGc(kind, scale, opt); });
 }
 
@@ -328,8 +202,7 @@ cachedSweepOutcome(WorkloadKind kind, unsigned scale,
     if (auto replayed = sweepOutcomeFromTrace(kind, scale, opt))
         return std::move(*replayed);
     return throughCache<SweepOutcome>(
-        "sweep", sweepPointSpec(kind, scale, opt), decodeSweepOutcome,
-        encodeSweepOutcome,
+        "sweep", sweepPointSpec(kind, scale, opt),
         [&] { return runSweepPoint(kind, scale, opt); });
 }
 
@@ -709,8 +582,7 @@ cachedCommFootprint(WorkloadKind kind, unsigned cpus, unsigned scale,
                     const FigureOptions &opt)
 {
     return throughCache<CommPoint>(
-        "comm", commSpec(kind, cpus, scale, opt), decodeCommPoint,
-        encodeCommPoint,
+        "comm", commSpec(kind, cpus, scale, opt),
         [&] { return commFootprint(kind, cpus, scale, opt); });
 }
 

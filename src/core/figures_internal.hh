@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,6 +38,19 @@ namespace middlesim::core
 ExperimentSpec figureSpec(WorkloadKind kind, unsigned cpus,
                           const FigureOptions &opt);
 
+/** A table cell or check detail: `v` at `prec` decimals. */
+inline std::string
+fmt(double v, int prec = 2)
+{
+    return stats::Table::num(v, prec);
+}
+
+inline ShapeCheck
+check(const std::string &what, bool pass, const std::string &detail)
+{
+    return {what, pass, detail};
+}
+
 /** Figure 10 timeline run payload (cache kind "fig10"). */
 struct Fig10Data
 {
@@ -48,6 +62,21 @@ struct Fig10Data
     std::vector<std::pair<sim::Tick, sim::Tick>> gcWindows;
     std::string point;
     sim::MetricSnapshot snap;
+
+    /** Field list (sim/serialize.hh) of the payload. */
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &d)
+    {
+        s.u64(d.t0);
+        s.vecU64(d.bins);
+        s.records(d.gcWindows, [](auto &s, auto &w) {
+            s.u64(w.first);
+            s.u64(w.second);
+        });
+        s.str(d.point);
+        s.record(d.snap);
+    }
 };
 
 /** Timeline bin width of Figure 10 (~1 ms at 248 MHz). */
@@ -61,6 +90,15 @@ struct LivePoint
     double mb = 0.0;
     std::string point;
     sim::MetricSnapshot snap;
+
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &p)
+    {
+        s.f64(p.mb);
+        s.str(p.point);
+        s.record(p.snap);
+    }
 };
 
 LivePoint cachedLivePoint(WorkloadKind kind, unsigned scale,
@@ -78,6 +116,22 @@ struct SweepOutcome
     std::uint64_t instructions = 0;
     std::string point;
     sim::MetricSnapshot snap;
+
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &o)
+    {
+        const auto result = [](auto &s, auto &r) {
+            s.record(r.params);
+            s.u64(r.accesses);
+            s.u64(r.misses);
+        };
+        s.records(o.icache, result);
+        s.records(o.dcache, result);
+        s.u64(o.instructions);
+        s.str(o.point);
+        s.record(o.snap);
+    }
 
     double
     imissPer1000(std::size_t i) const
@@ -115,6 +169,20 @@ struct CommPoint
     std::uint64_t touchedLines = 0;
     std::string point;
     sim::MetricSnapshot snap;
+
+    /** The curve travels as its counts and is rebuilt from them. */
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &p)
+    {
+        std::vector<std::uint64_t> counts = p.curve.counts();
+        s.vecU64(counts);
+        if constexpr (!std::is_const_v<Self>)
+            p.curve = stats::ConcentrationCurve(std::move(counts));
+        s.u64(p.touchedLines);
+        s.str(p.point);
+        s.record(p.snap);
+    }
 };
 
 CommPoint cachedCommFootprint(WorkloadKind kind, unsigned cpus,

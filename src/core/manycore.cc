@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/figures_internal.hh"
 #include "core/metrics_io.hh"
 #include "mem/directory/directory.hh"
 #include "sim/log.hh"
@@ -14,18 +15,6 @@ namespace
 
 using stats::Series;
 using stats::Table;
-
-std::string
-fmt(double v, int prec = 2)
-{
-    return Table::num(v, prec);
-}
-
-ShapeCheck
-check(const std::string &what, bool pass, const std::string &detail)
-{
-    return {what, pass, detail};
-}
 
 /** A named counter out of a run's metric snapshot (0 when absent). */
 std::uint64_t

@@ -29,54 +29,14 @@ pointName(const ExperimentSpec &spec)
 namespace
 {
 
+/** Every counter of a stats record, as `prefix.<metric name>`. */
+template <typename Stats>
 void
-exportCpi(sim::MetricRegistry &reg, const std::string &prefix,
-          const cpu::CpiBreakdown &cpi)
+exportCounters(sim::MetricRegistry &reg, const std::string &prefix,
+               const Stats &stats)
 {
-    reg.counter(prefix + ".instructions").set(cpi.instructions);
-    reg.counter(prefix + ".cycles.base").set(cpi.base);
-    reg.counter(prefix + ".cycles.istall").set(cpi.iStall);
-    reg.counter(prefix + ".cycles.ds_storebuf").set(cpi.dsStoreBuf);
-    reg.counter(prefix + ".cycles.ds_raw").set(cpi.dsRaw);
-    reg.counter(prefix + ".cycles.ds_l2hit").set(cpi.dsL2Hit);
-    reg.counter(prefix + ".cycles.ds_c2c").set(cpi.dsC2C);
-    reg.counter(prefix + ".cycles.ds_memory").set(cpi.dsMemory);
-    reg.counter(prefix + ".cycles.ds_other").set(cpi.dsOther);
-    reg.gauge(prefix + ".cpi").set(cpi.cpi());
-}
-
-void
-exportModes(sim::MetricRegistry &reg, const std::string &prefix,
-            const os::ModeBreakdown &modes)
-{
-    reg.counter(prefix + ".user").set(modes.user);
-    reg.counter(prefix + ".system").set(modes.system);
-    reg.counter(prefix + ".io").set(modes.io);
-    reg.counter(prefix + ".idle").set(modes.idle);
-    reg.counter(prefix + ".gc_idle").set(modes.gcIdle);
-}
-
-void
-exportCache(sim::MetricRegistry &reg, const std::string &prefix,
-            const mem::CacheStats &st)
-{
-    reg.counter(prefix + ".ifetches").set(st.ifetches);
-    reg.counter(prefix + ".loads").set(st.loads);
-    reg.counter(prefix + ".stores").set(st.stores);
-    reg.counter(prefix + ".atomics").set(st.atomics);
-    reg.counter(prefix + ".l1i_hits").set(st.l1iHits);
-    reg.counter(prefix + ".l1d_hits").set(st.l1dHits);
-    reg.counter(prefix + ".l2_accesses").set(st.l2Accesses);
-    reg.counter(prefix + ".l2_hits").set(st.l2Hits);
-    reg.counter(prefix + ".miss_cold").set(st.missCold);
-    reg.counter(prefix + ".miss_coherence").set(st.missCoherence);
-    reg.counter(prefix + ".miss_capacity").set(st.missCapacity);
-    reg.counter(prefix + ".c2c_transfers").set(st.c2cTransfers);
-    reg.counter(prefix + ".upgrades").set(st.upgrades);
-    reg.counter(prefix + ".writebacks").set(st.writebacks);
-    reg.counter(prefix + ".block_stores").set(st.blockStores);
-    reg.counter(prefix + ".instr_misses").set(st.instrMisses);
-    reg.counter(prefix + ".data_misses").set(st.dataMisses);
+    for (const auto &[name, counter] : Stats::counters)
+        reg.counter(prefix + "." + name).set(stats.*counter);
 }
 
 } // namespace
@@ -87,13 +47,15 @@ collectMetrics(System &system, const ExperimentSpec &spec,
 {
     sim::MetricRegistry &reg = system.metrics();
 
-    exportCpi(reg, "cpu.app", system.appCpi());
-    exportModes(reg, "os.modes.app", system.appModes());
-    exportModes(reg, "os.modes.all", system.scheduler().allModes());
+    const cpu::CpiBreakdown cpi = system.appCpi();
+    exportCounters(reg, "cpu.app", cpi);
+    reg.gauge("cpu.app.cpi").set(cpi.cpi());
+    exportCounters(reg, "os.modes.app", system.appModes());
+    exportCounters(reg, "os.modes.all", system.scheduler().allModes());
     reg.counter("os.sched.context_switches")
         .set(system.scheduler().contextSwitches());
-    exportCache(reg, "mem.app", system.appCacheStats());
-    exportCache(reg, "mem.all", system.memory().aggregateAll());
+    exportCounters(reg, "mem.app", system.appCacheStats());
+    exportCounters(reg, "mem.all", system.memory().aggregateAll());
 
     const mem::Bus &bus = system.memory().bus();
     reg.counter("mem.bus.transactions").set(bus.transactions());

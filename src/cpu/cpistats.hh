@@ -12,6 +12,7 @@
 #define CPU_CPISTATS_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/ticks.hh"
 
@@ -62,18 +63,25 @@ struct CpiBreakdown
                  : 0.0;
     }
 
+    /** Every counter by its metric name, in RunResult payload order. */
+    static constexpr std::pair<const char *, std::uint64_t CpiBreakdown::*>
+        counters[] = {
+            {"instructions", &CpiBreakdown::instructions},
+            {"cycles.base", &CpiBreakdown::base},
+            {"cycles.istall", &CpiBreakdown::iStall},
+            {"cycles.ds_storebuf", &CpiBreakdown::dsStoreBuf},
+            {"cycles.ds_raw", &CpiBreakdown::dsRaw},
+            {"cycles.ds_l2hit", &CpiBreakdown::dsL2Hit},
+            {"cycles.ds_c2c", &CpiBreakdown::dsC2C},
+            {"cycles.ds_memory", &CpiBreakdown::dsMemory},
+            {"cycles.ds_other", &CpiBreakdown::dsOther},
+        };
+
     void
     accumulate(const CpiBreakdown &o)
     {
-        instructions += o.instructions;
-        base += o.base;
-        iStall += o.iStall;
-        dsStoreBuf += o.dsStoreBuf;
-        dsRaw += o.dsRaw;
-        dsL2Hit += o.dsL2Hit;
-        dsC2C += o.dsC2C;
-        dsMemory += o.dsMemory;
-        dsOther += o.dsOther;
+        for (const auto &[name, counter] : counters)
+            this->*counter += o.*counter;
     }
 };
 

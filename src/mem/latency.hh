@@ -50,6 +50,22 @@ struct LatencyModel
 
     /** Directory lookup at the home node (SRAM/DRAM tag walk). */
     sim::Tick directoryLookup = 20;
+
+    /** Field list (sim/serialize.hh): spec keys, trace headers. */
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &l)
+    {
+        s.u64(l.l1Hit);
+        s.u64(l.l2Hit);
+        s.u64(l.memory);
+        s.u64(l.cacheToCache);
+        s.u64(l.upgrade);
+        s.u64(l.busOccupancy);
+        s.u64(l.busAddrOccupancy);
+        s.u64(l.hop);
+        s.u64(l.directoryLookup);
+    }
 };
 
 } // namespace middlesim::mem

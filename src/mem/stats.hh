@@ -7,6 +7,7 @@
 #define MEM_STATS_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/ticks.hh"
 
@@ -94,26 +95,33 @@ struct CacheStats
                  : 0.0;
     }
 
+    /** Every counter by its metric name, in RunResult payload order. */
+    static constexpr std::pair<const char *, std::uint64_t CacheStats::*>
+        counters[] = {
+            {"ifetches", &CacheStats::ifetches},
+            {"loads", &CacheStats::loads},
+            {"stores", &CacheStats::stores},
+            {"atomics", &CacheStats::atomics},
+            {"l1i_hits", &CacheStats::l1iHits},
+            {"l1d_hits", &CacheStats::l1dHits},
+            {"l2_accesses", &CacheStats::l2Accesses},
+            {"l2_hits", &CacheStats::l2Hits},
+            {"miss_cold", &CacheStats::missCold},
+            {"miss_coherence", &CacheStats::missCoherence},
+            {"miss_capacity", &CacheStats::missCapacity},
+            {"c2c_transfers", &CacheStats::c2cTransfers},
+            {"upgrades", &CacheStats::upgrades},
+            {"writebacks", &CacheStats::writebacks},
+            {"block_stores", &CacheStats::blockStores},
+            {"instr_misses", &CacheStats::instrMisses},
+            {"data_misses", &CacheStats::dataMisses},
+        };
+
     void
     accumulate(const CacheStats &o)
     {
-        ifetches += o.ifetches;
-        loads += o.loads;
-        stores += o.stores;
-        atomics += o.atomics;
-        l1iHits += o.l1iHits;
-        l1dHits += o.l1dHits;
-        l2Accesses += o.l2Accesses;
-        l2Hits += o.l2Hits;
-        missCold += o.missCold;
-        missCoherence += o.missCoherence;
-        missCapacity += o.missCapacity;
-        c2cTransfers += o.c2cTransfers;
-        upgrades += o.upgrades;
-        writebacks += o.writebacks;
-        blockStores += o.blockStores;
-        instrMisses += o.instrMisses;
-        dataMisses += o.dataMisses;
+        for (const auto &[name, counter] : counters)
+            this->*counter += o.*counter;
     }
 };
 

@@ -11,6 +11,8 @@
 #ifndef OS_MODES_HH
 #define OS_MODES_HH
 
+#include <utility>
+
 #include "sim/ticks.hh"
 
 namespace middlesim::os
@@ -41,14 +43,21 @@ struct ModeBreakdown
                  : 0.0;
     }
 
+    /** Every counter by its metric name, in RunResult payload order. */
+    static constexpr std::pair<const char *, sim::Tick ModeBreakdown::*>
+        counters[] = {
+            {"user", &ModeBreakdown::user},
+            {"system", &ModeBreakdown::system},
+            {"io", &ModeBreakdown::io},
+            {"idle", &ModeBreakdown::idle},
+            {"gc_idle", &ModeBreakdown::gcIdle},
+        };
+
     void
     accumulate(const ModeBreakdown &o)
     {
-        user += o.user;
-        system += o.system;
-        io += o.io;
-        idle += o.idle;
-        gcIdle += o.gcIdle;
+        for (const auto &[name, counter] : counters)
+            this->*counter += o.*counter;
     }
 };
 

@@ -33,20 +33,39 @@ struct CacheParams
     std::uint64_t numBlocks() const { return sizeBytes / blockBytes; }
     std::uint64_t numSets() const { return numBlocks() / assoc; }
 
-    /** Validate that the geometry is self-consistent. */
+    /** Field list (sim/serialize.hh): spec keys, trace headers. */
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &p)
+    {
+        s.u64(p.sizeBytes);
+        s.u32(p.assoc);
+        s.u32(p.blockBytes);
+    }
+
+    /** Why the geometry is not self-consistent, or null if it is. */
+    const char *
+    problem() const
+    {
+        if (blockBytes == 0 || (blockBytes & (blockBytes - 1)) != 0)
+            return "block size must be a power of two";
+        if (assoc == 0)
+            return "associativity must be nonzero";
+        if (sizeBytes % (static_cast<std::uint64_t>(blockBytes) * assoc)
+                != 0) {
+            return "size must be a multiple of assoc * block";
+        }
+        if (numSets() == 0)
+            return "cache has no sets";
+        return nullptr;
+    }
+
+    /** Fatal error naming `name` unless the geometry is consistent. */
     void
     validate(const std::string &name) const
     {
-        if (blockBytes == 0 || (blockBytes & (blockBytes - 1)) != 0)
-            fatal(name, ": block size must be a power of two");
-        if (assoc == 0)
-            fatal(name, ": associativity must be nonzero");
-        if (sizeBytes % (static_cast<std::uint64_t>(blockBytes) * assoc)
-                != 0) {
-            fatal(name, ": size must be a multiple of assoc * block");
-        }
-        if (numSets() == 0)
-            fatal(name, ": cache has no sets");
+        if (const char *why = problem())
+            fatal(name, ": ", why);
     }
 };
 

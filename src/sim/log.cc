@@ -29,7 +29,7 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace middlesim::sim

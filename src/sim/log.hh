@@ -9,6 +9,9 @@
  *            status 1.
  * warn()   — something is modeled approximately; the run continues.
  * inform() — plain status output.
+ *
+ * All four write to stderr, so a driver's stdout holds only its
+ * results and stays the same whatever order its workers finish in.
  */
 
 #ifndef SIM_LOG_HH

@@ -200,6 +200,30 @@ struct MetricSnapshot
     std::vector<EventJournal::Event> events;
     std::uint64_t eventsDropped = 0;
 
+    /** Field list (sim/serialize.hh) of the cached payloads' snapshot. */
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &m)
+    {
+        s.map(m.counters, [](auto &s, auto &v) { s.u64(v); });
+        s.map(m.gauges, [](auto &s, auto &v) { s.f64(v); });
+        s.map(m.histograms, [](auto &s, auto &h) {
+            s.u64(h.count);
+            s.u64(h.sum);
+            s.vecU64(h.buckets);
+        });
+        s.map(m.series, [](auto &s, auto &d) {
+            s.u64(d.period);
+            s.vecF64(d.values);
+        });
+        s.records(m.events, [](auto &s, auto &e) {
+            s.u64(e.tick);
+            s.str(e.type);
+            s.str(e.detail);
+        });
+        s.u64(m.eventsDropped);
+    }
+
     /**
      * Append this snapshot as a JSON object (stable field order,
      * deterministic number formatting). `indent` spaces prefix every

@@ -11,15 +11,23 @@
  * carries a sticky failure flag instead of throwing: a truncated or
  * corrupt stream simply reads as zeros with ok() == false, which
  * cache loaders treat as a miss and trace loaders as a hard error.
+ *
+ * FieldWriter/FieldReader run a record's *field list* over those
+ * streams: one function that names the record's fields in byte
+ * order, so its encoder and decoder are the same code.
  */
 
 #ifndef SIM_SERIALIZE_HH
 #define SIM_SERIALIZE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace middlesim::sim
@@ -264,6 +272,9 @@ class ByteReader
         return v;
     }
 
+    /** Trip the failure flag (a caller's own validation failed). */
+    void fail() { ok_ = false; }
+
     /** Bytes left to read (0 once the stream has failed). */
     std::uint64_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
 
@@ -300,6 +311,211 @@ class ByteReader
     std::size_t pos_ = 0;
     bool ok_ = true;
 };
+
+/**
+ * The writing stream of a field list. A record's field list is its
+ * `template <typename S, typename Self> static void fields(S &s,
+ * Self &self)`, naming every field once, in byte order, through the
+ * stream's width methods (`s.u32(self.assoc)`, `s.str(self.point)`).
+ * Run with a FieldWriter and a const record it encodes the record;
+ * run with a FieldReader it decodes one.
+ */
+class FieldWriter
+{
+  public:
+    explicit FieldWriter(ByteWriter &w) : w_(w) {}
+
+    /** A byte; a bool as 0 or 1. */
+    void u8(std::uint8_t v) { w_.u8(v); }
+
+    /** An enum as one byte. */
+    template <typename E>
+        requires std::is_enum_v<E>
+    void
+    u8(E v)
+    {
+        w_.u8(static_cast<std::uint8_t>(v));
+    }
+
+    void u32(std::uint32_t v) { w_.u32(v); }
+    void u64(std::uint64_t v) { w_.u64(v); }
+    void f64(double v) { w_.f64(v); }
+    void str(std::string_view v) { w_.str(v); }
+    void vecU64(const std::vector<std::uint64_t> &v) { w_.vecU64(v); }
+    void vecF64(const std::vector<double> &v) { w_.vecF64(v); }
+
+    /** A nested record, by its own field list. */
+    template <typename T>
+    void
+    record(const T &v)
+    {
+        T::fields(*this, v);
+    }
+
+    /** A presence byte, then the record if there is one. */
+    template <typename T>
+    void
+    shared(const std::shared_ptr<const T> &p)
+    {
+        u8(p != nullptr);
+        if (p)
+            record(*p);
+    }
+
+    /** A count, then each element by `fields(stream, element)`. */
+    template <typename T, typename Fields>
+    void
+    records(const std::vector<T> &v, Fields fields)
+    {
+        u64(v.size());
+        for (const T &x : v)
+            fields(*this, x);
+    }
+
+    /** A count, then each entry: its key, then `fields(stream, value)`. */
+    template <typename V, typename Fields>
+    void
+    map(const std::map<std::string, V> &m, Fields fields)
+    {
+        u64(m.size());
+        for (const auto &[key, value] : m) {
+            str(key);
+            fields(*this, value);
+        }
+    }
+
+  private:
+    ByteWriter &w_;
+};
+
+/** The reading stream of a field list (see FieldWriter). */
+class FieldReader
+{
+  public:
+    explicit FieldReader(ByteReader &r) : r_(r) {}
+
+    /** An enum, or a bool (any non-zero byte is true). */
+    template <typename T>
+        requires std::is_enum_v<T> || std::is_same_v<T, bool>
+    void
+    u8(T &v)
+    {
+        v = static_cast<T>(r_.u8());
+    }
+
+    void u32(std::uint32_t &v) { v = r_.u32(); }
+    void u64(std::uint64_t &v) { v = r_.u64(); }
+    void f64(double &v) { v = r_.f64(); }
+    void str(std::string &v) { v = r_.str(); }
+    void vecU64(std::vector<std::uint64_t> &v) { v = r_.vecU64(); }
+    void vecF64(std::vector<double> &v) { v = r_.vecF64(); }
+
+    template <typename T>
+    void
+    record(T &v)
+    {
+        T::fields(*this, v);
+    }
+
+    /** Any non-zero presence byte reads a record. */
+    template <typename T>
+    void
+    shared(std::shared_ptr<const T> &p)
+    {
+        if (r_.u8() == 0)
+            return;
+        auto v = std::make_shared<T>();
+        record(*v);
+        p = std::move(v);
+    }
+
+    template <typename T, typename Fields>
+    void
+    records(std::vector<T> &v, Fields fields)
+    {
+        const std::uint64_t n = count<T>(fields, 0);
+        for (std::uint64_t i = 0; r_.ok() && i < n; ++i) {
+            T x{};
+            fields(*this, x);
+            v.push_back(std::move(x));
+        }
+    }
+
+    /** The first value read under a repeated key is kept. */
+    template <typename V, typename Fields>
+    void
+    map(std::map<std::string, V> &m, Fields fields)
+    {
+        const std::uint64_t n = count<V>(fields, 8);
+        for (std::uint64_t i = 0; r_.ok() && i < n; ++i) {
+            std::string key = r_.str();
+            V value{};
+            fields(*this, value);
+            m.emplace(std::move(key), std::move(value));
+        }
+    }
+
+    /** True once a count exceeded what the bytes left could hold. */
+    bool implausibleCount() const { return implausibleCount_; }
+
+  private:
+    /**
+     * Read a count of elements, each `extra` bytes plus what `fields`
+     * writes for a default `T` (every string and container empty:
+     * the smallest element there is). A count the bytes left cannot
+     * hold fails the stream before anything is sized by it.
+     */
+    template <typename T, typename Fields>
+    std::uint64_t
+    count(Fields fields, std::uint64_t extra)
+    {
+        ByteWriter w;
+        FieldWriter out(w);
+        const T smallest{};
+        fields(out, smallest);
+        const std::uint64_t n = r_.u64();
+        if (r_.ok() &&
+            n > r_.remaining() / std::max<std::uint64_t>(
+                                     extra + w.data().size(), 1)) {
+            implausibleCount_ = true;
+            r_.fail();
+            return 0;
+        }
+        return n;
+    }
+
+    ByteReader &r_;
+    bool implausibleCount_ = false;
+};
+
+/** The bytes of `v`, by its field list. */
+template <typename T>
+std::string
+encodeFields(const T &v)
+{
+    ByteWriter w;
+    FieldWriter out(w);
+    out.record(v);
+    return w.take();
+}
+
+/**
+ * Decode `bytes` into `out` by the field list of `T`. @return false,
+ * leaving `out` untouched, unless every byte decodes.
+ */
+template <typename T>
+bool
+decodeFields(std::string_view bytes, T &out)
+{
+    ByteReader r(bytes);
+    FieldReader in(r);
+    T v{};
+    in.record(v);
+    if (!r.atEnd())
+        return false;
+    out = std::move(v);
+    return true;
+}
 
 /**
  * A temp-file name for writing `final_path` before renaming it into

@@ -11,19 +11,8 @@
  *
  *   header:
  *     str   magic                "middlesim-trace-v3"
- *     str   specKey              canonical ExperimentSpec key
- *                                (core::encodeSpecKey; "" if the
- *                                recording was not spec-driven)
- *     str   label                human-readable point name
- *     u32   totalCpus, appCpus, cpusPerL2
- *     u8    protocol, u32 numaNodes
- *     u8    topology, u32 dirOccupancy
- *     3x    CacheParams          l1i, l1d, l2 (u64 size, u32 assoc,
- *                                u32 block)
- *     9x    u64                  LatencyModel fields
- *     u8    busContention, u8 trackCommunication
- *     u64   seed, u64 warmupTicks, u64 measureTicks
- *     u64   regionCount { str name, u64 base, u64 bytes }
+ *           TraceHeader::fields  spec key, label, CPU topology, caches,
+ *                                latencies, intervals and regions
  *
  *   records (the checksummed region), one tag byte each:
  *     ref:        tag 0x00-0x7f = (type << 4) | min(cpu, 15)
@@ -82,7 +71,7 @@ struct TraceRegion
 /** Decoded trace header: everything needed to rebuild the hierarchy. */
 struct TraceHeader
 {
-    /** Canonical spec key of the recorded run ("" if none). */
+    /** core::encodeSpecKey of the recorded run ("" if none). */
     std::string specKey;
     /** Human-readable point name (core::pointName). */
     std::string label;
@@ -106,6 +95,36 @@ struct TraceHeader
     sim::Tick measureTicks = 0;
 
     std::vector<TraceRegion> regions;
+
+    /** Field list (sim/serialize.hh): the header after the magic. */
+    template <typename S, typename Self>
+    static void
+    fields(S &s, Self &h)
+    {
+        s.str(h.specKey);
+        s.str(h.label);
+        s.u32(h.totalCpus);
+        s.u32(h.appCpus);
+        s.u32(h.cpusPerL2);
+        s.u8(h.protocol);
+        s.u32(h.numaNodes);
+        s.u8(h.topology);
+        s.u32(h.dirOccupancy);
+        s.record(h.l1i);
+        s.record(h.l1d);
+        s.record(h.l2);
+        s.record(h.latency);
+        s.u8(h.busContention);
+        s.u8(h.trackCommunication);
+        s.u64(h.seed);
+        s.u64(h.warmupTicks);
+        s.u64(h.measureTicks);
+        s.records(h.regions, [](auto &s, auto &region) {
+            s.str(region.name);
+            s.u64(region.base);
+            s.u64(region.bytes);
+        });
+    }
 
     /** The machine configuration this header describes. */
     sim::MachineConfig

@@ -13,65 +13,14 @@ namespace
 /** Flush threshold of file-backed recording (bytes). */
 constexpr std::size_t flushBytes = 4u << 20;
 
-void
-encodeCacheParams(sim::ByteWriter &w, const sim::CacheParams &p)
-{
-    w.u64(p.sizeBytes);
-    w.u32(p.assoc);
-    w.u32(p.blockBytes);
-}
-
-bool
-decodeCacheParams(sim::ByteReader &r, sim::CacheParams &p)
-{
-    p.sizeBytes = r.u64();
-    p.assoc = r.u32();
-    p.blockBytes = r.u32();
-    return r.ok() && p.blockBytes != 0 && p.assoc != 0 &&
-           (p.blockBytes & (p.blockBytes - 1)) == 0 &&
-           p.sizeBytes % (static_cast<std::uint64_t>(p.blockBytes) *
-                          p.assoc) == 0 &&
-           p.numSets() != 0;
-}
-
 } // namespace
 
 void
 encodeHeader(sim::ByteWriter &w, const TraceHeader &h)
 {
     w.str(traceMagic);
-    w.str(h.specKey);
-    w.str(h.label);
-    w.u32(h.totalCpus);
-    w.u32(h.appCpus);
-    w.u32(h.cpusPerL2);
-    w.u8(static_cast<std::uint8_t>(h.protocol));
-    w.u32(h.numaNodes);
-    w.u8(static_cast<std::uint8_t>(h.topology));
-    w.u32(h.dirOccupancy);
-    encodeCacheParams(w, h.l1i);
-    encodeCacheParams(w, h.l1d);
-    encodeCacheParams(w, h.l2);
-    w.u64(h.latency.l1Hit);
-    w.u64(h.latency.l2Hit);
-    w.u64(h.latency.memory);
-    w.u64(h.latency.cacheToCache);
-    w.u64(h.latency.upgrade);
-    w.u64(h.latency.busOccupancy);
-    w.u64(h.latency.busAddrOccupancy);
-    w.u64(h.latency.hop);
-    w.u64(h.latency.directoryLookup);
-    w.u8(h.busContention ? 1 : 0);
-    w.u8(h.trackCommunication ? 1 : 0);
-    w.u64(h.seed);
-    w.u64(h.warmupTicks);
-    w.u64(h.measureTicks);
-    w.u64(h.regions.size());
-    for (const TraceRegion &region : h.regions) {
-        w.str(region.name);
-        w.u64(region.base);
-        w.u64(region.bytes);
-    }
+    sim::FieldWriter out(w);
+    out.record(h);
 }
 
 bool
@@ -85,51 +34,17 @@ decodeHeader(sim::ByteReader &r, TraceHeader &out, std::string &err)
         return false;
     }
     TraceHeader h;
-    h.specKey = r.str();
-    h.label = r.str();
-    h.totalCpus = r.u32();
-    h.appCpus = r.u32();
-    h.cpusPerL2 = r.u32();
-    const std::uint8_t protocol_raw = r.u8();
-    h.protocol = static_cast<sim::CoherenceProtocol>(protocol_raw);
-    h.numaNodes = r.u32();
-    const std::uint8_t topology_raw = r.u8();
-    h.topology = static_cast<sim::Topology>(topology_raw);
-    h.dirOccupancy = r.u32();
-    bool caches_ok = decodeCacheParams(r, h.l1i);
-    caches_ok = decodeCacheParams(r, h.l1d) && caches_ok;
-    caches_ok = decodeCacheParams(r, h.l2) && caches_ok;
-    h.latency.l1Hit = r.u64();
-    h.latency.l2Hit = r.u64();
-    h.latency.memory = r.u64();
-    h.latency.cacheToCache = r.u64();
-    h.latency.upgrade = r.u64();
-    h.latency.busOccupancy = r.u64();
-    h.latency.busAddrOccupancy = r.u64();
-    h.latency.hop = r.u64();
-    h.latency.directoryLookup = r.u64();
-    h.busContention = r.u8() != 0;
-    h.trackCommunication = r.u8() != 0;
-    h.seed = r.u64();
-    h.warmupTicks = r.u64();
-    h.measureTicks = r.u64();
-    const std::uint64_t nregions = r.u64();
-    if (r.ok() && nregions > r.remaining() / 24) {
+    sim::FieldReader in(r);
+    in.record(h);
+    if (in.implausibleCount()) {
         err = "implausible region count";
         return false;
-    }
-    for (std::uint64_t i = 0; r.ok() && i < nregions; ++i) {
-        TraceRegion region;
-        region.name = r.str();
-        region.base = r.u64();
-        region.bytes = r.u64();
-        h.regions.push_back(std::move(region));
     }
     if (!r.ok()) {
         err = "truncated header";
         return false;
     }
-    if (!caches_ok) {
+    if (h.l1i.problem() || h.l1d.problem() || h.l2.problem()) {
         err = "invalid cache geometry in header";
         return false;
     }
@@ -139,15 +54,13 @@ decodeHeader(sim::ByteReader &r, TraceHeader &out, std::string &err)
         err = "invalid CPU topology in header";
         return false;
     }
-    if (protocol_raw >
-            static_cast<std::uint8_t>(
-                sim::CoherenceProtocol::DirectoryMesi) ||
+    if (h.protocol > sim::CoherenceProtocol::DirectoryMesi ||
         h.numaNodes == 0 ||
         (h.totalCpus / h.cpusPerL2) % h.numaNodes != 0) {
         err = "invalid protocol/NUMA topology in header";
         return false;
     }
-    if (topology_raw > static_cast<std::uint8_t>(sim::Topology::Mesh) ||
+    if (h.topology > sim::Topology::Mesh ||
         (h.protocol == sim::CoherenceProtocol::SnoopBus &&
          (h.topology != sim::Topology::Ring || h.dirOccupancy != 0))) {
         err = "invalid interconnect topology/occupancy in header";

@@ -18,12 +18,13 @@
 namespace middlesim::trace
 {
 
-/** Encode a header into `w` (shared by writer and tests). */
+/** Encode a header into `w`: the magic, then TraceHeader::fields. */
 void encodeHeader(sim::ByteWriter &w, const TraceHeader &h);
 
 /**
- * Decode and validate a header. Returns false (with a diagnostic in
- * `err`) on bad magic, truncation or implausible field values.
+ * Decode a header by the same field list and validate it. Returns
+ * false (with a diagnostic in `err`) on bad magic, truncation or
+ * implausible field values.
  */
 bool decodeHeader(sim::ByteReader &r, TraceHeader &out,
                   std::string &err);

@@ -11,8 +11,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -177,12 +179,8 @@ TEST(Serialize, SnapshotRoundTripIsExact)
     s.events.push_back({123, "gc.minor", "promoted=4"});
     s.eventsDropped = 9;
 
-    sim::ByteWriter w;
-    core::encodeSnapshot(w, s);
-    sim::ByteReader r(w.data());
-    const sim::MetricSnapshot back = core::decodeSnapshot(r);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r.atEnd());
+    sim::MetricSnapshot back;
+    ASSERT_TRUE(sim::decodeFields(sim::encodeFields(s), back));
 
     EXPECT_EQ(back.counters, s.counters);
     EXPECT_EQ(back.gauges, s.gauges);
@@ -204,27 +202,27 @@ TEST_F(CacheTest, RunResultRoundTripIsExact)
     const core::RunResult fresh = core::runExperiment(smallSpec());
     ASSERT_NE(fresh.metrics, nullptr);
 
-    const std::string payload = core::encodeRunResult(fresh);
+    const std::string payload = sim::encodeFields(fresh);
     core::RunResult back;
-    ASSERT_TRUE(core::decodeRunResult(payload, back));
+    ASSERT_TRUE(sim::decodeFields(payload, back));
     expectIdentical(fresh, back);
     ASSERT_NE(back.metrics, nullptr);
     EXPECT_EQ(snapshotJson(*back.metrics), snapshotJson(*fresh.metrics));
     // Re-encoding the decoded result reproduces the payload bytes.
-    EXPECT_EQ(core::encodeRunResult(back), payload);
+    EXPECT_EQ(sim::encodeFields(back), payload);
 }
 
 TEST_F(CacheTest, DecodeRejectsTruncatedAndGarbagePayloads)
 {
     const std::string payload =
-        core::encodeRunResult(core::runExperiment(smallSpec()));
+        sim::encodeFields(core::runExperiment(smallSpec()));
     core::RunResult out;
-    EXPECT_FALSE(core::decodeRunResult("", out));
-    EXPECT_FALSE(core::decodeRunResult("garbage", out));
-    EXPECT_FALSE(core::decodeRunResult(
+    EXPECT_FALSE(sim::decodeFields("", out));
+    EXPECT_FALSE(sim::decodeFields("garbage", out));
+    EXPECT_FALSE(sim::decodeFields(
         payload.substr(0, payload.size() / 2), out));
     // Trailing junk is also rejected (atEnd check).
-    EXPECT_FALSE(core::decodeRunResult(payload + "x", out));
+    EXPECT_FALSE(sim::decodeFields(payload + "x", out));
 }
 
 TEST(CacheKey, EveryParameterLayerChangesTheKey)
@@ -314,7 +312,7 @@ TEST_F(CacheTest, MemoizedRunIsByteIdenticalToFresh)
     const core::RunResult memo = core::cachedRunExperiment(spec);
     expectIdentical(fresh, first);
     expectIdentical(fresh, memo);
-    EXPECT_EQ(core::encodeRunResult(memo), core::encodeRunResult(fresh));
+    EXPECT_EQ(sim::encodeFields(memo), sim::encodeFields(fresh));
 
     const auto stats = core::RunCache::global().stats();
     EXPECT_EQ(stats.misses, 1u);
@@ -357,8 +355,8 @@ TEST_F(CacheTest, DiskHitIsByteIdenticalToFreshForFigureSpecs)
 
         expectIdentical(fresh, miss);
         expectIdentical(fresh, hit);
-        EXPECT_EQ(core::encodeRunResult(hit),
-                  core::encodeRunResult(fresh));
+        EXPECT_EQ(sim::encodeFields(hit),
+                  sim::encodeFields(fresh));
         ASSERT_NE(hit.metrics, nullptr);
         EXPECT_EQ(snapshotJson(*hit.metrics),
                   snapshotJson(*fresh.metrics));
@@ -486,7 +484,236 @@ TEST_F(CacheTest, GridIsByteIdenticalAcrossJobCounts)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
         expectIdentical(serial[i], parallel[i]);
-        EXPECT_EQ(core::encodeRunResult(serial[i]),
-                  core::encodeRunResult(parallel[i]));
+        EXPECT_EQ(sim::encodeFields(serial[i]),
+                  sim::encodeFields(parallel[i]));
     }
+}
+
+namespace
+{
+
+/** Non-zero values, each distinct from every earlier one. */
+class Distinct
+{
+  public:
+    std::uint64_t u64() { return ++n_ * 0x9e3779b97f4a7c15ULL; }
+    std::uint32_t u32() { return static_cast<std::uint32_t>(u64() >> 32); }
+    double f64() { return static_cast<double>(++n_) / 7.0; }
+    std::string str() { return "f" + std::to_string(++n_); }
+
+  private:
+    std::uint64_t n_ = 0;
+};
+
+/** Set every counter of an all-u64 stats record to a distinct value. */
+template <typename Stats>
+void
+fillCounters(Stats &stats, Distinct &d)
+{
+    std::uint64_t words[sizeof(Stats) / sizeof(std::uint64_t)];
+    static_assert(sizeof(words) == sizeof(Stats));
+    for (std::uint64_t &w : words)
+        w = d.u64();
+    std::memcpy(&stats, words, sizeof(Stats));
+}
+
+/**
+ * A snapshot whose two counter names differ in one bit, so a flipped
+ * bit can make them collide.
+ */
+sim::MetricSnapshot
+pinnedSnapshot(Distinct &d)
+{
+    sim::MetricSnapshot s;
+    const std::string name = d.str();
+    s.counters = {{name + "0", d.u64()}, {name + "1", d.u64()}};
+    s.gauges = {{d.str(), d.f64()}};
+    s.histograms = {{d.str(), {d.u64(), d.u64(), {d.u64(), d.u64()}}}};
+    s.series = {{d.str(), {d.u64(), {d.f64(), d.f64()}}}};
+    s.events = {{d.u64(), d.str(), d.str()}};
+    s.eventsDropped = d.u64();
+    return s;
+}
+
+core::RunResult
+pinnedRun(Distinct &d)
+{
+    core::RunResult r;
+    r.seconds = d.f64();
+    r.txTotal = d.u64();
+    r.txByType = {d.u64(), d.u64(), d.u64()};
+    r.throughput = d.f64();
+    fillCounters(r.cpi, d);
+    fillCounters(r.modes, d);
+    fillCounters(r.cache, d);
+    r.gcMinor = d.u64();
+    r.gcMajor = d.u64();
+    r.gcPause = d.u64();
+    r.liveAfterMB = d.f64();
+    r.beanHitRate = d.f64();
+    r.metrics = std::make_shared<const sim::MetricSnapshot>(
+        pinnedSnapshot(d));
+    return r;
+}
+
+core::Fig10Data
+pinnedFig10(Distinct &d)
+{
+    core::Fig10Data f;
+    f.t0 = d.u64();
+    f.bins = {d.u64(), d.u64(), d.u64()};
+    f.gcWindows = {{d.u64(), d.u64()}, {d.u64(), d.u64()}};
+    f.point = d.str();
+    f.snap = pinnedSnapshot(d);
+    return f;
+}
+
+core::LivePoint
+pinnedLive(Distinct &d)
+{
+    core::LivePoint p;
+    p.mb = d.f64();
+    p.point = d.str();
+    p.snap = pinnedSnapshot(d);
+    return p;
+}
+
+core::SweepOutcome
+pinnedSweep(Distinct &d)
+{
+    core::SweepOutcome o;
+    for (auto *side : {&o.icache, &o.dcache}) {
+        for (int i = 0; i < 2; ++i) {
+            mem::SweepResult res;
+            res.params = {d.u64(), d.u32(), d.u32()};
+            res.accesses = d.u64();
+            res.misses = d.u64();
+            side->push_back(res);
+        }
+    }
+    o.instructions = d.u64();
+    o.point = d.str();
+    o.snap = pinnedSnapshot(d);
+    return o;
+}
+
+core::CommPoint
+pinnedComm(Distinct &d)
+{
+    core::CommPoint p;
+    p.curve = stats::ConcentrationCurve({d.u64(), d.u64(), d.u64()});
+    p.touchedLines = d.u64();
+    p.point = d.str();
+    p.snap = pinnedSnapshot(d);
+    return p;
+}
+
+/** One step of a word-wise FNV-1a digest. */
+std::uint64_t
+mixWord(std::uint64_t h, std::uint64_t word)
+{
+    return (h ^ word) * 0x100000001b3ULL;
+}
+
+/**
+ * Fold into `h` whether a `T` decodes from every truncation of
+ * `full` and from `full` with 0x01, 0x80 and 0xff XORed into each
+ * byte, and for each that decodes, the bytes it re-encodes to.
+ */
+template <typename T>
+std::uint64_t
+corruptionDigest(std::uint64_t h, const std::string &full)
+{
+    const auto attempt = [&h](const std::string &bytes) {
+        T out;
+        const bool decoded = sim::decodeFields(bytes, out);
+        h = mixWord(h, decoded);
+        if (decoded)
+            h = mixWord(h, sim::fnv1a64(sim::encodeFields(out)));
+    };
+    for (std::size_t cut = 0; cut < full.size(); ++cut)
+        attempt(full.substr(0, cut));
+    for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        for (std::size_t pos = 0; pos < full.size(); ++pos) {
+            std::string bad = full;
+            bad[pos] = static_cast<char>(bad[pos] ^ mask);
+            attempt(bad);
+        }
+    }
+    return h;
+}
+
+std::string
+hashOf(const std::string &bytes)
+{
+    return sim::hashHex(sim::fnv1a64(bytes));
+}
+
+/** The three spec-key inputs of CacheCodec.EncodedBytesArePinned. */
+std::vector<core::ExperimentSpec>
+pinnedSpecs()
+{
+    core::ExperimentSpec jbb;
+
+    core::ExperimentSpec ec;
+    ec.workload = core::WorkloadKind::Ecperf;
+    ec.appCpus = 4;
+    ec.sys.jvm.heap.tlabBytes = 96u << 10;
+    ec.sys.jvm.survivorFraction = 0.375;
+    ec.sys.jvm.gcInstrPerLine = 19;
+    ec.sys.kernel.switchInstr = 4321;
+    ec.sys.kernel.housekeepPeriod = 7'000'000;
+    ec.ecperf.injectionRate = 12;
+    ec.ecperf.beanZipf = 0.875;
+    ec.ecperf.mix[2] += 0.0625;
+
+    core::ExperimentSpec dir;
+    dir.appCpus = 32;
+    dir.totalCpus = 64;
+    dir.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    dir.topology = sim::Topology::Mesh;
+    dir.numaNodes = 4;
+    dir.dirOccupancy = 2;
+    return {jbb, ec, dir};
+}
+
+} // namespace
+
+TEST(CacheCodec, EncodedBytesArePinned)
+{
+    // The spec keys of three machines and one payload of each cached
+    // kind, every field set to a distinct non-zero value. Recorded on
+    // the hand-written encoders; the field lists must reproduce them.
+    const auto specs = pinnedSpecs();
+    EXPECT_EQ(hashOf(core::encodeSpecKey(specs[0])), "ab59fa884f8939db");
+    EXPECT_EQ(hashOf(core::encodeSpecKey(specs[1])), "e876b51b71dc846e");
+    EXPECT_EQ(hashOf(core::encodeSpecKey(specs[2])), "2adbe5c4f11f8a32");
+
+    Distinct d;
+    EXPECT_EQ(hashOf(sim::encodeFields(pinnedRun(d))), "0b10dfd4387a5b79");
+    EXPECT_EQ(hashOf(sim::encodeFields(pinnedFig10(d))),
+              "c3bff0180e7d4ed7");
+    EXPECT_EQ(hashOf(sim::encodeFields(pinnedLive(d))), "f12c3ce630639bed");
+    EXPECT_EQ(hashOf(sim::encodeFields(pinnedSweep(d))),
+              "2c84b576031f05e6");
+    EXPECT_EQ(hashOf(sim::encodeFields(pinnedComm(d))), "9b84145208e74985");
+}
+
+TEST(CacheCodec, CorruptionOutcomesArePinned)
+{
+    // Whether each truncated or bit-flipped payload of the five kinds
+    // decodes, and what a decoded one re-encodes to. Recorded on the
+    // hand-written decoders; the field lists must reproduce it.
+    Distinct d;
+    std::uint64_t h = sim::fnv1a64Init;
+    h = corruptionDigest<core::RunResult>(h, sim::encodeFields(pinnedRun(d)));
+    h = corruptionDigest<core::Fig10Data>(h,
+                                          sim::encodeFields(pinnedFig10(d)));
+    h = corruptionDigest<core::LivePoint>(h,
+                                          sim::encodeFields(pinnedLive(d)));
+    h = corruptionDigest<core::SweepOutcome>(
+        h, sim::encodeFields(pinnedSweep(d)));
+    h = corruptionDigest<core::CommPoint>(h,
+                                          sim::encodeFields(pinnedComm(d)));
+    EXPECT_EQ(sim::hashHex(h), "5be7ab13d746400c");
 }

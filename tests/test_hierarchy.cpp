@@ -301,13 +301,8 @@ hierarchyDigest(const DigestGeometry &g)
 
     for (unsigned c = 0; c < g.cpus; ++c) {
         const mem::CacheStats &s = h.cpuStats(c);
-        for (std::uint64_t v :
-             {s.ifetches, s.loads, s.stores, s.atomics, s.l1iHits,
-              s.l1dHits, s.l2Accesses, s.l2Hits, s.missCold,
-              s.missCoherence, s.missCapacity, s.c2cTransfers,
-              s.upgrades, s.writebacks, s.blockStores, s.instrMisses,
-              s.dataMisses})
-            putWord(buf, v);
+        for (const auto &[name, counter] : mem::CacheStats::counters)
+            putWord(buf, s.*counter);
     }
     for (const Hierarchy::Region &region : h.regions()) {
         putWord(buf, region.missCold);

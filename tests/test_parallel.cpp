@@ -45,39 +45,12 @@ expectIdentical(const core::RunResult &a, const core::RunResult &b)
     EXPECT_EQ(a.txByType, b.txByType);
     EXPECT_EQ(a.throughput, b.throughput);
 
-    EXPECT_EQ(a.cpi.instructions, b.cpi.instructions);
-    EXPECT_EQ(a.cpi.base, b.cpi.base);
-    EXPECT_EQ(a.cpi.iStall, b.cpi.iStall);
-    EXPECT_EQ(a.cpi.dsStoreBuf, b.cpi.dsStoreBuf);
-    EXPECT_EQ(a.cpi.dsRaw, b.cpi.dsRaw);
-    EXPECT_EQ(a.cpi.dsL2Hit, b.cpi.dsL2Hit);
-    EXPECT_EQ(a.cpi.dsC2C, b.cpi.dsC2C);
-    EXPECT_EQ(a.cpi.dsMemory, b.cpi.dsMemory);
-    EXPECT_EQ(a.cpi.dsOther, b.cpi.dsOther);
-
-    EXPECT_EQ(a.modes.user, b.modes.user);
-    EXPECT_EQ(a.modes.system, b.modes.system);
-    EXPECT_EQ(a.modes.io, b.modes.io);
-    EXPECT_EQ(a.modes.idle, b.modes.idle);
-    EXPECT_EQ(a.modes.gcIdle, b.modes.gcIdle);
-
-    EXPECT_EQ(a.cache.ifetches, b.cache.ifetches);
-    EXPECT_EQ(a.cache.loads, b.cache.loads);
-    EXPECT_EQ(a.cache.stores, b.cache.stores);
-    EXPECT_EQ(a.cache.atomics, b.cache.atomics);
-    EXPECT_EQ(a.cache.l1iHits, b.cache.l1iHits);
-    EXPECT_EQ(a.cache.l1dHits, b.cache.l1dHits);
-    EXPECT_EQ(a.cache.l2Accesses, b.cache.l2Accesses);
-    EXPECT_EQ(a.cache.l2Hits, b.cache.l2Hits);
-    EXPECT_EQ(a.cache.missCold, b.cache.missCold);
-    EXPECT_EQ(a.cache.missCoherence, b.cache.missCoherence);
-    EXPECT_EQ(a.cache.missCapacity, b.cache.missCapacity);
-    EXPECT_EQ(a.cache.c2cTransfers, b.cache.c2cTransfers);
-    EXPECT_EQ(a.cache.upgrades, b.cache.upgrades);
-    EXPECT_EQ(a.cache.writebacks, b.cache.writebacks);
-    EXPECT_EQ(a.cache.blockStores, b.cache.blockStores);
-    EXPECT_EQ(a.cache.instrMisses, b.cache.instrMisses);
-    EXPECT_EQ(a.cache.dataMisses, b.cache.dataMisses);
+    for (const auto &[name, counter] : cpu::CpiBreakdown::counters)
+        EXPECT_EQ(a.cpi.*counter, b.cpi.*counter) << name;
+    for (const auto &[name, counter] : os::ModeBreakdown::counters)
+        EXPECT_EQ(a.modes.*counter, b.modes.*counter) << name;
+    for (const auto &[name, counter] : mem::CacheStats::counters)
+        EXPECT_EQ(a.cache.*counter, b.cache.*counter) << name;
 
     EXPECT_EQ(a.gcMinor, b.gcMinor);
     EXPECT_EQ(a.gcMajor, b.gcMajor);

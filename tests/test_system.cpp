@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,32 +52,25 @@ class CountingObserver : public mem::AccessObserver
     std::uint64_t refs = 0;
 };
 
-// The field lists below must name every field: a new one breaks the
-// build here until the lockstep comparison covers it.
-static_assert(sizeof(mem::CacheStats) == 17 * sizeof(std::uint64_t));
-static_assert(sizeof(cpu::CpiBreakdown) == 9 * sizeof(std::uint64_t));
-static_assert(sizeof(os::ModeBreakdown) == 5 * sizeof(sim::Tick));
+// Each stats record's counters table must name every field: a new
+// field breaks the build here until the table, and so the lockstep
+// comparison, the RunResult payload and the metrics export, covers it.
+template <typename Stats>
+constexpr bool tableCoversRecord =
+    std::size(Stats::counters) * sizeof(std::uint64_t) == sizeof(Stats);
+static_assert(tableCoversRecord<mem::CacheStats>);
+static_assert(tableCoversRecord<cpu::CpiBreakdown>);
+static_assert(tableCoversRecord<os::ModeBreakdown>);
 
+/** Every counter of a stats record, in table order. */
+template <typename Stats>
 std::vector<std::uint64_t>
-fields(const mem::CacheStats &s)
+fields(const Stats &s)
 {
-    return {s.ifetches, s.loads, s.stores, s.atomics, s.l1iHits,
-            s.l1dHits, s.l2Accesses, s.l2Hits, s.missCold,
-            s.missCoherence, s.missCapacity, s.c2cTransfers, s.upgrades,
-            s.writebacks, s.blockStores, s.instrMisses, s.dataMisses};
-}
-
-std::vector<std::uint64_t>
-fields(const cpu::CpiBreakdown &c)
-{
-    return {c.instructions, c.base, c.iStall, c.dsStoreBuf, c.dsRaw,
-            c.dsL2Hit, c.dsC2C, c.dsMemory, c.dsOther};
-}
-
-std::vector<std::uint64_t>
-fields(const os::ModeBreakdown &m)
-{
-    return {m.user, m.system, m.io, m.idle, m.gcIdle};
+    std::vector<std::uint64_t> values;
+    for (const auto &[name, counter] : Stats::counters)
+        values.push_back(s.*counter);
+    return values;
 }
 
 /** One System of a lockstep pair, optionally observed. */

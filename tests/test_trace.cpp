@@ -68,23 +68,8 @@ void
 expectStatsEqual(const mem::CacheStats &a, const mem::CacheStats &b,
                  const std::string &what)
 {
-    EXPECT_EQ(a.ifetches, b.ifetches) << what;
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.stores, b.stores) << what;
-    EXPECT_EQ(a.atomics, b.atomics) << what;
-    EXPECT_EQ(a.l1iHits, b.l1iHits) << what;
-    EXPECT_EQ(a.l1dHits, b.l1dHits) << what;
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses) << what;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << what;
-    EXPECT_EQ(a.missCold, b.missCold) << what;
-    EXPECT_EQ(a.missCoherence, b.missCoherence) << what;
-    EXPECT_EQ(a.missCapacity, b.missCapacity) << what;
-    EXPECT_EQ(a.c2cTransfers, b.c2cTransfers) << what;
-    EXPECT_EQ(a.upgrades, b.upgrades) << what;
-    EXPECT_EQ(a.writebacks, b.writebacks) << what;
-    EXPECT_EQ(a.blockStores, b.blockStores) << what;
-    EXPECT_EQ(a.instrMisses, b.instrMisses) << what;
-    EXPECT_EQ(a.dataMisses, b.dataMisses) << what;
+    for (const auto &[name, counter] : mem::CacheStats::counters)
+        EXPECT_EQ(a.*counter, b.*counter) << what << ": " << name;
 }
 
 /**
