@@ -241,6 +241,8 @@ MemChecker::preAccess(const mem::MemRef &ref, sim::Tick now)
         preL1Hit_ = h_.l1dArray(ref.cpu).find(block) != nullptr;
     preEver_ = sh.everCached;
     preInval_ = sh.lastInval;
+    if (dir_)
+        preLivelockBreaks_ = dir_->stats().livelockBreaks;
 
     // 7. Stop-the-world window invariants.
     if (gcWindow_) {
@@ -423,8 +425,8 @@ MemChecker::postAccess(const mem::MemRef &ref,
     // when the outstanding delta changes, so one lost ack is one
     // violation rather than one per subsequent access.
     if (dir_) {
-        const std::uint64_t sent = dir_->invalidationsSent().value();
-        const std::uint64_t acked = dir_->acksReceived().value();
+        const std::uint64_t sent = dir_->stats().invalidationsSent;
+        const std::uint64_t acked = dir_->stats().acksReceived;
         const std::uint64_t delta = sent - acked;
         if (delta != lastAckDelta_) {
             if (delta > lastAckDelta_) {
@@ -440,11 +442,13 @@ MemChecker::postAccess(const mem::MemRef &ref,
 
         // Starvation accounting: the access path fails a transaction
         // forward after kDirRetryBound NACKed attempts and bumps the
-        // livelock-break counter; every new break is a livelock the
-        // bounded-backoff argument (DESIGN.md §3.14) says cannot
-        // happen on an honest contended home.
-        const std::uint64_t breaks = dir_->livelockBreaks();
-        if (breaks > lastLivelockBreaks_) {
+        // livelock-break counter; a break during this access is a
+        // livelock the bounded-backoff argument (DESIGN.md §3.14)
+        // says cannot happen on an honest contended home. Comparing
+        // against the count before the access holds across a stats
+        // reset, which never lands inside one.
+        const std::uint64_t breaks = dir_->stats().livelockBreaks;
+        if (breaks > preLivelockBreaks_) {
             report_.violate("dir.livelock",
                 formatMessage("block 0x", std::hex, block, std::dec,
                               ": home NACKed ",
@@ -453,7 +457,6 @@ MemChecker::postAccess(const mem::MemRef &ref,
                               "failed forward (", breaks,
                               " break(s) total)"),
                 now);
-            lastLivelockBreaks_ = breaks;
         }
     }
 

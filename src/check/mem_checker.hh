@@ -123,12 +123,11 @@ class MemChecker final : public mem::AccessObserver
     bool preOwnerElsewhere_ = false;
     mem::SharerSet preEver_;
     mem::SharerSet preInval_;
+    /** Directory livelock breaks before the access. */
+    std::uint64_t preLivelockBreaks_ = 0;
 
     /** Last reported sent-minus-acked delta (dedups ack reports). */
     std::uint64_t lastAckDelta_ = 0;
-
-    /** Livelock breaks seen so far (each new one is one violation). */
-    std::uint64_t lastLivelockBreaks_ = 0;
 
     // GC window state.
     bool gcWindow_ = false;

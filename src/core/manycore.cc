@@ -73,12 +73,8 @@ derive(const RunResult &r)
 }
 
 /** mem.dir.lat.* bucket names, in ascending-edge order. */
-const char *const latBucketNames[] = {
-    "mem.dir.lat.le_64",   "mem.dir.lat.le_128",
-    "mem.dir.lat.le_256",  "mem.dir.lat.le_512",
-    "mem.dir.lat.le_1024", "mem.dir.lat.le_2048",
-    "mem.dir.lat.le_4096", "mem.dir.lat.gt_4096"};
-constexpr unsigned numLatBuckets = 8;
+constexpr auto &latBucketNames = mem::DirectoryStats::missLatencyNames;
+constexpr unsigned numLatBuckets = mem::kDirLatBuckets;
 
 /** Table/series label of a point's interconnect configuration. */
 const char *

@@ -28,7 +28,7 @@
  * claims: delay grows with machine size on the bisection-limited
  * ring, the mesh beats the ring at scale, and honest runs never break
  * a livelock bound. The contention-free grid above is byte-identical
- * with or without this companion (occupancy 0 registers none of the
+ * with or without this companion (occupancy 0 exports none of the
  * contended counters).
  */
 

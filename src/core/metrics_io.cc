@@ -32,11 +32,11 @@ namespace
 /** Every counter of a stats record, as `prefix.<metric name>`. */
 template <typename Stats>
 void
-exportCounters(sim::MetricRegistry &reg, const std::string &prefix,
-               const Stats &stats)
+exportCounters(std::map<std::string, std::uint64_t> &out,
+               const std::string &prefix, const Stats &stats)
 {
     for (const auto &[name, counter] : Stats::counters)
-        reg.counter(prefix + "." + name).set(stats.*counter);
+        out[prefix + "." + name] = stats.*counter;
 }
 
 } // namespace
@@ -45,65 +45,71 @@ sim::MetricSnapshot
 collectMetrics(System &system, const ExperimentSpec &spec,
                const BuiltWorkload &workload)
 {
-    sim::MetricRegistry &reg = system.metrics();
+    sim::MetricSnapshot snap;
+    auto &counters = snap.counters;
+    auto &gauges = snap.gauges;
 
     const cpu::CpiBreakdown cpi = system.appCpi();
-    exportCounters(reg, "cpu.app", cpi);
-    reg.gauge("cpu.app.cpi").set(cpi.cpi());
-    exportCounters(reg, "os.modes.app", system.appModes());
-    exportCounters(reg, "os.modes.all", system.scheduler().allModes());
-    reg.counter("os.sched.context_switches")
-        .set(system.scheduler().contextSwitches());
-    exportCounters(reg, "mem.app", system.appCacheStats());
-    exportCounters(reg, "mem.all", system.memory().aggregateAll());
+    exportCounters(counters, "cpu.app", cpi);
+    gauges["cpu.app.cpi"] = cpi.cpi();
+    exportCounters(counters, "os.modes.app", system.appModes());
+    exportCounters(counters, "os.modes.all",
+                   system.scheduler().allModes());
+    counters["os.sched.context_switches"] =
+        system.scheduler().contextSwitches();
+    counters["os.sched.migrations"] = system.scheduler().migrations();
+    exportCounters(counters, "mem.app", system.appCacheStats());
+    exportCounters(counters, "mem.all", system.memory().aggregateAll());
+    system.memory().exportMetrics(snap);
 
     const mem::Bus &bus = system.memory().bus();
-    reg.counter("mem.bus.transactions").set(bus.transactions());
-    reg.counter("mem.bus.busy_cycles").set(bus.busyCycles());
-    reg.counter("mem.bus.queue_delay").set(bus.totalQueueDelay());
+    counters["mem.bus.transactions"] = bus.transactions();
+    counters["mem.bus.busy_cycles"] = bus.busyCycles();
+    counters["mem.bus.queue_delay"] = bus.totalQueueDelay();
 
     for (const auto &region : system.memory().regions()) {
         const std::string prefix = "mem.region." + region.name;
-        reg.counter(prefix + ".miss_cold").set(region.missCold);
-        reg.counter(prefix + ".miss_coherence")
-            .set(region.missCoherence);
-        reg.counter(prefix + ".miss_capacity").set(region.missCapacity);
+        counters[prefix + ".miss_cold"] = region.missCold;
+        counters[prefix + ".miss_coherence"] = region.missCoherence;
+        counters[prefix + ".miss_capacity"] = region.missCapacity;
     }
 
     const jvm::Jvm::Stats &gc = system.vm().stats();
-    reg.counter("jvm.gc.minor").set(gc.minorCollections);
-    reg.counter("jvm.gc.major").set(gc.majorCollections);
-    reg.counter("jvm.gc.pause_cycles").set(gc.totalPause);
-    reg.gauge("jvm.heap.old_used_mb")
-        .set(static_cast<double>(system.vm().heap().oldUsed()) /
-             (1024.0 * 1024.0));
+    counters["jvm.gc.minor"] = gc.minorCollections;
+    counters["jvm.gc.major"] = gc.majorCollections;
+    counters["jvm.gc.pause_cycles"] = gc.totalPause;
+    counters["jvm.alloc.bytes"] = gc.allocBytes;
+    counters["jvm.tlab.refills"] = gc.tlabRefills;
+    snap.histograms["jvm.gc.pause_kcycles"] = gc.pauseKcycles;
+    gauges["jvm.heap.old_used_mb"] =
+        static_cast<double>(system.vm().heap().oldUsed()) /
+        (1024.0 * 1024.0);
 
     const unsigned num_types =
         spec.workload == WorkloadKind::SpecJbb
             ? workload::jbbNumTxTypes
             : workload::ecperfNumTxTypes;
-    for (unsigned t = 0; t < num_types; ++t) {
-        reg.counter("workload.tx.type" + std::to_string(t))
-            .set(system.txCount(t));
-    }
-    reg.counter("workload.tx.total").set(system.txTotal());
-    reg.gauge("workload.throughput").set(system.throughput());
+    for (unsigned t = 0; t < num_types; ++t)
+        counters["workload.tx.type" + std::to_string(t)] = system.txCount(t);
+    counters["workload.tx.total"] = system.txTotal();
+    gauges["workload.throughput"] = system.throughput();
     if (workload.ecperf) {
         const auto &bc = workload.ecperf->beanCache();
-        reg.counter("workload.beancache.hits").set(bc.hits());
-        reg.counter("workload.beancache.misses").set(bc.misses());
-        reg.counter("workload.beancache.evictions")
-            .set(bc.evictions());
-        reg.gauge("workload.beancache.hit_rate").set(bc.hitRate());
+        counters["workload.beancache.hits"] = bc.hits();
+        counters["workload.beancache.misses"] = bc.misses();
+        counters["workload.beancache.evictions"] = bc.evictions();
+        gauges["workload.beancache.hit_rate"] = bc.hitRate();
     }
     if (workload.jbb) {
-        reg.counter("workload.jbb.outstanding_orders")
-            .set(workload.jbb->outstandingOrders());
+        counters["workload.jbb.outstanding_orders"] =
+            workload.jbb->outstandingOrders();
     }
 
-    reg.gauge("sys.measured_seconds").set(system.measuredSeconds());
-
-    return reg.snapshot();
+    gauges["sys.measured_seconds"] = system.measuredSeconds();
+    snap.series = system.series();
+    snap.events = system.journal().events();
+    snap.eventsDropped = system.journal().dropped();
+    return snap;
 }
 
 void

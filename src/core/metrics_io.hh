@@ -3,16 +3,16 @@
  * Metrics export: snapshot-time aggregation and the versioned
  * metrics JSON document.
  *
- * collectMetrics() folds every layer's aggregate statistics (CPI
- * stall buckets, execution modes, cache/coherence/bus counters,
- * region miss attribution, GC, workload transactions) into the
- * System's MetricRegistry — which already holds the live counters,
- * series and journal — and freezes the result into a MetricSnapshot.
- * Figure harnesses attach one snapshot per (spec, seed) grid point
- * under a canonical point name; writeMetricsJson() serializes the
- * whole set as one schema-versioned document. All maps are sorted
- * and all numbers deterministically formatted, so the document is
- * byte-identical for any --jobs count.
+ * collectMetrics() reads every layer's plain counts once, after the
+ * measured interval (CPI stall buckets, execution modes, scheduler,
+ * cache/coherence/directory/bus counters, region miss attribution,
+ * allocation and GC, workload transactions), together with the
+ * System's sampled series and event journal, into one
+ * MetricSnapshot. Figure harnesses attach one snapshot per (spec,
+ * seed) grid point under a canonical point name; writeMetricsJson()
+ * serializes the whole set as one schema-versioned document. All
+ * maps are sorted and all numbers deterministically formatted, so
+ * the document is byte-identical for any --jobs count.
  */
 
 #ifndef CORE_METRICS_IO_HH
@@ -39,8 +39,8 @@ inline constexpr const char *metricsSchemaVersion =
 std::string pointName(const ExperimentSpec &spec);
 
 /**
- * Export all aggregate statistics of `system` into its registry and
- * return the frozen snapshot. Call after the measured interval.
+ * The metric snapshot of `system`'s measured interval. Call after the
+ * interval; every count was zeroed by System::beginMeasurement().
  */
 sim::MetricSnapshot collectMetrics(System &system,
                                    const ExperimentSpec &spec,

@@ -20,13 +20,12 @@ System::System(const SystemConfig &config, std::uint64_t seed)
 {
     cfg_.machine.validate();
     mem_ = std::make_unique<mem::Hierarchy>(cfg_.machine, cfg_.latency,
-                                            cfg_.busContention,
-                                            &metrics_);
+                                            cfg_.busContention);
     sched_ = std::make_unique<os::Scheduler>(cfg_.machine.totalCpus,
                                              cfg_.machine.appCpus,
-                                             cfg_.rechoose, &metrics_);
+                                             cfg_.rechoose, &journal_);
     kernel_ = std::make_unique<os::KernelModel>(cfg_.kernel);
-    jvm_ = std::make_unique<jvm::Jvm>(cfg_.jvm, rng_.fork(), &metrics_);
+    jvm_ = std::make_unique<jvm::Jvm>(cfg_.jvm, rng_.fork());
 
     cores_.reserve(cfg_.machine.totalCpus);
     for (unsigned c = 0; c < cfg_.machine.totalCpus; ++c) {
@@ -109,12 +108,17 @@ void
 System::sampleSeries()
 {
     const double mb = 1024.0 * 1024.0;
-    metrics_.series("sys.heap.young_used_mb", cfg_.samplePeriod)
-        .push(static_cast<double>(jvm_->heap().youngUsed()) / mb);
-    metrics_.series("sys.heap.old_used_mb", cfg_.samplePeriod)
-        .push(static_cast<double>(jvm_->heap().oldUsed()) / mb);
-    metrics_.series("sys.sched.runnable", cfg_.samplePeriod)
-        .push(static_cast<double>(sched_->runnableCount()));
+    const auto push = [&](const char *name, double v) {
+        sim::MetricSnapshot::SeriesData &s = series_[name];
+        s.period = cfg_.samplePeriod;
+        s.values.push_back(v);
+    };
+    push("sys.heap.young_used_mb",
+         static_cast<double>(jvm_->heap().youngUsed()) / mb);
+    push("sys.heap.old_used_mb",
+         static_cast<double>(jvm_->heap().oldUsed()) / mb);
+    push("sys.sched.runnable",
+         static_cast<double>(sched_->runnableCount()));
 }
 
 void
@@ -376,8 +380,8 @@ System::startGcIfNeeded()
     gcTid_ = static_cast<int>(
         sched_->addThread(gcProgram_.get(), /*in_app_set=*/false,
                           static_cast<int>(cfg_.gcCpu)));
-    metrics_.journal().record(now_, "gc.begin");
-    metrics_.journal().record(now_, "safepoint.begin");
+    journal_.record(now_, "gc.begin");
+    journal_.record(now_, "safepoint.begin");
     if (trace_) {
         trace_->annotation(mem::TraceAnnotation::GcBegin, cfg_.gcCpu,
                            now_, 0);
@@ -393,10 +397,9 @@ System::finishGc()
     const sim::Tick end = cores_[cfg_.gcCpu]->now();
     jvm_->endCollection(gcStart_, end);
     const jvm::GcRecord &rec = jvm_->stats().log.back();
-    metrics_.journal().record(
-        end, rec.major ? "gc.end.major" : "gc.end.minor",
-        "pause=" + std::to_string(rec.duration));
-    metrics_.journal().record(end, "safepoint.end");
+    journal_.record(end, rec.major ? "gc.end.major" : "gc.end.minor",
+                    "pause=" + std::to_string(rec.duration));
+    journal_.record(end, "safepoint.end");
     if (trace_) {
         trace_->annotation(rec.major
                                ? mem::TraceAnnotation::GcEndMajor
@@ -415,7 +418,9 @@ System::beginMeasurement()
     if (trace_)
         trace_->annotation(mem::TraceAnnotation::MeasureBegin, 0, now_,
                            0);
-    metrics_.reset();
+    journal_.reset();
+    for (auto &[name, s] : series_)
+        s.values.clear();
     mem_->resetStats();
     for (auto &core : cores_)
         core->resetStats();

@@ -15,7 +15,9 @@
 #define CORE_SYSTEM_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "check/checker.hh"
@@ -111,9 +113,18 @@ class System
 
     bool gcActive() const { return gcActive_; }
 
-    /** The unified observability registry of this machine. */
-    sim::MetricRegistry &metrics() { return metrics_; }
-    const sim::MetricRegistry &metrics() const { return metrics_; }
+    /** GC/safepoint windows and scheduler migrations, in time order. */
+    const sim::EventJournal &journal() const { return journal_; }
+
+    /**
+     * Heap occupancy and runnable-thread samples by metric name, one
+     * per samplePeriod; a name appears with the first sample.
+     */
+    const std::map<std::string, sim::MetricSnapshot::SeriesData> &
+    series() const
+    {
+        return series_;
+    }
 
     /**
      * Record this machine's execution into a reference trace: every
@@ -150,11 +161,9 @@ class System
     SystemConfig cfg_;
     sim::Rng rng_;
 
-    /**
-     * Declared before the subsystems: they hold handles into the
-     * registry and must be destroyed first.
-     */
-    sim::MetricRegistry metrics_;
+    /** Declared before the scheduler, which journals into it. */
+    sim::EventJournal journal_;
+    std::map<std::string, sim::MetricSnapshot::SeriesData> series_;
 
     std::unique_ptr<mem::Hierarchy> mem_;
     std::vector<std::unique_ptr<cpu::InOrderCore>> cores_;

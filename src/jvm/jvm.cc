@@ -7,20 +7,13 @@
 namespace middlesim::jvm
 {
 
-Jvm::Jvm(const JvmParams &params, sim::Rng rng,
-         sim::MetricRegistry *metrics)
+Jvm::Jvm(const JvmParams &params, sim::Rng rng)
     : params_(params), rng_(rng), heap_(params.heap)
 {
     // JVM-internal shared state lives at the bottom of the old
     // generation so it occupies real, coherent addresses.
     allocTopLine_ = heap_.allocateOld(64);
     internalLock_ = &makeLock("jvm-internal");
-    allocBytes_ = metrics ? &metrics->counter("jvm.alloc.bytes")
-                          : &fallbackCounters_[0];
-    tlabRefills_ = metrics ? &metrics->counter("jvm.tlab.refills")
-                           : &fallbackCounters_[1];
-    gcPause_ = metrics ? &metrics->histogram("jvm.gc.pause_kcycles")
-                       : &fallbackPause_;
 }
 
 mem::Addr
@@ -38,13 +31,13 @@ Jvm::allocate(unsigned tid, std::uint64_t bytes, exec::Burst *burst)
         tlab.end = tlab.cursor + params_.heap.tlabBytes;
         if (burst)
             burst->atomic(allocTopLine_);
-        ++*tlabRefills_;
+        ++stats_.tlabRefills;
         if (observer_)
             observer_->onTlabIssued(tid, tlab.cursor, tlab.end);
     }
     const mem::Addr addr = tlab.cursor;
     tlab.cursor += bytes;
-    *allocBytes_ += bytes;
+    stats_.allocBytes += bytes;
     if (observer_)
         observer_->onAllocate(tid, addr, bytes);
 
@@ -158,7 +151,7 @@ Jvm::endCollection(sim::Tick start, sim::Tick end)
     stats_.totalPause += rec.duration;
     stats_.liveAfterMB.add(rec.liveAfterMB);
     stats_.log.push_back(rec);
-    gcPause_->add(rec.duration / 1000);
+    stats_.pauseKcycles.add(rec.duration / 1000);
     pendingMajor_ = false;
     if (observer_)
         observer_->onCollectionEnd(rec.major);
@@ -176,9 +169,6 @@ void
 Jvm::resetStats()
 {
     stats_ = Stats();
-    allocBytes_->set(0);
-    tlabRefills_->set(0);
-    gcPause_->reset();
 }
 
 } // namespace middlesim::jvm

@@ -114,12 +114,7 @@ struct GcRecord
 class Jvm
 {
   public:
-    /**
-     * @param metrics registry for allocation/TLAB counters and the GC
-     *        pause histogram; pass nullptr for private fallbacks.
-     */
-    Jvm(const JvmParams &params, sim::Rng rng,
-        sim::MetricRegistry *metrics = nullptr);
+    Jvm(const JvmParams &params, sim::Rng rng);
 
     Heap &heap() { return heap_; }
     const Heap &heap() const { return heap_; }
@@ -174,7 +169,7 @@ class Jvm
      */
     exec::Lock &internalLock() { return *internalLock_; }
 
-    /** Cumulative GC statistics since the last reset. */
+    /** Cumulative allocation and GC statistics since the last reset. */
     struct Stats
     {
         std::uint64_t minorCollections = 0;
@@ -182,6 +177,11 @@ class Jvm
         sim::Tick totalPause = 0;
         stats::RunningStat liveAfterMB;
         std::vector<GcRecord> log;
+        /** Bytes allocated (rounded to 16) and TLABs issued. */
+        std::uint64_t allocBytes = 0;
+        std::uint64_t tlabRefills = 0;
+        /** Collection pauses, in thousands of cycles. */
+        sim::HistogramMetric pauseKcycles;
     };
 
     const Stats &stats() const { return stats_; }
@@ -216,12 +216,6 @@ class Jvm
     unsigned nextTid_ = 0;
     Stats stats_;
     JvmObserver *observer_ = nullptr;
-
-    sim::Counter *allocBytes_;
-    sim::Counter *tlabRefills_;
-    sim::Counter fallbackCounters_[2];
-    sim::HistogramMetric *gcPause_;
-    sim::HistogramMetric fallbackPause_;
 };
 
 } // namespace middlesim::jvm

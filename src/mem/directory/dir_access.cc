@@ -77,15 +77,15 @@ Hierarchy::dirHomeAcquire(Addr block, unsigned group, unsigned home,
             meta.setTransientUntil(t + queue + lat_.directoryLookup);
             return extra + queue;
         }
-        dir_->noteNack();
+        ++dir_->stats().nacks;
         if (attempt + 1 >= kDirRetryBound) {
             // Retry budget exhausted: starvation. Fail forward —
             // complete the transaction rather than hang — and raise
             // the signal the checker reports as `dir.livelock`.
-            dir_->noteLivelockBreak();
+            ++dir_->stats().livelockBreaks;
             return extra;
         }
-        dir_->noteRetry();
+        ++dir_->stats().retries;
         const sim::Tick backoff =
             kDirNackBackoffBase
             << std::min(attempt, kDirNackBackoffCap);
@@ -102,7 +102,7 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
     const GroupBits sharers = meta.sharers();
     const GroupBitsCopy targets(sharers);
     targets.bits().forEachSetExcept(group, [&](unsigned g) {
-        ++dir_->invalidationsSent();
+        ++dir_->stats().invalidationsSent;
         dir_->chargeHops(home, dir_->nodeOfGroup(g), 2);
         CacheLine *peer = l2_[g].find(block);
         sim_assert(peer || fault_,
@@ -111,8 +111,8 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
             // Forward-with-invalidate: the sole-copy holder sends its
             // data straight to the requester before dying.
             supplied = true;
-            ++dir_->forwards();
-            ++*copybacksSupplied_;
+            ++dir_->stats().forwards;
+            ++copybacksSupplied_;
         }
         if (faultFires(FaultPlan::Kind::DropInvalidate, block, g)) {
             // Invalidation lost in flight: the stale copy survives,
@@ -128,7 +128,7 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
             // the home keeps a stale sharer bit for a dead copy.
             return;
         }
-        ++dir_->acksReceived();
+        ++dir_->stats().acksReceived;
         sharers.clear(g);
     });
     return supplied;
@@ -141,7 +141,8 @@ Hierarchy::dirClaim(Addr block, unsigned group, bool upgrade,
     const unsigned my_node = dir_->nodeOfGroup(group);
     const unsigned home = dir_->homeOf(block);
     const unsigned req_hops = dir_->hops(my_node, home);
-    ++(upgrade ? dir_->upgrades() : dir_->getM());
+    DirectoryStats &ds = dir_->stats();
+    ++(upgrade ? ds.upgrades : ds.getM);
     dir_->chargeHops(my_node, home, 2);
     const sim::Tick contention =
         dirHomeAcquire(block, group, home, req_hops, meta, now) +
@@ -162,7 +163,8 @@ Hierarchy::dirFetch(Addr block, unsigned group, bool want_write,
     const unsigned home = dir_->homeOf(block);
     const unsigned req_hops = dir_->hops(my_node, home);
     dir_->chargeHops(my_node, home, 2);
-    ++(req_hops == 0 ? dir_->localMisses() : dir_->remoteMisses());
+    DirectoryStats &ds = dir_->stats();
+    ++(req_hops == 0 ? ds.localMisses : ds.remoteMisses);
     // Contended mode: win a home slot (NACK/retry/backoff), then
     // queue the request leg onto the interconnect links.
     sim::Tick contention =
@@ -175,7 +177,7 @@ Hierarchy::dirFetch(Addr block, unsigned group, bool want_write,
     // M copy that no owner record names (its data takes no hops).
     std::int32_t forwarder = -1;
     if (want_write) {
-        ++dir_->getM();
+        ++ds.getM;
         const std::int32_t prev_owner = meta.owner();
         peer_supplied = dirInvalidateSharers(block, group, true, meta);
         if (peer_supplied)
@@ -183,7 +185,7 @@ Hierarchy::dirFetch(Addr block, unsigned group, bool want_write,
         meta.sharers().set(group);
         meta.setOwner(self);
     } else {
-        ++dir_->getS();
+        ++ds.getS;
         const std::int32_t owner = meta.owner();
         if (owner >= 0 && owner != self) {
             const unsigned og = static_cast<unsigned>(owner);
@@ -193,12 +195,12 @@ Hierarchy::dirFetch(Addr block, unsigned group, bool want_write,
             if (peer && suppliesDataOnForward(peer->state)) {
                 peer_supplied = true;
                 forwarder = owner;
-                ++dir_->forwards();
-                ++*copybacksSupplied_;
+                ++ds.forwards;
+                ++copybacksSupplied_;
                 if (peer->state == CoherenceState::Modified) {
                     // MESI has no Owned: the dirty block also goes
                     // back to the home on the downgrade.
-                    ++dir_->writebacksToHome();
+                    ++ds.writebacksToHome;
                 }
                 if (!faultFires(FaultPlan::Kind::KeepOwnerOnSnoop,
                                 block, og)) {
@@ -245,9 +247,9 @@ void
 Hierarchy::dirHandlePut(unsigned group, const CacheLine &victim,
                         LineMeta meta)
 {
-    ++dir_->putNotices();
+    ++dir_->stats().putNotices;
     if (victim.state == CoherenceState::Modified)
-        ++dir_->writebacksToHome();
+        ++dir_->stats().writebacksToHome;
     if (meta.owner() == static_cast<std::int32_t>(group))
         meta.setOwner(-1);
     meta.sharers().clear(group);

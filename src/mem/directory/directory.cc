@@ -5,49 +5,16 @@
 namespace middlesim::mem
 {
 
-DirectoryController::DirectoryController(sim::MetricRegistry *metrics)
-    : metrics_(metrics)
+DirectoryController::DirectoryController(const sim::MachineConfig &cfg)
+    : nodes_(cfg.numaNodes),
+      blockShift_(
+          static_cast<unsigned>(std::countr_zero(cfg.l2.blockBytes))),
+      mesh_(cfg.topology == sim::Topology::Mesh),
+      slotsPerHome_(cfg.dirOccupancy)
 {
-    auto bind = [&](sim::Counter *&slot, const char *name, unsigned i) {
-        slot = metrics ? &metrics->counter(name) : &fallback_[i];
-    };
-    bind(getS_, "mem.dir.get_s", 0);
-    bind(getM_, "mem.dir.get_m", 1);
-    bind(upgrades_, "mem.dir.upgrades", 2);
-    bind(forwards_, "mem.dir.forwards", 3);
-    bind(invalidationsSent_, "mem.dir.invalidations_sent", 4);
-    bind(acksReceived_, "mem.dir.acks_received", 5);
-    bind(writebacksToHome_, "mem.dir.writebacks_home", 6);
-    bind(putNotices_, "mem.dir.put_notices", 7);
-    bind(localMisses_, "mem.numa.local_misses", 8);
-    bind(remoteMisses_, "mem.numa.remote_misses", 9);
-    bind(hopsTraversed_, "mem.numa.hops", 10);
-    // The contended-mode counters start on private fallbacks; they are
-    // re-bound onto the registry by configure() only when the plane is
-    // actually enabled, so default metric output carries no trace of
-    // the contention model.
-    nacks_ = &fallback_[11];
-    retries_ = &fallback_[12];
-    livelockBreaks_ = &fallback_[13];
-    occupancyBusyCycles_ = &fallback_[14];
-    occupancyQueueDelay_ = &fallback_[15];
-    linkBusyCycles_ = &fallback_[16];
-    linkQueueDelay_ = &fallback_[17];
-    meshXHops_ = &fallback_[18];
-    meshYHops_ = &fallback_[19];
-    for (unsigned b = 0; b < kLatBuckets; ++b)
-        latBuckets_[b] = &fallback_[20 + b];
-}
-
-void
-DirectoryController::configure(const sim::MachineConfig &cfg)
-{
-    nodes_ = cfg.numaNodes;
-    blockShift_ = static_cast<unsigned>(std::countr_zero(cfg.l2.blockBytes));
     groupNode_.resize(cfg.numL2s());
     for (unsigned g = 0; g < cfg.numL2s(); ++g)
         groupNode_[g] = cfg.nodeOfGroup(g);
-    mesh_ = cfg.topology == sim::Topology::Mesh;
     if (mesh_) {
         meshWidth_ = cfg.meshWidth();
         meshHeight_ = cfg.meshHeight();
@@ -58,11 +25,6 @@ DirectoryController::configure(const sim::MachineConfig &cfg)
             meshY_[n] = cfg.meshY(n);
         }
     }
-    slotsPerHome_ = cfg.dirOccupancy;
-    if (mesh_ && metrics_) {
-        meshXHops_ = &metrics_->counter("mem.numa.mesh.x_hops");
-        meshYHops_ = &metrics_->counter("mem.numa.mesh.y_hops");
-    }
     if (!contended())
         return;
     homes_.assign(cfg.numaNodes, HomeState());
@@ -71,25 +33,6 @@ DirectoryController::configure(const sim::MachineConfig &cfg)
     // Four directed link slots per node (+x, -x, +y, -y); the ring
     // uses only the X pair.
     links_.assign(4u * cfg.numaNodes, LinkState());
-    if (metrics_) {
-        nacks_ = &metrics_->counter("mem.dir.nacks");
-        retries_ = &metrics_->counter("mem.dir.retries");
-        livelockBreaks_ = &metrics_->counter("mem.dir.livelock_breaks");
-        occupancyBusyCycles_ =
-            &metrics_->counter("mem.dir.occupancy_busy_cycles");
-        occupancyQueueDelay_ =
-            &metrics_->counter("mem.dir.occupancy_queue_delay");
-        linkBusyCycles_ = &metrics_->counter("mem.numa.link.busy_cycles");
-        linkQueueDelay_ = &metrics_->counter("mem.numa.link.queue_delay");
-        static const char *const bucket_names[kLatBuckets] = {
-            "mem.dir.lat.le_64",   "mem.dir.lat.le_128",
-            "mem.dir.lat.le_256",  "mem.dir.lat.le_512",
-            "mem.dir.lat.le_1024", "mem.dir.lat.le_2048",
-            "mem.dir.lat.le_4096", "mem.dir.lat.gt_4096",
-        };
-        for (unsigned b = 0; b < kLatBuckets; ++b)
-            latBuckets_[b] = &metrics_->counter(bucket_names[b]);
-    }
 }
 
 bool
@@ -114,8 +57,8 @@ DirectoryController::tryAcquireHome(unsigned home, sim::Tick now,
         (1.0 - h.utilization));
     h.slotBusyUntil[freest] = now + queue_delay + service;
     h.epochBusy += service;
-    *occupancyBusyCycles_ += service;
-    *occupancyQueueDelay_ += queue_delay;
+    stats_.occupancyBusyCycles += service;
+    stats_.occupancyQueueDelay += queue_delay;
     return true;
 }
 
@@ -136,8 +79,8 @@ DirectoryController::walkAxis(unsigned &node, unsigned coord,
             static_cast<double>(per_hop) * 0.5 * link.utilization /
             (1.0 - link.utilization));
         link.epochBusy += per_hop;
-        *linkBusyCycles_ += per_hop;
-        *linkQueueDelay_ += delay;
+        stats_.linkBusyCycles += per_hop;
+        stats_.linkQueueDelay += delay;
         total += delay;
         if (forward) {
             coord = (coord + 1) % size;
@@ -191,9 +134,27 @@ DirectoryController::recordMissLatency(sim::Tick latency)
     if (!contended())
         return;
     unsigned b = 0;
-    while (b < kLatBuckets - 1 && latency > kDirLatEdges[b])
+    while (b < kDirLatBuckets - 1 && latency > kDirLatEdges[b])
         ++b;
-    ++*latBuckets_[b];
+    ++stats_.missLatency[b];
+}
+
+void
+DirectoryController::exportMetrics(sim::MetricSnapshot &snap) const
+{
+    const auto put = [&](const auto &table) {
+        for (const auto &[name, counter] : table)
+            snap.counters[name] = stats_.*counter;
+    };
+    put(DirectoryStats::counters);
+    if (mesh_)
+        put(DirectoryStats::meshCounters);
+    if (!contended())
+        return;
+    put(DirectoryStats::contendedCounters);
+    for (unsigned b = 0; b < kDirLatBuckets; ++b)
+        snap.counters[DirectoryStats::missLatencyNames[b]] =
+            stats_.missLatency[b];
 }
 
 } // namespace middlesim::mem

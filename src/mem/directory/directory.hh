@@ -16,14 +16,14 @@
  * audits against the real cache states.
  *
  * The controller holds no per-block state. It carries the machine's
- * topology, precomputed once by configure() so the access path does
- * no division or factorization per message, the protocol's message
- * accounting (requests, forwards, invalidations, acks, home
- * writebacks, put notices) and the NUMA traffic split (local vs.
- * remote misses, hops traversed), surfaced through MetricRegistry as
- * `mem.dir.*` / `mem.numa.*` — registered only when the directory
- * protocol is active, so snooping-bus metric output is byte-identical
- * to before this subsystem existed.
+ * topology, precomputed once at construction so the access path does
+ * no division or factorization per message, and a DirectoryStats
+ * record: the protocol's message accounting (requests, forwards,
+ * invalidations, acks, home writebacks, put notices) and the NUMA
+ * traffic split (local vs. remote misses, hops traversed), exported
+ * as `mem.dir.*` / `mem.numa.*` only when the directory protocol is
+ * active, so snooping-bus metric output is byte-identical to before
+ * this subsystem existed.
  *
  * Contention plane (DESIGN.md §3.14, opt-in via
  * MachineConfig::dirOccupancy): each home owns a bounded set of
@@ -33,10 +33,11 @@
  * is NACKed; the requester retries with bounded exponential backoff
  * (kDirRetryBound attempts). Interconnect hops additionally queue on
  * per-directed-link utilization models (ring or dimension-ordered XY
- * mesh routes). All contended-mode counters (`mem.dir.nacks`,
+ * mesh routes). The contended-mode counters (`mem.dir.nacks`,
  * `mem.dir.retries`, `mem.dir.occupancy_*`, `mem.numa.link.*`,
- * `mem.numa.mesh.*`) are registered only when the plane is enabled,
- * so contention-free metric output stays byte-identical to PR 9.
+ * `mem.dir.lat.*`) are exported only when the plane is enabled, and
+ * the per-axis hop split (`mem.numa.mesh.*`) only on a mesh, so a
+ * contention-free ring exports what it did before either existed.
  */
 
 #ifndef MEM_DIRECTORY_DIRECTORY_HH
@@ -44,6 +45,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "mem/memref.hh"
@@ -80,6 +83,93 @@ inline constexpr unsigned kDirNackBackoffCap = 6;
  */
 inline constexpr sim::Tick kDirNackHorizon = 512;
 
+/** Upper edges (ticks) of the mem.dir.lat.* CDF buckets. */
+inline constexpr sim::Tick kDirLatEdges[] = {64,   128,  256, 512,
+                                             1024, 2048, 4096};
+
+/** mem.dir.lat.* buckets: one per edge plus the overflow bucket. */
+inline constexpr unsigned kDirLatBuckets = std::size(kDirLatEdges) + 1;
+
+/**
+ * The directory's counts since the last Hierarchy::resetStats():
+ * protocol messages, the NUMA traffic split and (contended mode) the
+ * NACK/retry, occupancy and link accounting.
+ */
+struct DirectoryStats
+{
+    std::uint64_t getS = 0;
+    std::uint64_t getM = 0;
+    std::uint64_t upgrades = 0;
+    std::uint64_t forwards = 0;
+    std::uint64_t invalidationsSent = 0;
+    std::uint64_t acksReceived = 0;
+    std::uint64_t writebacksToHome = 0;
+    std::uint64_t putNotices = 0;
+    std::uint64_t localMisses = 0;
+    std::uint64_t remoteMisses = 0;
+    std::uint64_t hops = 0;
+
+    /** Per-axis split of `hops` (mesh only). */
+    std::uint64_t meshXHops = 0;
+    std::uint64_t meshYHops = 0;
+
+    // Contended mode only.
+    std::uint64_t nacks = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t livelockBreaks = 0;
+    std::uint64_t occupancyBusyCycles = 0;
+    std::uint64_t occupancyQueueDelay = 0;
+    std::uint64_t linkBusyCycles = 0;
+    std::uint64_t linkQueueDelay = 0;
+    /** Contended miss latencies, bucketed by kDirLatEdges. */
+    std::uint64_t missLatency[kDirLatBuckets] = {};
+
+    using NamedCounter =
+        std::pair<const char *, std::uint64_t DirectoryStats::*>;
+
+    /** Exported on every directory machine, by metric name. */
+    static constexpr NamedCounter counters[] = {
+        {"mem.dir.get_s", &DirectoryStats::getS},
+        {"mem.dir.get_m", &DirectoryStats::getM},
+        {"mem.dir.upgrades", &DirectoryStats::upgrades},
+        {"mem.dir.forwards", &DirectoryStats::forwards},
+        {"mem.dir.invalidations_sent", &DirectoryStats::invalidationsSent},
+        {"mem.dir.acks_received", &DirectoryStats::acksReceived},
+        {"mem.dir.writebacks_home", &DirectoryStats::writebacksToHome},
+        {"mem.dir.put_notices", &DirectoryStats::putNotices},
+        {"mem.numa.local_misses", &DirectoryStats::localMisses},
+        {"mem.numa.remote_misses", &DirectoryStats::remoteMisses},
+        {"mem.numa.hops", &DirectoryStats::hops},
+    };
+
+    /** Exported on a mesh only. */
+    static constexpr NamedCounter meshCounters[] = {
+        {"mem.numa.mesh.x_hops", &DirectoryStats::meshXHops},
+        {"mem.numa.mesh.y_hops", &DirectoryStats::meshYHops},
+    };
+
+    /** Exported at occupancy > 0 only, with the missLatency buckets. */
+    static constexpr NamedCounter contendedCounters[] = {
+        {"mem.dir.nacks", &DirectoryStats::nacks},
+        {"mem.dir.retries", &DirectoryStats::retries},
+        {"mem.dir.livelock_breaks", &DirectoryStats::livelockBreaks},
+        {"mem.dir.occupancy_busy_cycles",
+         &DirectoryStats::occupancyBusyCycles},
+        {"mem.dir.occupancy_queue_delay",
+         &DirectoryStats::occupancyQueueDelay},
+        {"mem.numa.link.busy_cycles", &DirectoryStats::linkBusyCycles},
+        {"mem.numa.link.queue_delay", &DirectoryStats::linkQueueDelay},
+    };
+
+    /** Metric name of each missLatency bucket. */
+    static constexpr const char *missLatencyNames[kDirLatBuckets] = {
+        "mem.dir.lat.le_64",   "mem.dir.lat.le_128",
+        "mem.dir.lat.le_256",  "mem.dir.lat.le_512",
+        "mem.dir.lat.le_1024", "mem.dir.lat.le_2048",
+        "mem.dir.lat.le_4096", "mem.dir.lat.gt_4096",
+    };
+};
+
 /**
  * The directory protocol's bookkeeping plane: the topology,
  * message/NUMA accounting and (opt-in) home/link contention state.
@@ -91,20 +181,11 @@ class DirectoryController
 {
   public:
     /**
-     * @param metrics registry for the mem.dir.* / mem.numa.* counters;
-     *        nullptr counts into private fallbacks (tests).
-     */
-    explicit DirectoryController(sim::MetricRegistry *metrics);
-
-    /**
      * Arm the topology/contention plane from the machine config: the
      * group -> node map, each node's mesh coordinates and the mesh
-     * dimensions (all O(nodes)), and the home/link state. Registers
-     * the contended-mode counters (and the mesh per-axis hop split)
-     * only when actually enabled, keeping default metric output
-     * byte-identical to the contention-free model.
+     * dimensions (all O(nodes)), and the home/link state.
      */
-    void configure(const sim::MachineConfig &cfg);
+    explicit DirectoryController(const sim::MachineConfig &cfg);
 
     /** NUMA node owning L2 group `group` (MachineConfig::nodeOfGroup). */
     unsigned nodeOfGroup(unsigned group) const { return groupNode_[group]; }
@@ -172,51 +253,30 @@ class DirectoryController
     chargeHops(unsigned a, unsigned b, unsigned count)
     {
         if (!mesh_) {
-            hopsTraversed() +=
+            stats_.hops +=
                 count * sim::MachineConfig::ringDistance(a, b, nodes_);
             return;
         }
         const unsigned x = hopsX(a, b);
         const unsigned y = hopsY(a, b);
-        hopsTraversed() += count * (x + y);
-        *meshXHops_ += count * x;
-        *meshYHops_ += count * y;
+        stats_.hops += count * (x + y);
+        stats_.meshXHops += count * x;
+        stats_.meshYHops += count * y;
     }
 
     /** Bucket a contended-mode miss latency into the mem.dir.lat.* CDF. */
     void recordMissLatency(sim::Tick latency);
 
-    // NACK/retry accounting, bumped by the access path's retry loop.
-    void noteNack() { ++*nacks_; }
-    void noteRetry() { ++*retries_; }
-    void noteLivelockBreak() { ++*livelockBreaks_; }
+    /** Counts since the last Hierarchy::resetStats(). */
+    DirectoryStats &stats() { return stats_; }
+    const DirectoryStats &stats() const { return stats_; }
 
-    std::uint64_t nacks() const { return nacks_->value(); }
-    std::uint64_t retries() const { return retries_->value(); }
-    std::uint64_t livelockBreaks() const
-    {
-        return livelockBreaks_->value();
-    }
-
-    // Message accounting, bumped by the access path.
-    sim::Counter &getS() { return *getS_; }
-    sim::Counter &getM() { return *getM_; }
-    sim::Counter &upgrades() { return *upgrades_; }
-    sim::Counter &forwards() { return *forwards_; }
-    sim::Counter &invalidationsSent() { return *invalidationsSent_; }
-    sim::Counter &acksReceived() { return *acksReceived_; }
-    sim::Counter &writebacksToHome() { return *writebacksToHome_; }
-    sim::Counter &putNotices() { return *putNotices_; }
-    sim::Counter &localMisses() { return *localMisses_; }
-    sim::Counter &remoteMisses() { return *remoteMisses_; }
-    sim::Counter &hopsTraversed() { return *hopsTraversed_; }
-
-    const sim::Counter &invalidationsSent() const
-    {
-        return *invalidationsSent_;
-    }
-
-    const sim::Counter &acksReceived() const { return *acksReceived_; }
+    /**
+     * Write the counters this machine can move into `snap`: the
+     * always-present set, the mesh split on a mesh, and the contended
+     * set at occupancy > 0.
+     */
+    void exportMetrics(sim::MetricSnapshot &snap) const;
 
   private:
     /** One home's contention state: slot reservations + epoch queue. */
@@ -255,9 +315,7 @@ class DirectoryController
                        unsigned size, unsigned stride, unsigned fwd_dir,
                        sim::Tick per_hop);
 
-    sim::MetricRegistry *metrics_;
-
-    // Topology, fixed by configure().
+    // Topology, fixed at construction.
     unsigned nodes_ = 1;
     unsigned blockShift_ = 6;
     bool mesh_ = false;
@@ -271,39 +329,8 @@ class DirectoryController
     std::vector<HomeState> homes_;
     std::vector<LinkState> links_;
 
-    sim::Counter *getS_;
-    sim::Counter *getM_;
-    sim::Counter *upgrades_;
-    sim::Counter *forwards_;
-    sim::Counter *invalidationsSent_;
-    sim::Counter *acksReceived_;
-    sim::Counter *writebacksToHome_;
-    sim::Counter *putNotices_;
-    sim::Counter *localMisses_;
-    sim::Counter *remoteMisses_;
-    sim::Counter *hopsTraversed_;
-
-    // Contended-mode counters (fallback-bound until configure()).
-    sim::Counter *nacks_;
-    sim::Counter *retries_;
-    sim::Counter *livelockBreaks_;
-    sim::Counter *occupancyBusyCycles_;
-    sim::Counter *occupancyQueueDelay_;
-    sim::Counter *linkBusyCycles_;
-    sim::Counter *linkQueueDelay_;
-    sim::Counter *meshXHops_;
-    sim::Counter *meshYHops_;
-
-    /** mem.dir.lat.* CDF buckets (upper edges in kDirLatEdges). */
-    static constexpr unsigned kLatBuckets = 8;
-    sim::Counter *latBuckets_[kLatBuckets];
-
-    sim::Counter fallback_[20 + kLatBuckets];
+    DirectoryStats stats_;
 };
-
-/** Upper edges (ticks) of the mem.dir.lat.* CDF buckets. */
-inline constexpr sim::Tick kDirLatEdges[] = {64,   128,  256, 512,
-                                             1024, 2048, 4096};
 
 } // namespace middlesim::mem
 

@@ -39,25 +39,13 @@ checkedGroupCount(const sim::MachineConfig &cfg)
 } // namespace
 
 Hierarchy::Hierarchy(const sim::MachineConfig &config,
-                     const LatencyModel &latency, bool bus_contention,
-                     sim::MetricRegistry *metrics)
+                     const LatencyModel &latency, bool bus_contention)
     : cfg_(config), lat_(latency), bus_(bus_contention),
       meta_(checkedGroupCount(cfg_),
             cfg_.protocol == sim::CoherenceProtocol::DirectoryMesi)
 {
-    invalidations_ = metrics
-        ? &metrics->counter("mem.coherence.invalidations")
-        : &fallbackCounters_[0];
-    backInvalidations_ = metrics
-        ? &metrics->counter("mem.coherence.l1_back_invalidations")
-        : &fallbackCounters_[1];
-    copybacksSupplied_ = metrics
-        ? &metrics->counter("mem.coherence.copybacks_supplied")
-        : &fallbackCounters_[2];
-    if (cfg_.protocol == sim::CoherenceProtocol::DirectoryMesi) {
-        dir_ = std::make_unique<DirectoryController>(metrics);
-        dir_->configure(cfg_);
-    }
+    if (cfg_.protocol == sim::CoherenceProtocol::DirectoryMesi)
+        dir_ = std::make_unique<DirectoryController>(cfg_);
 
     l1i_.reserve(cfg_.totalCpus);
     l1d_.reserve(cfg_.totalCpus);
@@ -252,7 +240,7 @@ Hierarchy::snoopFetch(Addr block, unsigned group, bool want_write,
         sim_assert(peer, "presence mask out of sync (snoop)");
         if (isOwner(peer->state)) {
             peer_supplied = true;
-            ++*copybacksSupplied_;
+            ++copybacksSupplied_;
         }
         if (want_write) {
             if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
@@ -318,7 +306,7 @@ void
 Hierarchy::invalidateForRemoteWrite(unsigned group, CacheLine &line,
                                     LineMeta meta)
 {
-    ++*invalidations_;
+    ++invalidations_;
     meta.invalidated().set(group);
     meta.presence().clear(group);
     backInvalidateL1s(group, line.tag);
@@ -335,11 +323,11 @@ Hierarchy::backInvalidateL1s(unsigned group, Addr block)
     for (unsigned c = first; c < last && c < cfg_.totalCpus; ++c) {
         if (CacheLine *line = l1i_[c].find(block)) {
             line->state = CoherenceState::Invalid;
-            ++*backInvalidations_;
+            ++backInvalidations_;
         }
         if (CacheLine *line = l1d_[c].find(block)) {
             line->state = CoherenceState::Invalid;
-            ++*backInvalidations_;
+            ++backInvalidations_;
         }
     }
 }
@@ -368,6 +356,22 @@ Hierarchy::resetStats()
     for (auto &st : stats_)
         st = CacheStats();
     bus_.reset();
+    invalidations_ = 0;
+    backInvalidations_ = 0;
+    copybacksSupplied_ = 0;
+    if (dir_)
+        dir_->stats() = DirectoryStats();
+}
+
+void
+Hierarchy::exportMetrics(sim::MetricSnapshot &snap) const
+{
+    snap.counters["mem.coherence.invalidations"] = invalidations_;
+    snap.counters["mem.coherence.l1_back_invalidations"] =
+        backInvalidations_;
+    snap.counters["mem.coherence.copybacks_supplied"] = copybacksSupplied_;
+    if (dir_)
+        dir_->exportMetrics(snap);
 }
 
 void

@@ -88,15 +88,9 @@ inline constexpr unsigned kMaxDirectoryGroups = 64 * kMaxGroupWords;
 class Hierarchy
 {
   public:
-    /**
-     * @param metrics registry for live coherence counters
-     *        (invalidations, L1 back-invalidations, snoop copybacks
-     *        supplied); pass nullptr to count into private fallbacks.
-     */
     Hierarchy(const sim::MachineConfig &config,
               const LatencyModel &latency,
-              bool bus_contention = true,
-              sim::MetricRegistry *metrics = nullptr);
+              bool bus_contention = true);
 
     /** Perform one access; returns latency and classification. */
     AccessResult
@@ -141,8 +135,18 @@ class Hierarchy
     /** Aggregate statistics over all CPUs. */
     CacheStats aggregateAll() const;
 
-    /** Zero all per-CPU statistics (cache contents are preserved). */
+    /**
+     * Zero all statistics: per-CPU, bus, coherence and directory
+     * counts (cache contents are preserved).
+     */
     void resetStats();
+
+    /**
+     * Write the coherence counts into `snap` as `mem.coherence.*`,
+     * and under the directory protocol its `mem.dir.*` /
+     * `mem.numa.*` counters (DirectoryController::exportMetrics).
+     */
+    void exportMetrics(sim::MetricSnapshot &snap) const;
 
     /** Enable per-line copyback and touched-line tracking. */
     void setCommunicationTracking(bool on);
@@ -401,15 +405,13 @@ class Hierarchy
     std::unique_ptr<DirectoryController> dir_;
 
     /**
-     * Live coherence counters (registry-backed when a registry was
-     * supplied; otherwise the private fallbacks below). Invalidation
-     * traffic is not attributable to the requesting CPU, so it is
-     * counted here rather than in the per-CPU CacheStats.
+     * Coherence counts. Invalidation traffic is not attributable to
+     * the requesting CPU, so it is counted here rather than in the
+     * per-CPU CacheStats.
      */
-    sim::Counter *invalidations_;
-    sim::Counter *backInvalidations_;
-    sim::Counter *copybacksSupplied_;
-    sim::Counter fallbackCounters_[3];
+    std::uint64_t invalidations_ = 0;
+    std::uint64_t backInvalidations_ = 0;
+    std::uint64_t copybacksSupplied_ = 0;
 
     bool trackComm_ = false;
     stats::KeyCounts c2cPerLine_;

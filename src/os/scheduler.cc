@@ -8,16 +8,13 @@ namespace middlesim::os
 {
 
 Scheduler::Scheduler(unsigned total_cpus, unsigned app_cpus,
-                     sim::Tick rechoose, sim::MetricRegistry *metrics)
+                     sim::Tick rechoose, sim::EventJournal *journal)
     : totalCpus_(total_cpus), appCpus_(app_cpus),
       boundQueues_(total_cpus), modes_(total_cpus),
-      rechoose_(rechoose)
+      rechoose_(rechoose), journal_(journal)
 {
     if (app_cpus == 0 || app_cpus > total_cpus)
         fatal("scheduler: appCpus must be in [1, totalCpus]");
-    migrations_ = metrics ? &metrics->counter("os.sched.migrations")
-                          : &fallbackMigrations_;
-    journal_ = metrics ? &metrics->journal() : nullptr;
 }
 
 unsigned
@@ -104,7 +101,7 @@ Scheduler::pickFor(unsigned cpu, sim::Tick now, bool gc_active)
                 t.state = ThreadState::Running;
                 if (t.lastCpu >= 0 &&
                     t.lastCpu != static_cast<int>(cpu)) {
-                    ++*migrations_;
+                    ++migrations_;
                     if (traceSink_) {
                         traceSink_->annotation(
                             mem::TraceAnnotation::Migration, cpu, now,
@@ -258,7 +255,7 @@ Scheduler::resetAccounting()
     for (auto &m : modes_)
         m = ModeBreakdown();
     contextSwitches_ = 0;
-    migrations_->set(0);
+    migrations_ = 0;
 }
 
 } // namespace middlesim::os

@@ -40,12 +40,12 @@ class Scheduler
      *        on a non-home CPU only after waiting this many cycles in
      *        the run queue (Solaris ts_rechoose_interval). Preserves
      *        per-CPU cache affinity under frequent blocking.
-     * @param metrics registry for migration counting and journal
-     *        events; pass nullptr to count into a private fallback.
+     * @param journal where migrations are journaled (`sched.migrate`);
+     *        nullptr journals nothing.
      */
     Scheduler(unsigned total_cpus, unsigned app_cpus,
               sim::Tick rechoose = 1000000,
-              sim::MetricRegistry *metrics = nullptr);
+              sim::EventJournal *journal = nullptr);
 
     /** Register a thread; returns its tid. The program is borrowed. */
     unsigned addThread(exec::ThreadProgram *program, bool in_app_set,
@@ -123,6 +123,9 @@ class Scheduler
     std::uint64_t contextSwitches() const { return contextSwitches_; }
     void countContextSwitch() { ++contextSwitches_; }
 
+    /** Dispatches of a thread on a CPU other than its last one. */
+    std::uint64_t migrations() const { return migrations_; }
+
     /** Record migrations into a reference trace (nullptr detaches). */
     void setTraceSink(mem::TraceSink *sink) { traceSink_ = sink; }
 
@@ -155,9 +158,8 @@ class Scheduler
     std::uint64_t contextSwitches_ = 0;
     sim::Tick rechoose_;
 
-    sim::Counter *migrations_;
-    sim::Counter fallbackMigrations_;
-    sim::EventJournal *journal_ = nullptr;
+    std::uint64_t migrations_ = 0;
+    sim::EventJournal *journal_;
     mem::TraceSink *traceSink_ = nullptr;
     SchedObserver *observer_ = nullptr;
 };

@@ -1,10 +1,7 @@
 #include "sim/metrics.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
-
-#include "sim/log.hh"
 
 namespace middlesim::sim
 {
@@ -14,19 +11,11 @@ HistogramMetric::add(std::uint64_t x, std::uint64_t weight)
 {
     const unsigned bucket =
         x < 2 ? 0 : static_cast<unsigned>(std::bit_width(x)) - 1;
-    if (bucket >= buckets_.size())
-        buckets_.resize(bucket + 1, 0);
-    buckets_[bucket] += weight;
-    count_ += weight;
-    sum_ += x * weight;
-}
-
-void
-HistogramMetric::reset()
-{
-    buckets_.clear();
-    count_ = 0;
-    sum_ = 0;
+    if (bucket >= buckets.size())
+        buckets.resize(bucket + 1, 0);
+    buckets[bucket] += weight;
+    count += weight;
+    sum += x * weight;
 }
 
 void
@@ -137,7 +126,7 @@ MetricSnapshot::writeJson(std::ostream &os, int indent) const
     writeMap(os, "gauges", gauges, indent + 2, true,
              [&](double v) { os << formatDouble(v); });
     writeMap(os, "histograms", histograms, indent + 2, true,
-             [&](const HistogramData &h) {
+             [&](const HistogramMetric &h) {
                  os << "{\"count\": " << h.count << ", \"sum\": "
                     << h.sum << ", \"buckets\": [";
                  for (std::size_t b = 0; b < h.buckets.size(); ++b)
@@ -169,113 +158,6 @@ MetricSnapshot::writeJson(std::ostream &os, int indent) const
     if (!events.empty())
         os << '\n' << p << "  ";
     os << "]\n" << p << "}";
-}
-
-std::size_t
-MetricRegistry::slotFor(const std::string &name, Kind kind)
-{
-    auto it = kinds_.find(name);
-    if (it != kinds_.end()) {
-        if (it->second.first != kind) {
-            fatal("metric '", name,
-                  "' re-registered as a different kind");
-        }
-        return it->second.second;
-    }
-    std::size_t slot = 0;
-    switch (kind) {
-      case Kind::Counter:
-        slot = counters_.size();
-        counters_.emplace_back();
-        counterNames_.push_back(name);
-        break;
-      case Kind::Gauge:
-        slot = gauges_.size();
-        gauges_.emplace_back();
-        gaugeNames_.push_back(name);
-        break;
-      case Kind::Histogram:
-        slot = histograms_.size();
-        histograms_.emplace_back();
-        histogramNames_.push_back(name);
-        break;
-      case Kind::Series:
-        // period is patched by series(); slot creation only here.
-        slot = series_.size();
-        series_.emplace_back();
-        seriesNames_.push_back(name);
-        break;
-    }
-    kinds_.emplace(name, std::make_pair(kind, slot));
-    return slot;
-}
-
-Counter &
-MetricRegistry::counter(const std::string &name)
-{
-    return counters_[slotFor(name, Kind::Counter)];
-}
-
-Gauge &
-MetricRegistry::gauge(const std::string &name)
-{
-    return gauges_[slotFor(name, Kind::Gauge)];
-}
-
-HistogramMetric &
-MetricRegistry::histogram(const std::string &name)
-{
-    return histograms_[slotFor(name, Kind::Histogram)];
-}
-
-TimeSeries &
-MetricRegistry::series(const std::string &name, Tick period)
-{
-    const bool fresh = kinds_.find(name) == kinds_.end();
-    TimeSeries &s = series_[slotFor(name, Kind::Series)];
-    if (fresh)
-        s = TimeSeries(period);
-    return s;
-}
-
-MetricSnapshot
-MetricRegistry::snapshot() const
-{
-    MetricSnapshot snap;
-    for (std::size_t i = 0; i < counters_.size(); ++i)
-        snap.counters[counterNames_[i]] = counters_[i].value();
-    for (std::size_t i = 0; i < gauges_.size(); ++i)
-        snap.gauges[gaugeNames_[i]] = gauges_[i].value();
-    for (std::size_t i = 0; i < histograms_.size(); ++i) {
-        MetricSnapshot::HistogramData h;
-        h.count = histograms_[i].count();
-        h.sum = histograms_[i].sum();
-        h.buckets = histograms_[i].buckets();
-        snap.histograms[histogramNames_[i]] = std::move(h);
-    }
-    for (std::size_t i = 0; i < series_.size(); ++i) {
-        MetricSnapshot::SeriesData s;
-        s.period = series_[i].period();
-        s.values = series_[i].values();
-        snap.series[seriesNames_[i]] = std::move(s);
-    }
-    snap.events = journal_.events();
-    snap.eventsDropped = journal_.dropped();
-    return snap;
-}
-
-void
-MetricRegistry::reset()
-{
-    for (auto &c : counters_)
-        c.set(0);
-    for (auto &g : gauges_)
-        g.set(0.0);
-    for (auto &h : histograms_)
-        h.reset();
-    for (auto &s : series_)
-        s.reset();
-    journal_.reset();
 }
 
 } // namespace middlesim::sim

@@ -167,7 +167,7 @@ TEST(Serialize, SnapshotRoundTripIsExact)
     s.counters["a.c"] = 0;
     s.gauges["g.ratio"] = 1.0 / 3.0;
     s.gauges["g.neg"] = -0.0;
-    sim::MetricSnapshot::HistogramData h;
+    sim::HistogramMetric h;
     h.count = 3;
     h.sum = 12;
     h.buckets = {1, 0, 2};

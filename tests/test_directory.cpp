@@ -28,7 +28,9 @@
  *    streams;
  *  - livelock: two CPUs ping-ponging GetM on one block at minimum
  *    home occupancy terminate within kDirRetryBound (fail-fast
- *    `dir.livelock` on a nack-storm fault, never a hang);
+ *    `dir.livelock` on a nack-storm fault, never a hang), and a
+ *    whole machine's checker reports each break after the
+ *    measurement reset as it happens;
  *  - mesh routing: dimension-ordered XY route length equals Manhattan
  *    distance on randomized pairs, a W x 1 mesh degenerates to the
  *    ring, and the new topology/occupancy fields round-trip through
@@ -42,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "check/checker.hh"
 #include "check/shrink.hh"
 #include "core/cache.hh"
 #include "core/experiment.hh"
@@ -329,8 +332,7 @@ TEST(DirInject, DropInvalAckCaughtAndShrunk)
 
 TEST(DirNuma, SingleNodeHasNoRemoteTraffic)
 {
-    sim::MetricRegistry reg;
-    Hierarchy h(dirMachine(4, 2, 1), mem::LatencyModel{}, false, &reg);
+    Hierarchy h(dirMachine(4, 2, 1), mem::LatencyModel{}, false);
     sim::Rng rng(9);
     for (unsigned i = 0; i < 20000; ++i) {
         h.access({64 * rng.uniform(4096),
@@ -339,16 +341,16 @@ TEST(DirNuma, SingleNodeHasNoRemoteTraffic)
                   static_cast<unsigned>(rng.uniform(4))},
                  i);
     }
-    EXPECT_GT(reg.counter("mem.numa.local_misses").value(), 0u);
-    EXPECT_EQ(reg.counter("mem.numa.remote_misses").value(), 0u);
-    EXPECT_EQ(reg.counter("mem.numa.hops").value(), 0u);
-    EXPECT_GT(reg.counter("mem.dir.get_s").value(), 0u);
+    const mem::DirectoryStats &st = h.directory()->stats();
+    EXPECT_GT(st.localMisses, 0u);
+    EXPECT_EQ(st.remoteMisses, 0u);
+    EXPECT_EQ(st.hops, 0u);
+    EXPECT_GT(st.getS, 0u);
 }
 
 TEST(DirNuma, MultiNodeSplitsLocalRemote)
 {
-    sim::MetricRegistry reg;
-    Hierarchy h(dirMachine(8, 2, 4), mem::LatencyModel{}, false, &reg);
+    Hierarchy h(dirMachine(8, 2, 4), mem::LatencyModel{}, false);
     sim::Rng rng(10);
     for (unsigned i = 0; i < 20000; ++i) {
         h.access({64 * rng.uniform(4096),
@@ -357,12 +359,13 @@ TEST(DirNuma, MultiNodeSplitsLocalRemote)
                   static_cast<unsigned>(rng.uniform(8))},
                  i);
     }
-    const auto local = reg.counter("mem.numa.local_misses").value();
-    const auto remote = reg.counter("mem.numa.remote_misses").value();
+    const mem::DirectoryStats &st = h.directory()->stats();
+    const auto local = st.localMisses;
+    const auto remote = st.remoteMisses;
     // Block-interleaved homes: ~3/4 of misses land on remote nodes.
     EXPECT_GT(local, 0u);
     EXPECT_GT(remote, local);
-    EXPECT_GT(reg.counter("mem.numa.hops").value(), remote);
+    EXPECT_GT(st.hops, remote);
 }
 
 TEST(DirNuma, TopologyHelpers)
@@ -538,35 +541,29 @@ TEST(DirMesh, ChargeHopsSplitsAxesExactly)
         for (const unsigned nodes : node_counts) {
             SCOPED_TRACE(testing::Message()
                          << sim::toString(topo) << " " << nodes);
-            sim::MetricRegistry reg;
             const sim::MachineConfig m =
                 dirMachine(nodes, 1, nodes, topo, 1);
-            mem::DirectoryController dir(&reg);
-            dir.configure(m);
-            const sim::Counter &hops = reg.counter("mem.numa.hops");
-            const sim::Counter *x =
-                mesh ? &reg.counter("mem.numa.mesh.x_hops") : nullptr;
-            const sim::Counter *y =
-                mesh ? &reg.counter("mem.numa.mesh.y_hops") : nullptr;
+            mem::DirectoryController dir(m);
+            const mem::DirectoryStats &st = dir.stats();
             for (unsigned a = 0; a < nodes; ++a) {
                 for (unsigned b = 0; b < nodes; ++b) {
-                    const std::uint64_t h0 = hops.value();
-                    const std::uint64_t x0 = mesh ? x->value() : 0;
-                    const std::uint64_t y0 = mesh ? y->value() : 0;
+                    const std::uint64_t h0 = st.hops;
+                    const std::uint64_t x0 = st.meshXHops;
+                    const std::uint64_t y0 = st.meshYHops;
                     dir.chargeHops(a, b, 1);
-                    ASSERT_EQ(hops.value() - h0, hopsBetween(m, a, b))
+                    ASSERT_EQ(st.hops - h0, hopsBetween(m, a, b))
                         << a << "->" << b;
                     if (mesh) {
-                        ASSERT_EQ(x->value() - x0, meshHopsX(m, a, b))
+                        ASSERT_EQ(st.meshXHops - x0, meshHopsX(m, a, b))
                             << a << "->" << b;
-                        ASSERT_EQ(y->value() - y0, meshHopsY(m, a, b))
+                        ASSERT_EQ(st.meshYHops - y0, meshHopsY(m, a, b))
                             << a << "->" << b;
                     }
                 }
             }
             if (mesh && m.meshHeight() > 1) {
-                EXPECT_GT(x->value(), 0u);
-                EXPECT_GT(y->value(), 0u);
+                EXPECT_GT(st.meshXHops, 0u);
+                EXPECT_GT(st.meshYHops, 0u);
             }
         }
     }
@@ -585,8 +582,7 @@ TEST(DirMesh, CachedTopologyMatchesMachineConfig)
                          << sim::toString(topo) << " " << nodes);
             const sim::MachineConfig m =
                 dirMachine(4 * nodes, 2, nodes, topo);
-            mem::DirectoryController dir(nullptr);
-            dir.configure(m);
+            mem::DirectoryController dir(m);
             for (unsigned g = 0; g < m.numL2s(); ++g)
                 ASSERT_EQ(dir.nodeOfGroup(g), m.nodeOfGroup(g)) << g;
             for (mem::Addr block = 0; block < 64 * 1000; block += 64)
@@ -627,8 +623,7 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
             1 + static_cast<unsigned>(rng.uniform(3));
         const sim::MachineConfig m =
             dirMachine(8, 2, nodes, topo, occupancy);
-        mem::DirectoryController dir(nullptr);
-        dir.configure(m);
+        mem::DirectoryController dir(m);
         ASSERT_TRUE(dir.contended());
         ASSERT_EQ(dir.slotsPerHome(), occupancy);
 
@@ -653,8 +648,8 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
                         << "seed " << seed;
                     break;
                 }
-                dir.noteNack();
-                dir.noteRetry();
+                ++dir.stats().nacks;
+                ++dir.stats().retries;
                 t += mem::kDirNackBackoffBase
                      << std::min(attempt, mem::kDirNackBackoffCap);
             }
@@ -671,8 +666,9 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
         }
         // Every NACK in an honest run is followed by a retry, and
         // the budget was never exhausted.
-        EXPECT_EQ(dir.nacks(), dir.retries()) << "seed " << seed;
-        EXPECT_EQ(dir.livelockBreaks(), 0u) << "seed " << seed;
+        EXPECT_EQ(dir.stats().nacks, dir.stats().retries)
+            << "seed " << seed;
+        EXPECT_EQ(dir.stats().livelockBreaks, 0u) << "seed " << seed;
 
         // Eventual drain: after an idle epoch, a far-future request
         // is admitted instantly with no queue delay.
@@ -707,9 +703,8 @@ TEST(DirProperty, ContendedCountersAreDeterministic)
     // The contended plane must not perturb determinism: identical
     // runs yield identical occupancy/link/latency counters.
     const auto run_once = [] {
-        sim::MetricRegistry reg;
         Hierarchy h(dirMachine(8, 2, 4, sim::Topology::Mesh, 2),
-                    mem::LatencyModel{}, false, &reg);
+                    mem::LatencyModel{}, false);
         sim::Rng rng(77);
         for (unsigned i = 0; i < 20000; ++i) {
             h.access({64 * rng.uniform(4096),
@@ -718,6 +713,8 @@ TEST(DirProperty, ContendedCountersAreDeterministic)
                       static_cast<unsigned>(rng.uniform(8))},
                      i);
         }
+        sim::MetricSnapshot snap;
+        h.exportMetrics(snap);
         std::vector<std::uint64_t> vals;
         for (const char *name :
              {"mem.dir.nacks", "mem.dir.retries",
@@ -727,7 +724,7 @@ TEST(DirProperty, ContendedCountersAreDeterministic)
               "mem.numa.link.queue_delay", "mem.numa.mesh.x_hops",
               "mem.numa.mesh.y_hops", "mem.dir.lat.le_256",
               "mem.dir.lat.gt_4096"})
-            vals.push_back(reg.counter(name).value());
+            vals.push_back(snap.counters.at(name));
         return vals;
     };
     const auto first = run_once();
@@ -787,4 +784,49 @@ TEST(DirLivelock, NackStormInertWithoutOccupancy)
     plan.period = 1;
     EXPECT_EQ(check::violatedInvariant(h, pingPongStream(500), &plan),
               "");
+}
+
+TEST(DirLivelock, FirstBreakAfterMeasurementResetIsReported)
+{
+    // A whole contended-directory machine under a nack-storm breaks
+    // livelocks in the warmup and again after beginMeasurement(),
+    // which zeroes the break count. The collection-mode checker must
+    // report every measured break as it happens, not only once the
+    // measured breaks outnumber the warmup's.
+    core::ExperimentSpec spec;
+    spec.workload = core::WorkloadKind::SpecJbb;
+    spec.appCpus = 4;
+    spec.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    spec.numaNodes = 2;
+    spec.dirOccupancy = 1;
+    spec.seed = 5;
+    mem::FaultPlan plan;
+    plan.kind = mem::FaultPlan::Kind::NackStorm;
+    plan.period = 16;
+    core::BuiltWorkload workload;
+    auto system = core::buildSystem(spec, workload);
+    check::CheckOptions opts;
+    opts.failFast = false;
+    system->enableChecking(opts);
+    system->memory().setFaultPlan(&plan);
+    const check::CheckReport &report = system->checker()->report();
+    const auto breaks = [&] {
+        return system->memory().directory()->stats().livelockBreaks;
+    };
+
+    system->run(2'000'000);
+    const std::uint64_t warm = breaks();
+    ASSERT_GT(warm, 0u);
+    EXPECT_EQ(report.totalViolations(), warm);
+
+    system->beginMeasurement();
+    ASSERT_EQ(breaks(), 0u);
+    system->run(500'000);
+    const std::uint64_t measured = breaks();
+    // The case a running total misses: fewer breaks than the warmup.
+    ASSERT_GT(measured, 0u);
+    ASSERT_LT(measured, warm);
+    EXPECT_EQ(report.totalViolations() - warm, measured);
+    for (const check::Violation &v : report.violations())
+        EXPECT_EQ(v.invariant, "dir.livelock") << v.detail;
 }

@@ -6,11 +6,16 @@
  * metrics JSON document is compared byte-for-byte (after newline
  * normalization) against a checked-in golden file. Any change to the
  * simulation that shifts a counter shows up as a readable diff here.
+ * Figures that simulate the same points as another share its file:
+ * fig05-fig09 run fig04's grid, fig13 fig12's sweeps and fig15
+ * fig14's communication runs, so their points are rendered under the
+ * shared document's id and compared against that one file.
  *
  * Regenerating after an intentional behavior change:
  *
  *     MIDDLESIM_REGEN_GOLDEN=1 ctest -R Golden
  *
+ * (a figure sharing another's file skips; the owner rewrites it),
  * then inspect `git diff tests/golden/` and commit the new corpus.
  */
 
@@ -89,21 +94,29 @@ diffReport(const std::vector<std::string> &want,
     return os.str();
 }
 
+/**
+ * Run `id`'s harness and compare its document against the golden file
+ * of `golden` (the figure whose points it shares; its own by default).
+ */
 void
 checkFigure(const std::string &id,
-            core::FigureResult (*harness)(const core::FigureOptions &))
+            core::FigureResult (*harness)(const core::FigureOptions &),
+            const std::string &golden = "")
 {
     const core::FigureResult fig = harness(goldenOptions());
     ASSERT_EQ(fig.id, id);
     ASSERT_FALSE(fig.metricsByPoint.empty())
         << id << " produced no metric snapshots";
 
+    const std::string file_id = golden.empty() ? id : golden;
     std::ostringstream actual_os;
-    core::writeMetricsJson(actual_os, fig.id, fig.metricsByPoint);
+    core::writeMetricsJson(actual_os, file_id, fig.metricsByPoint);
     const std::string actual = actual_os.str();
 
-    const std::string path = goldenPath(id);
+    const std::string path = goldenPath(file_id);
     if (std::getenv("MIDDLESIM_REGEN_GOLDEN")) {
+        if (file_id != id)
+            GTEST_SKIP() << id << " shares " << path << " with " << file_id;
         std::ofstream out(path);
         ASSERT_TRUE(out) << "cannot write " << path;
         out << actual;
@@ -121,6 +134,9 @@ checkFigure(const std::string &id,
     EXPECT_EQ(want, got)
         << id << " metrics diverged from " << path << ":\n"
         << diffReport(want, got)
+        << (file_id != id ? id + " no longer simulates " + file_id +
+                                "'s points; give it its own file.\n"
+                          : "")
         << "If the change is intentional, regenerate with\n"
         << "  MIDDLESIM_REGEN_GOLDEN=1 ctest -R Golden\n"
         << "and commit the updated corpus.";
@@ -129,15 +145,15 @@ checkFigure(const std::string &id,
 } // namespace
 
 TEST(GoldenCorpus, Fig04) { checkFigure("fig04", core::runFig04); }
-TEST(GoldenCorpus, Fig05) { checkFigure("fig05", core::runFig05); }
-TEST(GoldenCorpus, Fig06) { checkFigure("fig06", core::runFig06); }
-TEST(GoldenCorpus, Fig07) { checkFigure("fig07", core::runFig07); }
-TEST(GoldenCorpus, Fig08) { checkFigure("fig08", core::runFig08); }
-TEST(GoldenCorpus, Fig09) { checkFigure("fig09", core::runFig09); }
+TEST(GoldenCorpus, Fig05) { checkFigure("fig05", core::runFig05, "fig04"); }
+TEST(GoldenCorpus, Fig06) { checkFigure("fig06", core::runFig06, "fig04"); }
+TEST(GoldenCorpus, Fig07) { checkFigure("fig07", core::runFig07, "fig04"); }
+TEST(GoldenCorpus, Fig08) { checkFigure("fig08", core::runFig08, "fig04"); }
+TEST(GoldenCorpus, Fig09) { checkFigure("fig09", core::runFig09, "fig04"); }
 TEST(GoldenCorpus, Fig10) { checkFigure("fig10", core::runFig10); }
 TEST(GoldenCorpus, Fig11) { checkFigure("fig11", core::runFig11); }
 TEST(GoldenCorpus, Fig12) { checkFigure("fig12", core::runFig12); }
-TEST(GoldenCorpus, Fig13) { checkFigure("fig13", core::runFig13); }
+TEST(GoldenCorpus, Fig13) { checkFigure("fig13", core::runFig13, "fig12"); }
 TEST(GoldenCorpus, Fig14) { checkFigure("fig14", core::runFig14); }
-TEST(GoldenCorpus, Fig15) { checkFigure("fig15", core::runFig15); }
+TEST(GoldenCorpus, Fig15) { checkFigure("fig15", core::runFig15, "fig14"); }
 TEST(GoldenCorpus, Fig16) { checkFigure("fig16", core::runFig16); }

@@ -208,13 +208,18 @@ TEST(Bus, ContentionDisabled)
 // per-CPU private pool and a cold pool drives Hierarchy::access on
 // five geometries. Every AccessResult, the final per-CPU CacheStats,
 // the region counters, the communication-tracking state and the
-// metric registry fold into one FNV-1a digest per geometry. The
-// constants were recorded before the per-block metadata moved into
-// one inline record, so any change to the simulated behaviour of
-// either protocol shows up here. Further rows rerun two geometries
-// with a FaultPlan armed (period 3, every group), pinning the fault
-// branches of the claim, fetch and invalidation steps; they were
-// recorded before both protocols shared one L2 access path.
+// hierarchy's exported metrics (Hierarchy::exportMetrics) fold into
+// one FNV-1a digest per geometry. The constants were recorded before
+// the per-block metadata moved into one inline record, so any change
+// to the simulated behaviour of either protocol shows up here.
+// Further rows rerun two geometries with a FaultPlan armed (period 3,
+// every group), pinning the fault branches of the claim, fetch and
+// invalidation steps; they were recorded before both protocols shared
+// one L2 access path. Two more rows, a contended ring and a
+// contention-free mesh, pin the metric names each exports only on
+// that machine (the contended set without the mesh split, and the
+// mesh split alone); they were recorded while the counters still
+// lived in a metric registry.
 // ---------------------------------------------------------------------
 
 namespace
@@ -257,8 +262,7 @@ hierarchyDigest(const DigestGeometry &g)
     m.l1d = {1024, 2, 64};
     m.l2 = {8192, 4, 64};
 
-    sim::MetricRegistry reg;
-    Hierarchy h(m, mem::LatencyModel{}, true, &reg);
+    Hierarchy h(m, mem::LatencyModel{}, true);
     mem::FaultPlan plan;
     plan.kind = g.fault;
     plan.period = 3;
@@ -314,8 +318,10 @@ hierarchyDigest(const DigestGeometry &g)
         putWord(buf, count);
     }
     putWord(buf, h.touchedLines());
+    sim::MetricSnapshot snap;
+    h.exportMetrics(snap);
     std::ostringstream json;
-    reg.snapshot().writeJson(json);
+    snap.writeJson(json);
     buf += json.str();
     return sim::fnv1a64(buf);
 }
@@ -334,6 +340,12 @@ TEST(HierarchyDigest, PerAccessResultsArePinned)
         {"dir-64-ring", 64, 1, CoherenceProtocol::DirectoryMesi, 8,
          Topology::Ring, 0, false, false, Fault::None,
          0x2ea4e73cd2a3241eULL},
+        {"dir-64-ring-occ2", 64, 1, CoherenceProtocol::DirectoryMesi, 8,
+         Topology::Ring, 2, false, false, Fault::None,
+         0x5b054a829421867cULL},
+        {"dir-96-mesh3x2", 96, 1, CoherenceProtocol::DirectoryMesi, 6,
+         Topology::Mesh, 0, true, false, Fault::None,
+         0x9985fd6815b85d67ULL},
         {"dir-96-mesh3x2-occ2", 96, 1, CoherenceProtocol::DirectoryMesi,
          6, Topology::Mesh, 2, true, false, Fault::None,
          0x559c0d8eac426b8cULL},

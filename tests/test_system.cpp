@@ -231,6 +231,62 @@ TEST(System, MeasurementResetsStatistics)
     EXPECT_EQ(sys->measuredTicks(), 0u);
 }
 
+TEST(System, MeasurementZeroesTheLiveMetrics)
+{
+    // The counts that move on every access or allocation (coherence,
+    // directory, scheduler migrations, JVM allocation) are plain
+    // fields the layers' resets zero; beginMeasurement() must reach
+    // every one, and clear the journal and the series samples, while
+    // each machine keeps exporting the same names.
+    ExperimentSpec spec = tinySpec(WorkloadKind::SpecJbb, 4);
+    spec.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    spec.numaNodes = 4;
+    spec.topology = sim::Topology::Mesh;
+    spec.dirOccupancy = 2;
+    BuiltWorkload w;
+    auto sys = core::buildSystem(spec, w);
+    sys->run(3'000'000);
+    const sim::MetricSnapshot warm = core::collectMetrics(*sys, spec, w);
+    sys->beginMeasurement();
+    const sim::MetricSnapshot zero = core::collectMetrics(*sys, spec, w);
+
+    std::vector<std::string> live = {
+        "mem.coherence.invalidations",
+        "mem.coherence.l1_back_invalidations",
+        "mem.coherence.copybacks_supplied",
+        "os.sched.migrations",
+        "jvm.alloc.bytes",
+        "jvm.tlab.refills",
+    };
+    const auto add = [&](const auto &table) {
+        for (const auto &[name, counter] : table)
+            live.push_back(name);
+    };
+    add(mem::DirectoryStats::counters);
+    add(mem::DirectoryStats::meshCounters);
+    add(mem::DirectoryStats::contendedCounters);
+    for (const char *name : mem::DirectoryStats::missLatencyNames)
+        live.push_back(name);
+    for (const std::string &name : live) {
+        ASSERT_TRUE(warm.counters.count(name)) << name;
+        EXPECT_EQ(zero.counters.at(name), 0u) << name;
+    }
+    EXPECT_GT(warm.counters.at("mem.coherence.invalidations"), 0u);
+    EXPECT_GT(warm.counters.at("mem.dir.nacks"), 0u);
+    EXPECT_GT(warm.counters.at("mem.numa.mesh.y_hops"), 0u);
+    EXPECT_GT(warm.counters.at("jvm.alloc.bytes"), 0u);
+
+    EXPECT_EQ(zero.histograms.at("jvm.gc.pause_kcycles").count, 0u);
+    ASSERT_EQ(zero.series.size(), 3u);
+    for (const auto &[name, data] : zero.series) {
+        EXPECT_FALSE(warm.series.at(name).values.empty()) << name;
+        EXPECT_TRUE(data.values.empty()) << name;
+        EXPECT_EQ(data.period, warm.series.at(name).period) << name;
+    }
+    EXPECT_TRUE(zero.events.empty());
+    EXPECT_EQ(zero.eventsDropped, 0u);
+}
+
 TEST(System, GarbageCollectionsHappen)
 {
     ExperimentSpec spec = tinySpec(WorkloadKind::SpecJbb, 4);
