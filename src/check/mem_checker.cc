@@ -55,7 +55,7 @@ mem::CoherenceState
 MemChecker::actualState(unsigned group, mem::Addr block) const
 {
     const mem::CacheLine *line = h_.l2Array(group).find(block);
-    return line ? line->state : CoherenceState::Invalid;
+    return line ? line->state() : CoherenceState::Invalid;
 }
 
 void
@@ -529,16 +529,16 @@ MemChecker::auditFull(sim::Tick now)
     std::unordered_map<mem::Addr, Agg> blocks;
     for (unsigned g = 0; g < groups_; ++g) {
         h_.l2Array(g).forEach([&](const mem::CacheLine &line) {
-            const auto [it, fresh] = blocks.try_emplace(line.tag);
+            const auto [it, fresh] = blocks.try_emplace(line.tag());
             Agg &a = it->second;
             if (fresh)
                 a.valid = SharerSet(groups_);
             a.valid.set(g);
-            if (mem::isOwner(line.state))
+            if (mem::isOwner(line.state()))
                 ++a.owners;
-            if (mem::suppliesDataOnForward(line.state))
+            if (mem::suppliesDataOnForward(line.state()))
                 ++a.soles;
-            if (line.state == CoherenceState::Modified)
+            if (line.state() == CoherenceState::Modified)
                 a.modified = true;
         });
     }
@@ -621,11 +621,11 @@ MemChecker::auditFull(sim::Tick now)
         const auto checkL1 = [&](const mem::CacheArray &l1,
                                  const char *which) {
             l1.forEach([&](const mem::CacheLine &line) {
-                if (!h_.l2Array(g).find(line.tag)) {
+                if (!h_.l2Array(g).find(line.tag())) {
                     report_.violate("incl.l1-without-l2",
                         formatMessage("audit: cpu ", c, " ", which,
                                       " caches block 0x", std::hex,
-                                      line.tag, std::dec,
+                                      line.tag(), std::dec,
                                       " absent from L2 group ", g),
                         now);
                 }

@@ -275,7 +275,8 @@ replayTraceSharing(trace::TraceReader &reader,
 
     // hierarchyFor() can fatal(), which exits the process: build every
     // hierarchy here, never on a worker. Each table then grows on a
-    // worker of its own, so it maps its arrays (mem::TableWords).
+    // worker of its own, so its slot array moves into a mapping and
+    // doubles by remapping (mem::TableWords).
     std::vector<std::unique_ptr<mem::Hierarchy>> hierarchies;
     std::vector<trace::ReplayFrontend> frontends;
     for (unsigned degree : degrees) {

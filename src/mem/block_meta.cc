@@ -1,42 +1,56 @@
 #include "mem/block_meta.hh"
 
+#include <cstdlib>
 #include <new>
 
 #include <sys/mman.h>
-#include <unistd.h>
 
 namespace middlesim::mem
 {
 
-TableWords::TableWords(std::size_t words, bool mapped)
-    : n_(words), mapped_(mapped)
+TableWords::TableWords(std::size_t words)
+    : p_(static_cast<std::uint64_t *>(
+          std::calloc(words, sizeof(std::uint64_t)))),
+      n_(words)
 {
-    if (!mapped_) {
-        p_ = new std::uint64_t[words]();
-        return;
-    }
-    // Anonymous mappings read as zero.
-    void *p = mmap(nullptr, words * sizeof(std::uint64_t),
-                   PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED)
+    if (!p_)
         throw std::bad_alloc();
-    p_ = static_cast<std::uint64_t *>(p);
 }
 
 void
-TableWords::releaseFront(std::size_t words)
+TableWords::grow()
 {
-    if (!mapped_)
+    const std::size_t bytes = n_ * sizeof(std::uint64_t);
+    void *p;
+    if (mapped_) {
+        // The kernel moves the pages; the grown tail reads as zero.
+        p = mremap(p_, bytes, 2 * bytes, MREMAP_MAYMOVE);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+    } else {
+        p = std::realloc(p_, 2 * bytes);
+        if (!p)
+            throw std::bad_alloc();
+        std::memset(static_cast<char *>(p) + bytes, 0, bytes);
+    }
+    p_ = static_cast<std::uint64_t *>(p);
+    n_ *= 2;
+}
+
+void
+TableWords::map()
+{
+    if (mapped_)
         return;
-    static const std::size_t page =
-        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    const std::size_t end = words * sizeof(std::uint64_t) / page * page;
-    if (end <= released_)
-        return;
-    // Advice only: pages it fails to drop go with the whole mapping.
-    madvise(reinterpret_cast<char *>(p_) + released_, end - released_,
-            MADV_DONTNEED);
-    released_ = end;
+    const std::size_t bytes = n_ * sizeof(std::uint64_t);
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    std::memcpy(p, p_, bytes);
+    std::free(p_);
+    p_ = static_cast<std::uint64_t *>(p);
+    mapped_ = true;
 }
 
 TableWords::~TableWords()
@@ -44,7 +58,7 @@ TableWords::~TableWords()
     if (mapped_)
         munmap(p_, n_ * sizeof(std::uint64_t));
     else
-        delete[] p_;
+        std::free(p_);
 }
 
 } // namespace middlesim::mem

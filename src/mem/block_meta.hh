@@ -27,18 +27,21 @@
  * erased (blocks keep their cold/coherence history for the lifetime
  * of the run); the whole table is cleared only on invalidateAll().
  *
- * The slot array is a TableWords: from the heap, or mapped from the
- * kernel once mapNewArrays() has been called.
+ * The slot array is one TableWords, doubled in place: from the heap,
+ * or mapped from the kernel once mapNewArrays() has been called. A
+ * doubling rehashes inside the doubled array, so a table never holds
+ * two slot arrays at once.
  */
 
 #ifndef MEM_BLOCK_META_HH
 #define MEM_BLOCK_META_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
-#include <utility>
+#include <vector>
 
 #include "mem/memref.hh"
 #include "mem/sharer_set.hh"
@@ -52,45 +55,30 @@ namespace middlesim::mem
 inline constexpr unsigned kMaxGroupWords = 16;
 
 /**
- * A table's zeroed slot array, from the heap or mapped from the kernel
- * and unmapped when freed. A doubling hands a mapped old array back
- * stretch by stretch as its rehash passes (releaseFront()).
+ * A table's zeroed slot array, from the heap or mapped from the
+ * kernel, doubled in place: realloc() grows a heap array and mremap()
+ * a mapped one, so growing never holds an old and a new array at
+ * once.
  *
  * The heap suits a thread that builds table after table: glibc keeps
  * a freed array and the next table reuses its pages. Mapping every
- * array of 1 MB or more made run_all and fig_manycore 16-17% slower
- * at --jobs=4 on a 4-vCPU VM, because each doubling faulted in fresh
- * pages. Mapping suits tables that grow at the same time, each on a
- * short-lived thread of its own, as in the parallel sharing replay
- * (core::replayTraceSharing): from the heap, their doubled-away arrays
- * stayed resident in the threads' malloc arenas and raised the peak
- * RSS of perfbench's ecperf-trace by 13%.
+ * array of 1 MB or more, when a doubling still copied into a fresh
+ * array, made run_all and fig_manycore 16-17% slower at --jobs=4 on a
+ * 4-vCPU VM, because the fresh pages had to be faulted in. Mapping
+ * suits tables that grow at the same time, each on a short-lived
+ * thread of its own, as in the parallel sharing replay
+ * (core::replayTraceSharing): there, with heap arrays, perfbench's
+ * ecperf-trace peaked at 76.8-78.9 MB against 71.3-71.4 MB mapped.
  */
 class TableWords
 {
   public:
-    TableWords() = default;
-    /** `words` zeroed words, mapped when `mapped`, else from the heap. */
-    TableWords(std::size_t words, bool mapped);
+    /** `words` zeroed words from the heap. */
+    explicit TableWords(std::size_t words);
     ~TableWords();
 
-    TableWords(TableWords &&other) noexcept { swap(other); }
-
-    TableWords &
-    operator=(TableWords &&other) noexcept
-    {
-        swap(other);
-        return *this;
-    }
-
-    void
-    swap(TableWords &other) noexcept
-    {
-        std::swap(p_, other.p_);
-        std::swap(n_, other.n_);
-        std::swap(mapped_, other.mapped_);
-        std::swap(released_, other.released_);
-    }
+    TableWords(const TableWords &) = delete;
+    TableWords &operator=(const TableWords &) = delete;
 
     std::size_t size() const { return n_; }
     std::uint64_t *data() { return p_; }
@@ -98,18 +86,18 @@ class TableWords
     const std::uint64_t &operator[](std::size_t i) const { return p_[i]; }
 
     /**
-     * Hand the whole pages among the first `words` words back to the
-     * kernel; the caller reads none of them again. Only a mapped
-     * array shrinks: heap memory stays until the array is freed.
+     * Double the array: the lower half keeps its words, the upper
+     * half reads zero.
      */
-    void releaseFront(std::size_t words);
+    void grow();
+
+    /** Move the array into a mapping from the kernel (once). */
+    void map();
 
   private:
-    std::uint64_t *p_ = nullptr;
-    std::size_t n_ = 0;
+    std::uint64_t *p_;
+    std::size_t n_;
     bool mapped_ = false;
-    /** Bytes at the front already handed back. */
-    std::size_t released_ = 0;
 };
 
 /**
@@ -226,15 +214,13 @@ class BlockMetaTable
     BlockMetaTable(unsigned num_groups, bool directory,
                    std::size_t initial_slots = kInitialSlots)
         : w_((num_groups + 63) / 64),
-          slotWords_(2 + 3 * w_ + (directory ? w_ + 1 : 0))
+          slotWords_(2 + 3 * w_ + (directory ? w_ + 1 : 0)),
+          words_(std::bit_ceil(std::max<std::size_t>(initial_slots, 16)) *
+                 slotWords_),
+          mask_(words_.size() / slotWords_ - 1)
     {
         sim_assert(num_groups > 0 && w_ <= kMaxGroupWords,
                    "block records hold 1 to 64 * kMaxGroupWords groups");
-        std::size_t cap = 16;
-        while (cap < initial_slots)
-            cap <<= 1;
-        words_ = TableWords(cap * slotWords_, false);
-        mask_ = cap - 1;
     }
 
     /** Find-or-insert; the view is valid until the next insert. */
@@ -275,10 +261,11 @@ class BlockMetaTable
     }
 
     /**
-     * Map every later slot array from the kernel (see TableWords), for
-     * a table that grows on a short-lived thread of its own.
+     * Move the slot array into a mapping from the kernel now, so every
+     * later doubling remaps it (see TableWords), for a table that
+     * grows on a short-lived thread of its own.
      */
-    void mapNewArrays() { mapArrays_ = true; }
+    void mapNewArrays() { words_.map(); }
 
     /** Drop every record (the capacity stays). */
     void
@@ -310,9 +297,6 @@ class BlockMetaTable
     }
 
   private:
-    /** Words rehashed between two releases of the old array. */
-    static constexpr std::size_t kRehashStretchWords = 32768;
-
     /** Claim the empty `slot` for `block`, growing first if full. */
     std::uint64_t *
     insert(Addr block, std::uint64_t *slot)
@@ -348,28 +332,40 @@ class BlockMetaTable
         }
     }
 
+    /**
+     * Double the slot array and rehash it in place. A record after the
+     * first empty slot sits no earlier than its home slot, so under
+     * the doubled mask it moves back towards its home, into the new
+     * upper half, or around the end into the cleared front, and never
+     * past a record not yet moved: moving them in slot order keeps
+     * every probe run whole. The leading run before that empty slot
+     * may have wrapped around the end, so it is set aside first and
+     * reinserted last.
+     */
     void
     grow()
     {
-        TableWords old(2 * words_.size(), mapArrays_);
-        old.swap(words_);
+        const std::size_t old_words = words_.size();
+        words_.grow();
         mask_ = 2 * mask_ + 1;
-        // The old array goes back stretch by stretch as the rehash
-        // passes, so tables doubling at once on several threads never
-        // hold both of their arrays whole.
-        const std::size_t stretch =
-            kRehashStretchWords / slotWords_ * slotWords_;
-        for (std::size_t begin = 0; begin < old.size(); begin += stretch) {
-            const std::size_t end = std::min(old.size(), begin + stretch);
-            for (std::size_t i = begin; i < end; i += slotWords_) {
-                if (old[i] == 0)
-                    continue;
-                std::uint64_t *slot = probe(~old[i]);
-                std::memcpy(slot, &old[i],
-                            slotWords_ * sizeof(std::uint64_t));
-            }
-            old.releaseFront(end);
+        std::size_t lead = 0;
+        while (words_[lead] != 0)
+            lead += slotWords_;
+        const std::vector<std::uint64_t> leading(words_.data(),
+                                                 words_.data() + lead);
+        std::memset(words_.data(), 0, lead * sizeof(std::uint64_t));
+        for (std::size_t i = lead + slotWords_; i < old_words;
+             i += slotWords_) {
+            if (words_[i] == 0)
+                continue;
+            std::uint64_t *slot = probe(~words_[i]);
+            if (slot == &words_[i])
+                continue;
+            std::memcpy(slot, &words_[i], slotBytes());
+            std::memset(&words_[i], 0, slotBytes());
         }
+        for (std::size_t i = 0; i < lead; i += slotWords_)
+            std::memcpy(probe(~leading[i]), &leading[i], slotBytes());
     }
 
     /** Words per sharer vector. */
@@ -377,10 +373,8 @@ class BlockMetaTable
     /** Words per slot: key, flags/owner, vectors, directory fields. */
     unsigned slotWords_;
     TableWords words_;
-    std::size_t mask_ = 0;
+    std::size_t mask_;
     std::size_t size_ = 0;
-    /** Whether grow() maps its new array. */
-    bool mapArrays_ = false;
 };
 
 } // namespace middlesim::mem

@@ -21,16 +21,57 @@
 namespace middlesim::mem
 {
 
-/** One cache line's bookkeeping. */
-struct CacheLine
+/**
+ * One cache line's bookkeeping in 16 bytes: the block address, which
+ * carries the coherence state in its low 3 bits (a block is at least
+ * sim::kMinBlockBytes, so those bits of its address are zero), and
+ * the LRU stamp. An invalidated line keeps its tag.
+ */
+class CacheLine
 {
-    Addr tag = 0;
-    CoherenceState state = CoherenceState::Invalid;
+  public:
+    /** The state's bits of the tag word. */
+    static constexpr Addr kStateMask = 7;
+
     /** LRU stamp; larger = more recently used. */
     std::uint64_t lru = 0;
 
-    bool valid() const { return state != CoherenceState::Invalid; }
+    /** Block-aligned address of the cached block. */
+    Addr tag() const { return tagState_ & ~kStateMask; }
+
+    CoherenceState
+    state() const
+    {
+        return static_cast<CoherenceState>(tagState_ & kStateMask);
+    }
+
+    void
+    setState(CoherenceState s)
+    {
+        tagState_ = tag() | static_cast<Addr>(s);
+    }
+
+    bool valid() const { return (tagState_ & kStateMask) != 0; }
+
+    /** Valid and caching `block` (block-aligned): one compare. */
+    bool
+    holds(Addr block) const
+    {
+        // Equal tags leave only the state bits, nonzero when valid.
+        return (tagState_ ^ block) - 1 < kStateMask;
+    }
+
+  private:
+    friend class CacheArray;
+
+    Addr tagState_ = 0;
 };
+
+static_assert(sizeof(CacheLine) == 16, "a cache line is two words");
+static_assert(CacheLine::kStateMask < sim::kMinBlockBytes &&
+                  static_cast<Addr>(CoherenceState::Exclusive) <=
+                      CacheLine::kStateMask,
+              "every state fits below the smallest block's offset bits");
 
 /** Set-associative tag array. */
 class CacheArray
@@ -57,11 +98,11 @@ class CacheArray
         const std::uint64_t set = setIndex(addr);
         const std::uint64_t base = set * params_.assoc;
         CacheLine &hinted = lines_[base + mruWay_[set]];
-        if (hinted.tag == block && hinted.valid())
+        if (hinted.holds(block))
             return &hinted;
         for (unsigned w = 0; w < params_.assoc; ++w) {
             CacheLine &line = lines_[base + w];
-            if (line.tag == block && line.valid()) {
+            if (line.holds(block)) {
                 mruWay_[set] = static_cast<std::uint8_t>(w);
                 return &line;
             }
@@ -107,8 +148,7 @@ class CacheArray
     {
         sim_assert(state != CoherenceState::Invalid,
                    "installing an invalid line");
-        frame.tag = blockAddr(addr);
-        frame.state = state;
+        frame.tagState_ = blockAddr(addr) | static_cast<Addr>(state);
         rememberWay(addr, frame);
         touch(frame);
     }
@@ -124,8 +164,7 @@ class CacheArray
     {
         sim_assert(state != CoherenceState::Invalid,
                    "installing an invalid line");
-        frame.tag = blockAddr(addr);
-        frame.state = state;
+        frame.tagState_ = blockAddr(addr) | static_cast<Addr>(state);
         frame.lru = 0;
     }
 

@@ -107,7 +107,7 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
         CacheLine *peer = l2_[g].find(block);
         sim_assert(peer || fault_,
                    "directory sharer vector out of sync (invalidate)");
-        if (want_data && peer && suppliesDataOnForward(peer->state)) {
+        if (want_data && peer && suppliesDataOnForward(peer->state())) {
             // Forward-with-invalidate: the sole-copy holder sends its
             // data straight to the requester before dying.
             supplied = true;
@@ -192,19 +192,19 @@ Hierarchy::dirFetch(Addr block, unsigned group, bool want_write,
             CacheLine *peer = l2_[og].find(block);
             sim_assert(peer || fault_,
                        "directory owner out of sync (forward)");
-            if (peer && suppliesDataOnForward(peer->state)) {
+            if (peer && suppliesDataOnForward(peer->state())) {
                 peer_supplied = true;
                 forwarder = owner;
                 ++ds.forwards;
                 ++copybacksSupplied_;
-                if (peer->state == CoherenceState::Modified) {
+                if (peer->state() == CoherenceState::Modified) {
                     // MESI has no Owned: the dirty block also goes
                     // back to the home on the downgrade.
                     ++ds.writebacksToHome;
                 }
                 if (!faultFires(FaultPlan::Kind::KeepOwnerOnSnoop,
                                 block, og)) {
-                    peer->state = CoherenceState::Shared;
+                    peer->setState(CoherenceState::Shared);
                 }
             }
             // The home records the downgrade either way.
@@ -248,7 +248,7 @@ Hierarchy::dirHandlePut(unsigned group, const CacheLine &victim,
                         LineMeta meta)
 {
     ++dir_->stats().putNotices;
-    if (victim.state == CoherenceState::Modified)
+    if (victim.state() == CoherenceState::Modified)
         ++dir_->stats().writebacksToHome;
     if (meta.owner() == static_cast<std::int32_t>(group))
         meta.setOwner(-1);

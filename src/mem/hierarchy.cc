@@ -135,13 +135,13 @@ Hierarchy::l2Access(const MemRef &ref, sim::Tick now)
         recordTouched(meta_[block]);
 
     CacheLine *line = l2.find(ref.addr);
-    if (line && (!want_write || canWrite(line->state) ||
-                 line->state == CoherenceState::Exclusive)) {
+    if (line && (!want_write || canWrite(line->state()) ||
+                 line->state() == CoherenceState::Exclusive)) {
         // A write to Exclusive is the directory's silent upgrade: no
         // message leaves the node (MOSI never grants Exclusive). A
         // block store streams into the line without promoting it.
         if (want_write)
-            line->state = CoherenceState::Modified;
+            line->setState(CoherenceState::Modified);
         if (!block_store)
             l2.touch(*line);
         ++st.l2Hits;
@@ -157,7 +157,7 @@ Hierarchy::l2Access(const MemRef &ref, sim::Tick now)
             dir_ ? dirClaim(block, group, line != nullptr, meta, now)
                  : snoopClaim(block, group, meta, now);
         if (line) {
-            line->state = CoherenceState::Modified;
+            line->setState(CoherenceState::Modified);
             l2.touch(*line);
         } else {
             meta.everCached().set(group);
@@ -238,7 +238,7 @@ Hierarchy::snoopFetch(Addr block, unsigned group, bool want_write,
     peers.bits().forEachSetExcept(group, [&](unsigned g) {
         CacheLine *peer = l2_[g].find(block);
         sim_assert(peer, "presence mask out of sync (snoop)");
-        if (isOwner(peer->state)) {
+        if (isOwner(peer->state())) {
             peer_supplied = true;
             ++copybacksSupplied_;
         }
@@ -247,7 +247,7 @@ Hierarchy::snoopFetch(Addr block, unsigned group, bool want_write,
                 invalidateForRemoteWrite(g, *peer, meta);
         } else if (!faultFires(FaultPlan::Kind::KeepOwnerOnSnoop, block,
                                g)) {
-            peer->state = peerAfterGetS(peer->state);
+            peer->setState(peerAfterGetS(peer->state()));
         }
     });
     const sim::Tick queue = bus_.acquire(now, lat_.busOccupancy);
@@ -285,12 +285,12 @@ void
 Hierarchy::evictLine(unsigned group, CacheLine &victim, unsigned req_cpu,
                      sim::Tick now)
 {
-    if (needsWriteback(victim.state)) {
+    if (needsWriteback(victim.state())) {
         ++stats_[req_cpu].writebacks;
         if (!dir_)
             bus_.acquire(now, lat_.busOccupancy);
     }
-    const LineMeta meta = meta_.find(victim.tag);
+    const LineMeta meta = meta_.find(victim.tag());
     sim_assert(meta, "evicting a line with no metadata");
     // Replacements notify the home so the sharer vector stays exact.
     if (dir_)
@@ -298,8 +298,8 @@ Hierarchy::evictLine(unsigned group, CacheLine &victim, unsigned req_cpu,
     // Record replacement (not invalidation) as the removal cause.
     meta.invalidated().clear(group);
     meta.presence().clear(group);
-    backInvalidateL1s(group, victim.tag);
-    victim.state = CoherenceState::Invalid;
+    backInvalidateL1s(group, victim.tag());
+    victim.setState(CoherenceState::Invalid);
 }
 
 void
@@ -309,8 +309,8 @@ Hierarchy::invalidateForRemoteWrite(unsigned group, CacheLine &line,
     ++invalidations_;
     meta.invalidated().set(group);
     meta.presence().clear(group);
-    backInvalidateL1s(group, line.tag);
-    line.state = CoherenceState::Invalid;
+    backInvalidateL1s(group, line.tag());
+    line.setState(CoherenceState::Invalid);
 }
 
 void
@@ -322,11 +322,11 @@ Hierarchy::backInvalidateL1s(unsigned group, Addr block)
     const unsigned last = first + cfg_.cpusPerL2;
     for (unsigned c = first; c < last && c < cfg_.totalCpus; ++c) {
         if (CacheLine *line = l1i_[c].find(block)) {
-            line->state = CoherenceState::Invalid;
+            line->setState(CoherenceState::Invalid);
             ++backInvalidations_;
         }
         if (CacheLine *line = l1d_[c].find(block)) {
-            line->state = CoherenceState::Invalid;
+            line->setState(CoherenceState::Invalid);
             ++backInvalidations_;
         }
     }
@@ -402,7 +402,7 @@ CoherenceState
 Hierarchy::peekState(unsigned cpu, Addr addr) const
 {
     const CacheLine *line = l2_[groupOf(cpu)].find(addr);
-    return line ? line->state : CoherenceState::Invalid;
+    return line ? line->state() : CoherenceState::Invalid;
 }
 
 void

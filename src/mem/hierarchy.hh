@@ -193,7 +193,8 @@ class Hierarchy
     void setFaultPlan(const FaultPlan *plan) { fault_ = plan; }
 
     /**
-     * Map the block table's later arrays from the kernel
+     * Move the block table's slot array into a mapping from the
+     * kernel, which its doublings then remap
      * (BlockMetaTable::mapNewArrays), for a hierarchy that runs on a
      * short-lived thread of its own. Never changes simulation results.
      */

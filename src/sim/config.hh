@@ -20,6 +20,12 @@
 namespace middlesim::sim
 {
 
+/**
+ * Smallest block a cache takes: mem::CacheLine keeps the coherence
+ * state in the low 3 bits of the block address.
+ */
+inline constexpr unsigned kMinBlockBytes = 8;
+
 /** Geometry of one cache. */
 struct CacheParams
 {
@@ -49,6 +55,8 @@ struct CacheParams
     {
         if (blockBytes == 0 || (blockBytes & (blockBytes - 1)) != 0)
             return "block size must be a power of two";
+        if (blockBytes < kMinBlockBytes)
+            return "block size must be at least 8 bytes";
         if (assoc == 0)
             return "associativity must be nonzero";
         if (sizeBytes % (static_cast<std::uint64_t>(blockBytes) * assoc)

@@ -161,8 +161,8 @@ namespace
  * Grow a 128-group directory table (88 B slots) from 16 slots past
  * 1 MB, then clear it and grow it again from one large array into the
  * next; every record must match its mirror throughout. With `mapped`,
- * every array after the first is mapped, and each doubling past
- * 256 KB hands its old array back in several stretches.
+ * the first array moves into a mapping and every doubling remaps it;
+ * without, every doubling reallocates it on the heap.
  */
 void
 growPastOneMegabyte(bool mapped)

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mem/cache_array.hh"
+#include "sim/rng.hh"
+#include "sim/serialize.hh"
 
 using namespace middlesim;
 using mem::CacheArray;
@@ -24,6 +28,13 @@ fill(CacheArray &cache, mem::Addr addr,
     return frame;
 }
 
+/** Way of `line` within the set holding `addr`. */
+char
+wayOf(const CacheArray &cache, mem::Addr addr, const CacheLine &line)
+{
+    return static_cast<char>(&line - cache.setOf(addr).first);
+}
+
 } // namespace
 
 TEST(CacheArray, MissThenHit)
@@ -33,8 +44,8 @@ TEST(CacheArray, MissThenHit)
     fill(cache, 0x1000);
     CacheLine *line = cache.find(0x1000);
     ASSERT_NE(line, nullptr);
-    EXPECT_EQ(line->tag, 0x1000u);
-    EXPECT_EQ(line->state, CoherenceState::Shared);
+    EXPECT_EQ(line->tag(), 0x1000u);
+    EXPECT_EQ(line->state(), CoherenceState::Shared);
 }
 
 TEST(CacheArray, BlockGranularity)
@@ -162,6 +173,50 @@ TEST_P(CacheArrayGeometry, LruIsExactWithinSet)
     EXPECT_EQ(cache.find(0), nullptr);
     for (unsigned w = 1; w < g.assoc; ++w)
         EXPECT_NE(cache.find(w * stride), nullptr);
+}
+
+TEST(CacheArray, ReplacementOrderIsPinned)
+{
+    // A seeded mix of find, touch, install, streaming install and
+    // single-line invalidation on 8-set arrays of 1 to 64 ways,
+    // digesting every find's way and state and every victim's way.
+    // The constant was recorded on the 24-byte line, so any later
+    // line layout must keep its exact true-LRU order.
+    static const CoherenceState kStates[] = {
+        CoherenceState::Shared, CoherenceState::Owned,
+        CoherenceState::Modified, CoherenceState::Exclusive};
+    std::string buf;
+    for (const unsigned assoc : {1u, 2u, 4u, 8u, 64u}) {
+        CacheArray cache({8ull * assoc * 64, assoc, 64});
+        sim::Rng rng(0xca5e + assoc);
+        for (unsigned i = 0; i < 20000; ++i) {
+            // Twice the array's blocks, at any offset in the block.
+            const mem::Addr addr =
+                rng.uniform(16ull * assoc) * 64 + rng.uniform(64);
+            const auto op = rng.uniform(5);
+            CacheLine *line = cache.find(addr);
+            buf.push_back(line ? wayOf(cache, addr, *line) : -1);
+            buf.push_back(line ? static_cast<char>(line->state()) : -1);
+            if (line) {
+                if (op == 1)
+                    cache.touch(*line);
+                else if (op == 4)
+                    line->setState(CoherenceState::Invalid);
+                continue;
+            }
+            if (op != 2 && op != 3)
+                continue;
+            CacheLine &frame = cache.victim(addr);
+            buf.push_back(wayOf(cache, addr, frame));
+            buf.push_back(frame.valid());
+            const CoherenceState st = kStates[rng.uniform(4)];
+            if (op == 2)
+                cache.install(frame, addr, st);
+            else
+                cache.installStreaming(frame, addr, st);
+        }
+    }
+    EXPECT_EQ(sim::fnv1a64(buf), 0x1facaf3df8eda678ULL);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -25,7 +25,8 @@
  *    bounded queue delays, and eventually drain — over 1000 seeded
  *    cases; sharer-map exactness and ack conservation under
  *    contention ride the lockstep checker across seeded contended
- *    streams;
+ *    streams; a contended machine driven through access() retries
+ *    every NACK, or breaks a livelock under a nack-storm;
  *  - livelock: two CPUs ping-ponging GetM on one block at minimum
  *    home occupancy terminate within kDirRetryBound (fail-fast
  *    `dir.livelock` on a nack-storm fault, never a hang), and a
@@ -648,8 +649,6 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
                         << "seed " << seed;
                     break;
                 }
-                ++dir.stats().nacks;
-                ++dir.stats().retries;
                 t += mem::kDirNackBackoffBase
                      << std::min(attempt, mem::kDirNackBackoffCap);
             }
@@ -664,11 +663,6 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
             if (rng.chance(0.25))
                 dir.advanceEpoch(256);
         }
-        // Every NACK in an honest run is followed by a retry, and
-        // the budget was never exhausted.
-        EXPECT_EQ(dir.stats().nacks, dir.stats().retries)
-            << "seed " << seed;
-        EXPECT_EQ(dir.stats().livelockBreaks, 0u) << "seed " << seed;
 
         // Eventual drain: after an idle epoch, a far-future request
         // is admitted instantly with no queue delay.
@@ -678,6 +672,46 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
             dir.tryAcquireHome(0, now + 100000, service, queue))
             << "seed " << seed;
         EXPECT_EQ(queue, 0u) << "seed " << seed;
+    }
+}
+
+TEST(DirProperty, HierarchyCountsEachNackAsRetryOrLivelockBreak)
+{
+    // Hierarchy::dirHomeAcquire is what NACKs a request: on seeded
+    // refs to a small hot set, an honest contended machine retries
+    // every NACK and never exhausts the retry budget; under a
+    // nack-storm each exhausted budget ends in a livelock break in
+    // place of its last retry.
+    for (const bool storm : {false, true}) {
+        const sim::MachineConfig m =
+            dirMachine(8, 2, 4, sim::Topology::Mesh, 1);
+        Hierarchy h(m, mem::LatencyModel{}, true);
+        mem::FaultPlan plan;
+        plan.kind = mem::FaultPlan::Kind::NackStorm;
+        plan.period = 8;
+        if (storm)
+            h.setFaultPlan(&plan);
+        sim::Rng rng(41);
+        sim::Tick now = 0;
+        for (unsigned i = 0; i < 20000; ++i) {
+            if (i % 1000 == 999)
+                h.advanceContentionEpoch(4000);
+            now += rng.uniform(8);
+            const unsigned cpu = static_cast<unsigned>(rng.uniform(8));
+            const mem::Addr addr = 64 * rng.uniform(32);
+            const AccessType type =
+                rng.chance(0.5) ? AccessType::Store : AccessType::Load;
+            h.access({addr, type, cpu}, now);
+        }
+        const mem::DirectoryStats &s = h.directory()->stats();
+        EXPECT_GT(s.nacks, 0u) << "storm " << storm;
+        if (storm) {
+            EXPECT_GT(s.livelockBreaks, 0u);
+            EXPECT_EQ(s.nacks, s.retries + s.livelockBreaks);
+        } else {
+            EXPECT_EQ(s.nacks, s.retries);
+            EXPECT_EQ(s.livelockBreaks, 0u);
+        }
     }
 }
 

@@ -77,6 +77,13 @@ TEST(ConfigDeath, NonPowerOfTwoBlockIsFatal)
                 "power of two");
 }
 
+TEST(ConfigDeath, BlockUnderEightBytesIsFatal)
+{
+    sim::CacheParams p{4096, 2, 4};
+    EXPECT_EXIT(p.validate("bad"), ::testing::ExitedWithCode(1),
+                "bad: block size must be at least 8 bytes");
+}
+
 TEST(ConfigDeath, SizeNotMultipleIsFatal)
 {
     sim::CacheParams p{1000, 2, 64};
